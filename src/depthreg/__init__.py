@@ -9,7 +9,6 @@ ablation CLI sit on top.
 """
 
 from .errors import (
-    ContractViolation,
     DepthRegError,
     DomainError,
     EmptyEvaluation,
@@ -36,9 +35,6 @@ from .identify import (
 from .losses import (
     DepthLossParams,
     LossResult,
-    feat_distance,
-    final_loss,
-    pair_loss,
     reg_loss,
     si_loss,
 )

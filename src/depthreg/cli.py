@@ -14,12 +14,15 @@ from pathlib import Path
 
 from .errors import DepthRegError
 from .experiment import (
+    CONFIG_KEYS,
+    check_keys,
     config_from_dict,
     config_to_dict,
     load_config_file,
     reg_config_from_dict,
     run_ablation,
     run_experiment,
+    scene_from_dict,
 )
 from .grid import SeedRng, shift2d_g1
 from .identify import differential_map, identify
@@ -67,6 +70,11 @@ def _write_config_echo(out: Path, cfg) -> None:
     )
 
 
+def _fmt(value: float | None, spec: str) -> str:
+    """A summary value for a console line; null (non-finite) prints as n/a."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def cmd_train(args) -> int:
     raw = load_config_file(args.config)
     cfg = config_from_dict(raw)
@@ -80,8 +88,8 @@ def cmd_train(args) -> int:
         if s["diverged"]:
             print(f"seed {seed}: DIVERGED at step {s['diverged_step']}")
         else:
-            print(f"seed {seed}: abs_rel={final['abs_rel']:.6f} "
-                  f"separation={final['separation']:.4f}")
+            print(f"seed {seed}: abs_rel={_fmt(final['abs_rel'], '.6f')} "
+                  f"separation={_fmt(final['separation'], '.4f')}")
     return 0
 
 
@@ -93,8 +101,8 @@ def cmd_ablate(args) -> int:
     _write_config_echo(out, cfg)
     summary = run_ablation(cfg, ablation, out)
     for name, s in summary["strategies"].items():
-        print(f"{name}: mean_abs_rel={s['mean_abs_rel']:.6f} "
-              f"mean_separation={s['mean_separation']:.4f}")
+        print(f"{name}: mean_abs_rel={_fmt(s['mean_abs_rel'], '.6f')} "
+              f"mean_separation={_fmt(s['mean_separation'], '.4f')}")
     print(f"wrote {out / 'ablation_summary.json'}")
     return 0
 
@@ -111,8 +119,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen_scenes(args) -> int:
-    raw = load_config_file(args.config)
-    scene = raw["scene"]
+    raw = check_keys(load_config_file(args.config), "config", ("scene",), CONFIG_KEYS)
+    scene = scene_from_dict(raw["scene"])
     reg_cfg = None
     if "regularization" in raw:
         reg_cfg = reg_config_from_dict(raw["regularization"])
@@ -123,8 +131,7 @@ def cmd_gen_scenes(args) -> int:
     seq = SeedRng(args.seed)
     seeds = [seq.next_u64() for _ in range(args.count)]
     for i, s in enumerate(seeds):
-        sc = gen_scene(s, int(scene["height"]), int(scene["width"]),
-                       float(scene["d_min"]), float(scene["d_max"]))
+        sc = gen_scene(s, scene.height, scene.width, scene.d_min, scene.d_max)
         write_pfm_g3(out / f"scene_{i:04d}.image.pfm", sc.image)
         write_pfm_g1(out / f"scene_{i:04d}.depth.pfm", sc.depth)
         if reg_cfg is not None:
@@ -136,7 +143,7 @@ def cmd_gen_scenes(args) -> int:
     manifest = {
         "base_seed": args.seed,
         "count": args.count,
-        "scene": {k: scene[k] for k in ("height", "width", "d_min", "d_max")},
+        "scene": raw["scene"],
         "scene_seeds": seeds,
     }
     (out / "manifest.json").write_text(

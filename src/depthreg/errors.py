@@ -25,10 +25,6 @@ class InsufficientBatch(DepthRegError):
     """Cross-batch sampling requested from a batch with fewer than two items."""
 
 
-class ContractViolation(DepthRegError):
-    """An operation was called with an argument its contract excludes."""
-
-
 class DomainError(DepthRegError):
     """A numeric input sits outside the mathematical domain of the operation."""
 

@@ -21,18 +21,18 @@ where "strategy" is one of
     {"kind": "multi_range", "ranges": [[low, high, margin], ...]}
     {"kind": "disabled"}
 
-An ablation config adds an "ablation" section: a "strategies" name->strategy
-map, plus an optional "sweep" with "n_within"/"n_across" count lists (the
-sweep varies one collecting means with the other disabled).  All randomness
-roots in the explicit seed list; rerunning a command overwrites
-byte-identical outputs.
+and any key outside this schema is rejected.  An ablation config adds an
+"ablation" section: a "strategies" name->strategy map, plus an optional
+"sweep" with "n_within"/"n_across" count lists (the sweep varies one
+collecting means with the other disabled).  All randomness roots in the
+explicit seed list; rerunning a command overwrites byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import InvalidConfig
@@ -60,27 +60,46 @@ class ExperimentConfig:
     separation_far: float
     output_dir: str
 
-    def separation_config(self) -> RegConfig:
-        """Fixed thresholds for the separation statistic, strategy-independent."""
-        return RegConfig(
-            r_p=self.separation_near,
-            strategy=Uniform(r_n=self.separation_far, m_u=1.0),
-            n_within=0,
-            n_across=0,
-        )
+    def __post_init__(self):
+        if not 0 < self.separation_near <= self.separation_far:
+            raise InvalidConfig("separation thresholds need 0 < near <= far")
+
+
+CONFIG_KEYS = ("scene", "regularization", "depth_loss", "schedule", "separation",
+               "output_dir", "ablation")
+STRATEGY_KEYS = {"disabled": (), "uniform": ("r_n", "m_u"), "multi_range": ("ranges",)}
+
+
+def check_keys(d, where: str, required: tuple[str, ...], allowed: tuple[str, ...] = ()) -> dict:
+    """``d``, once it is an object holding every required key and no other key than allowed."""
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{where} must be a JSON object")
+    for key in required:
+        if key not in d:
+            raise InvalidConfig(f"missing config key: {key!r}")
+    for key in d:
+        if key not in required and key not in allowed:
+            raise InvalidConfig(f"unknown config key {key!r} in {where}")
+    return d
+
+
+def scene_from_dict(d: dict) -> SceneParams:
+    check_keys(d, "scene", ("height", "width", "d_min", "d_max"))
+    return SceneParams(int(d["height"]), int(d["width"]), float(d["d_min"]), float(d["d_max"]))
 
 
 def strategy_from_dict(d: dict):
-    kind = d.get("kind")
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in STRATEGY_KEYS:
+        raise InvalidConfig(f"unknown strategy kind {kind!r}")
+    check_keys(d, f"{kind} strategy", ("kind",) + STRATEGY_KEYS[kind])
     if kind == "disabled":
         return None
     if kind == "uniform":
         return Uniform(r_n=float(d["r_n"]), m_u=float(d["m_u"]))
-    if kind == "multi_range":
-        return MultiRange(
-            tuple(NegativeRange(float(lo), float(hi), float(m)) for lo, hi, m in d["ranges"])
-        )
-    raise InvalidConfig(f"unknown strategy kind {kind!r}")
+    return MultiRange(
+        tuple(NegativeRange(float(lo), float(hi), float(m)) for lo, hi, m in d["ranges"])
+    )
 
 
 def strategy_to_dict(s) -> dict:
@@ -92,6 +111,8 @@ def strategy_to_dict(s) -> dict:
 
 
 def reg_config_from_dict(d: dict) -> RegConfig:
+    check_keys(d, "regularization", ("r_p", "strategy"),
+               ("n_within", "n_across", "loss_reduction", "depth_loss_weight"))
     return RegConfig(
         r_p=float(d["r_p"]),
         strategy=strategy_from_dict(d["strategy"]),
@@ -114,37 +135,33 @@ def reg_config_to_dict(cfg: RegConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    try:
-        scene = d["scene"]
-        sched = d["schedule"]
-        sep = d.get("separation", {})
-        return ExperimentConfig(
-            scene=SceneParams(
-                height=int(scene["height"]),
-                width=int(scene["width"]),
-                d_min=float(scene["d_min"]),
-                d_max=float(scene["d_max"]),
-            ),
-            reg=reg_config_from_dict(d["regularization"]),
-            depth_loss=DepthLossParams(
-                variance_focus=float(d.get("depth_loss", {}).get("variance_focus", 0.85)),
-                output_scale=float(d.get("depth_loss", {}).get("output_scale", 10.0)),
-            ),
-            schedule=Schedule(
-                steps=int(sched["steps"]),
-                batch_size=int(sched["batch_size"]),
-                learning_rate=float(sched["learning_rate"]),
-                seeds=tuple(int(s) for s in sched["seeds"]),
-                train_scenes=int(sched.get("train_scenes", 40)),
-                eval_scenes=int(sched.get("eval_scenes", 10)),
-                eval_every=int(sched.get("eval_every", 500)),
-            ),
-            separation_near=float(sep.get("near", 0.1)),
-            separation_far=float(sep.get("far", 0.5)),
-            output_dir=str(d.get("output_dir", "runs")),
-        )
-    except KeyError as exc:
-        raise InvalidConfig(f"missing config key: {exc}") from exc
+    check_keys(d, "config", ("scene", "regularization", "schedule"), CONFIG_KEYS)
+    sched = check_keys(d["schedule"], "schedule",
+                       ("steps", "batch_size", "learning_rate", "seeds"),
+                       ("train_scenes", "eval_scenes", "eval_every"))
+    depth = check_keys(d.get("depth_loss", {}), "depth_loss", (),
+                       ("variance_focus", "output_scale"))
+    sep = check_keys(d.get("separation", {}), "separation", (), ("near", "far"))
+    return ExperimentConfig(
+        scene=scene_from_dict(d["scene"]),
+        reg=reg_config_from_dict(d["regularization"]),
+        depth_loss=DepthLossParams(
+            variance_focus=float(depth.get("variance_focus", 0.85)),
+            output_scale=float(depth.get("output_scale", 10.0)),
+        ),
+        schedule=Schedule(
+            steps=int(sched["steps"]),
+            batch_size=int(sched["batch_size"]),
+            learning_rate=float(sched["learning_rate"]),
+            seeds=tuple(int(s) for s in sched["seeds"]),
+            train_scenes=int(sched.get("train_scenes", 40)),
+            eval_scenes=int(sched.get("eval_scenes", 10)),
+            eval_every=int(sched.get("eval_every", 500)),
+        ),
+        separation_near=float(sep.get("near", 0.1)),
+        separation_far=float(sep.get("far", 0.5)),
+        output_dir=str(d.get("output_dir", "runs")),
+    )
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -191,7 +208,17 @@ def load_config_file(path: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _put_finite(obj: dict, name: str, value: float, reason: str) -> None:
+    """``obj[name] = value``; a non-finite value is stored as null plus ``<name>_reason``."""
+    if math.isfinite(value):
+        obj[name] = value
+    else:
+        obj[name] = None
+        obj[f"{name}_reason"] = f"{value!r}: {reason}"
 
 
 def write_run_outputs(run_dir: Path, record: TrainRecord, seed: int) -> dict:
@@ -210,28 +237,21 @@ def write_run_outputs(run_dir: Path, record: TrainRecord, seed: int) -> dict:
         eval_lines.append(f"{e.step},{e.report.csv_row()},{e.separation!r}")
     (run_dir / "eval.csv").write_text("\n".join(eval_lines) + "\n", encoding="utf-8")
 
-    final_eval = record.evals[-1] if record.evals else None
+    final_eval = None
+    if record.evals:
+        last = record.evals[-1]
+        final_eval = {"step": last.step}
+        for name, value in asdict(last.report).items():
+            _put_finite(final_eval, name, value, "the model predicts non-finite depths")
+        _put_finite(final_eval, "separation", last.separation,
+                    "no held-out scene has both near and far pairs at nonzero near distance")
     summary = {
         "seed": seed,
         "diverged": record.diverged,
         "diverged_step": record.diverged_step,
         "steps_completed": len(record.steps),
         "final_regularization_breakdown": record.final_breakdown,
-        "final_eval": None
-        if final_eval is None
-        else {
-            "step": final_eval.step,
-            "abs_rel": final_eval.report.abs_rel,
-            "sq_rel": final_eval.report.sq_rel,
-            "rmse": final_eval.report.rmse,
-            "rmse_log": final_eval.report.rmse_log,
-            "log10": final_eval.report.log10,
-            "delta1": final_eval.report.delta1,
-            "delta2": final_eval.report.delta2,
-            "delta3": final_eval.report.delta3,
-            "pixel_count": final_eval.report.pixel_count,
-            "separation": final_eval.separation,
-        },
+        "final_eval": final_eval,
     }
     _dump_json(run_dir / "summary.json", summary)
     return summary
@@ -250,15 +270,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, reg_override: RegConfig
             cfg.depth_loss,
             cfg.schedule,
             seed,
-            cfg.separation_config(),
+            (cfg.separation_near, cfg.separation_far),
         )
         summaries[seed] = write_run_outputs(out_dir / label / f"seed_{seed}", record, seed)
     return summaries
 
 
-def _mean(xs: list[float]) -> float:
-    finite = [x for x in xs if math.isfinite(x)]
-    return sum(finite) / len(finite) if finite else math.nan
+def _means(runs: dict, **values: list) -> dict:
+    """Mean and count (``<name>_n``) of the finite values in each named list.
+
+    ``n_diverged`` counts the diverged runs; a diverged run's last
+    evaluation, if it reached one, is averaged like any other.
+    """
+    out = {"n_diverged": sum(r["diverged"] for r in runs.values())}
+    for name, xs in values.items():
+        finite = [x for x in xs if x is not None and math.isfinite(x)]
+        mean = sum(finite) / len(finite) if finite else math.nan
+        _put_finite(out, name, mean, "no seed has a finite value to average")
+        out[f"{name}_n"] = len(finite)
+    return out
 
 
 def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path) -> dict:
@@ -285,23 +315,16 @@ def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path) -> dict:
         runs = run_experiment(cfg, out_dir, reg_override=reg, label=name)
         per_seed = []
         for seed in cfg.schedule.seeds:
-            s = runs[seed]
-            per_seed.append(
-                {
-                    "seed": seed,
-                    "diverged": s["diverged"],
-                    "abs_rel": None if s["final_eval"] is None else s["final_eval"]["abs_rel"],
-                    "separation": None
-                    if s["final_eval"] is None
-                    else s["final_eval"]["separation"],
-                }
-            )
-        abs_rels = [p["abs_rel"] for p in per_seed if p["abs_rel"] is not None]
-        seps = [p["separation"] for p in per_seed if p["separation"] is not None]
+            final = runs[seed]["final_eval"] or {}
+            entry = {"seed": seed, "diverged": runs[seed]["diverged"],
+                     "abs_rel": final.get("abs_rel"), "separation": final.get("separation")}
+            entry.update((k, final[k]) for k in ("abs_rel_reason", "separation_reason")
+                         if k in final)
+            per_seed.append(entry)
         summary["strategies"][name] = {
             "per_seed": per_seed,
-            "mean_abs_rel": _mean(abs_rels),
-            "mean_separation": _mean(seps),
+            **_means(runs, mean_abs_rel=[p["abs_rel"] for p in per_seed],
+                     mean_separation=[p["separation"] for p in per_seed]),
         }
 
     sweep = ablation.get("sweep", {})
@@ -327,10 +350,14 @@ def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path) -> dict:
             abs_rels = [
                 r["final_eval"]["abs_rel"] for r in runs.values() if r["final_eval"]
             ]
-            points.append((count, _mean(abs_rels)))
-        data = "\n".join(f"{c} {v!r}" for c, v in points) + "\n"
+            points.append({"count": count, **_means(runs, mean_abs_rel=abs_rels)})
+        # plot data keeps "nan" where the summary writes null
+        data = "".join(
+            f"{p['count']} {'nan' if p['mean_abs_rel'] is None else repr(p['mean_abs_rel'])}\n"
+            for p in points
+        )
         (out_dir / f"sweep_{axis}.dat").write_text(data, encoding="utf-8")
-        summary[f"sweep_{axis}"] = [{"count": c, "mean_abs_rel": v} for c, v in points]
+        summary[f"sweep_{axis}"] = points
 
     _dump_json(out_dir / "ablation_summary.json", summary)
     return summary

@@ -25,10 +25,17 @@ IGNORED = -1
 
 @dataclass(frozen=True)
 class Uniform:
-    """Single negative group: differential > r_n, one margin m_u."""
+    """Single negative group: differential > r_n, one margin m_u.
+
+    The one-range case of ``MultiRange``: ``ranges`` is the band (r_n, inf).
+    """
 
     r_n: float
     m_u: float
+
+    @property
+    def ranges(self) -> tuple[NegativeRange, ...]:
+        return (NegativeRange(self.r_n, np.inf, self.m_u),)
 
 
 @dataclass(frozen=True)
@@ -78,53 +85,23 @@ class RegConfig:
         s = self.strategy
         if s is None:
             return
-        if isinstance(s, Uniform):
-            if s.r_n < self.r_p:
-                raise InvalidConfig(f"r_n={s.r_n} must be >= r_p={self.r_p}")
-            if not s.m_u > 0:
-                raise InvalidConfig("m_u must be > 0")
-        elif isinstance(s, MultiRange):
-            if not s.ranges:
-                raise InvalidConfig("multi-range strategy needs at least one range")
-            prev_high = None
-            for r in s.ranges:
-                if not r.low < r.high:
-                    raise InvalidConfig(f"range ({r.low}, {r.high}) is empty")
-                if not r.margin > 0:
-                    raise InvalidConfig("margins must be > 0")
-                if prev_high is not None and r.low < prev_high:
-                    raise InvalidConfig("ranges must be sorted ascending and non-overlapping")
-                prev_high = r.high
-            if s.ranges[0].low < self.r_p:
-                raise InvalidConfig(
-                    f"first negative lower bound {s.ranges[0].low} below r_p={self.r_p}"
-                )
-        else:
+        if not isinstance(s, (Uniform, MultiRange)):
             raise InvalidConfig(f"unknown strategy type {type(s).__name__}")
+        if not s.ranges:
+            raise InvalidConfig("multi-range strategy needs at least one range")
+        prev_high = self.r_p
+        for r in s.ranges:
+            if not r.low < r.high:
+                raise InvalidConfig(f"range ({r.low}, {r.high}) is empty")
+            if not r.margin > 0:
+                raise InvalidConfig("margins must be > 0")
+            if r.low < prev_high:
+                raise InvalidConfig("ranges must start at >= r_p, ascending, non-overlapping")
+            prev_high = r.high
 
     @property
     def enabled(self) -> bool:
         return self.strategy is not None
-
-    def margin_for(self, group: int) -> float:
-        """Hinge margin of negative subgroup ``group`` (1-based)."""
-        if isinstance(self.strategy, Uniform):
-            if group != 1:
-                raise InvalidConfig(f"uniform strategy has no subgroup {group}")
-            return self.strategy.m_u
-        if isinstance(self.strategy, MultiRange):
-            if not 1 <= group <= len(self.strategy.ranges):
-                raise InvalidConfig(f"no negative subgroup {group}")
-            return self.strategy.ranges[group - 1].margin
-        raise InvalidConfig("regularization disabled; no margins defined")
-
-    @property
-    def num_groups(self) -> int:
-        if isinstance(self.strategy, Uniform):
-            return 1
-        if isinstance(self.strategy, MultiRange):
-            return len(self.strategy.ranges)
-        return 0
 
 
 @dataclass(frozen=True)
@@ -186,14 +163,12 @@ def identify_multirange(d_r: Grid1, config: RegConfig) -> IdentMap:
     """Positive below r_p, negative group j inside its open range (r_l, r_h)."""
     if not isinstance(config.strategy, MultiRange):
         raise InvalidConfig("config does not carry a multi-range strategy")
-    bounds = [(r.low, r.high) for r in config.strategy.ranges]
-    return IdentMap(_classify(d_r, config.r_p, bounds))
+    return identify(d_r, config)
 
 
 def identify(d_r: Grid1, config: RegConfig) -> IdentMap:
-    """Dispatch on the configured strategy."""
-    if isinstance(config.strategy, Uniform):
-        return identify_uniform(d_r, config.r_p, config.strategy.r_n)
-    if isinstance(config.strategy, MultiRange):
-        return identify_multirange(d_r, config)
-    raise InvalidConfig("regularization disabled; nothing to identify")
+    """Positive below r_p, negative group j inside the j-th configured range."""
+    if not config.enabled:
+        raise InvalidConfig("regularization disabled; nothing to identify")
+    bounds = [(r.low, r.high) for r in config.strategy.ranges]
+    return IdentMap(_classify(d_r, config.r_p, bounds))

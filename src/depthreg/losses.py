@@ -1,4 +1,4 @@
-"""Contrastive regularization loss, scale-invariant depth loss, combined loss.
+"""Contrastive regularization loss and scale-invariant depth loss.
 
 Per sample map and pixel, the pair term is the Euclidean feature distance
 for positives and the hinge ``max(0, margin - distance)`` for negatives;
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, InvalidConfig, ShapeError
+from .errors import DomainError, InvalidConfig, ShapeError
 from .grid import Grid1, Grid3
-from .identify import IGNORED, RegConfig, identify
+from .identify import RegConfig, identify
 from .sampling import SampleSet, stack_depths, stack_features
 
 
@@ -50,26 +50,6 @@ class DepthLossParams:
             raise InvalidConfig("variance_focus must lie in [0, 1]")
         if not self.output_scale > 0:
             raise InvalidConfig("output_scale must be > 0")
-
-
-def feat_distance(f1, f2) -> float:
-    """Euclidean distance between two equal-length feature vectors."""
-    a = np.asarray(f1, dtype=np.float64)
-    b = np.asarray(f2, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"length mismatch {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
-def pair_loss(dist: float, label: int, config: RegConfig) -> float:
-    """Single-pair term: distance for positives, hinge for negatives."""
-    if label == IGNORED:
-        raise ContractViolation("pair_loss is undefined for ignored pixels")
-    if dist < 0:
-        raise ContractViolation("distance must be >= 0")
-    if label == 0:
-        return dist
-    return max(0.0, config.margin_for(label) - dist)
 
 
 def _zero_result(f_a: Grid3, n_samples: int) -> LossResult:
@@ -116,9 +96,8 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig) -> L
     diff = f_a.data[None, :, :, :] - sf
     dist = np.sqrt(np.einsum("nhwc,nhwc->nhw", diff, diff))  # (N, H, W)
 
-    margins = np.zeros(config.num_groups + 1)
-    for j in range(1, config.num_groups + 1):
-        margins[j] = config.margin_for(j)
+    ranges = config.strategy.ranges
+    margins = np.array([0.0] + [r.margin for r in ranges])
 
     pos = labels == 0
     neg = labels > 0
@@ -132,7 +111,7 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig) -> L
         scale = 1.0
 
     breakdown: dict[str, float] = {"positive": scale * float(np.sum(dist, where=pos))}
-    for j in range(1, config.num_groups + 1):
+    for j in range(1, len(ranges) + 1):
         breakdown[f"negative_{j}"] = scale * float(np.sum(hinge, where=labels == j))
     total = math.fsum(breakdown.values())
 
@@ -185,7 +164,3 @@ def si_loss(pred: Grid1, gt: Grid1, params: DepthLossParams) -> tuple[float, np.
         grad[mask] = dg / p
     return loss, grad
 
-
-def final_loss(reg: LossResult, depth: float, w: float = 1.0) -> float:
-    """Combined objective: regularization total plus weighted depth loss."""
-    return reg.total + w * depth

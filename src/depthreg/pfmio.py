@@ -13,6 +13,7 @@ PGM dumps of label maps use binary P5 with maxval 255.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,17 @@ def _read_plane(fh):
     magic = fh.readline().strip()
     if magic not in (b"PF", b"Pf"):
         raise ShapeError(f"not a PFM plane: magic {magic!r}")
-    w, h = (int(t) for t in fh.readline().split())
-    scale = float(fh.readline())
+    size = fh.readline().split()
+    if len(size) != 2 or not all(t.isdigit() and int(t) > 0 for t in size):
+        raise ShapeError(f"PFM size line must be two positive integers, got {size!r}")
+    w, h = (int(t) for t in size)
+    scale_line = fh.readline()
+    try:
+        scale = float(scale_line)
+    except ValueError:
+        scale = math.nan
+    if scale == 0.0 or not math.isfinite(scale):
+        raise ShapeError(f"PFM scale must be a nonzero finite number, got {scale_line!r}")
     channels = 3 if magic == b"PF" else 1
     count = h * w * channels
     raw = fh.read(4 * count)
@@ -59,6 +69,8 @@ def read_pfm_g1(path: str | Path) -> Grid1:
     path = Path(path)
     with open(path, "rb") as fh:
         vals = _read_plane(fh)
+        if fh.read(1):
+            raise ShapeError("bytes after the PFM payload")
     if vals.ndim != 2:
         raise ShapeError("expected a single-channel PFM for depth")
     mask_path = Path(str(path) + ".mask")

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import DomainError, InvalidConfig
 from ..grid import Grid1, Grid3, SeedRng
-from ..identify import MultiRange, RegConfig, Uniform
+from ..identify import RegConfig
 from ..losses import DepthLossParams, reg_loss, si_loss
 from ..metrics import MetricReport, compute_metrics, mean_report
 from ..sampling import Batch, Within, build_sample_set
@@ -51,25 +51,15 @@ class TrainRecord:
     diverged_step: int | None = None
 
 
-def separation_bounds(config: RegConfig) -> tuple[float, float]:
-    """(same-depth threshold, different-depth threshold) from a config."""
-    if isinstance(config.strategy, Uniform):
-        return config.r_p, config.strategy.r_n
-    if isinstance(config.strategy, MultiRange):
-        return config.r_p, config.strategy.ranges[0].low
-    raise InvalidConfig("feature separation needs a strategy with thresholds")
-
-
-def feature_separation(features: Grid3, depth: Grid1, config: RegConfig,
+def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
                        n_pairs: int = 4096, seed: int = 2026) -> float:
     """Mean feature distance of far-depth pairs over that of near-depth pairs.
 
-    Pairs are pixel positions drawn with a fixed seed; "far" means a depth
-    differential above the first negative bound, "near" below r_p.  Returns
-    1.0 when both means vanish (constant features) and +inf when no near
-    pair exists or near pairs sit at distance zero.
+    Pairs are pixel positions drawn with a fixed seed; a pair is "near" when
+    its depth differential is below ``near`` and "far" when it is above
+    ``far``.  Returns 1.0 when both means vanish (constant features) and +inf
+    when no near pair exists or near pairs sit at distance zero.
     """
-    low_thr, high_thr = separation_bounds(config)
     h, w = features.height, features.width
     p = h * w
     rng = SeedRng(seed)
@@ -81,14 +71,14 @@ def feature_separation(features: Grid3, depth: Grid1, config: RegConfig,
     ok = dvalid[i1] & dvalid[i2]
     dd = np.abs(dvals[i1] - dvals[i2])[ok]
     fd = np.sqrt(np.sum((feats[i1] - feats[i2]) ** 2, axis=1))[ok]
-    near = fd[dd < low_thr]
-    far = fd[dd > high_thr]
-    if near.size == 0:
+    near_fd = fd[dd < near]
+    far_fd = fd[dd > far]
+    if near_fd.size == 0:
         return math.inf
-    if far.size == 0:
+    if far_fd.size == 0:
         return math.nan
-    mean_near = float(near.mean())
-    mean_far = float(far.mean())
+    mean_near = float(near_fd.mean())
+    mean_far = float(far_fd.mean())
     if mean_near == 0.0:
         return 1.0 if mean_far == 0.0 else math.inf
     return mean_far / mean_near
@@ -180,7 +170,7 @@ class Schedule:
 
 def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
               reg_cfg: RegConfig, depth_params: DepthLossParams, schedule: Schedule,
-              seed: int, separation_cfg: RegConfig) -> TrainRecord:
+              seed: int, separation: tuple[float, float]) -> TrainRecord:
     """One seeded training run; bit-identical when repeated.
 
     The scene pools and model initialization derive from ``seed`` alone (not
@@ -233,19 +223,19 @@ def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
         last = step == schedule.steps - 1
         if (step + 1) % schedule.eval_every == 0 or last:
             record.evals.append(
-                EvalStats(step, *evaluate_model(model, eval_pool, separation_cfg))
+                EvalStats(step, *evaluate_model(model, eval_pool, separation))
             )
     return record
 
 
 def evaluate_model(model: ToyModel, scenes: list[SyntheticScene],
-                   separation_cfg: RegConfig) -> tuple[MetricReport, float]:
+                   separation: tuple[float, float]) -> tuple[MetricReport, float]:
     """Held-out metrics (per-scene averaged) and mean separation statistic."""
     reports, seps = [], []
     for sc in scenes:
         f, p, _ = model_forward(model, sc.image)
         reports.append(compute_metrics(p, sc.depth))
-        seps.append(feature_separation(f, sc.depth, separation_cfg))
+        seps.append(feature_separation(f, sc.depth, *separation))
     finite = [s for s in seps if math.isfinite(s)]
     sep = sum(finite) / len(finite) if finite else math.inf
     return mean_report(reports), sep

@@ -34,20 +34,24 @@ DENOM_SCALE = 1e-5
 # Reference (oracle) implementations
 # ---------------------------------------------------------------------------
 
-def _oracle_label(diff: float, valid: bool, config: RegConfig, r_p_override=None) -> int:
-    """Scalar reclassification of one pixel; -1 ignored, 0 positive, j negative."""
+def _oracle_label(diff: float, valid: bool, config: RegConfig,
+                  r_p_override=None) -> tuple[int, float]:
+    """Scalar reclassification of one pixel: (label, margin of negative group j).
+
+    Label -1 is ignored, 0 positive, j negative; non-negatives get margin 0.0.
+    """
     if not valid:
-        return -1
+        return -1, 0.0
     r_p = config.r_p if r_p_override is None else r_p_override
     if diff < r_p:
-        return 0
+        return 0, 0.0
     s = config.strategy
     if isinstance(s, Uniform):
-        return 1 if diff > s.r_n else -1
+        return (1, s.m_u) if diff > s.r_n else (-1, 0.0)
     for j, r in enumerate(s.ranges, start=1):
         if r.low < diff < r.high:
-            return j
-    return -1
+            return j, r.margin
+    return -1, 0.0
 
 
 def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
@@ -65,7 +69,7 @@ def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfi
             for j in range(f_a.width):
                 valid = bool(d_a.valid[i, j]) and bool(pair.depth.valid[i, j])
                 diff = abs(float(d_a.values[i, j]) - float(pair.depth.values[i, j]))
-                label = _oracle_label(diff, valid, config, r_p)
+                label, margin = _oracle_label(diff, valid, config, r_p)
                 if label < 0:
                     continue
                 contributing += 1
@@ -77,7 +81,7 @@ def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfi
                 if label == 0:
                     terms.append(dist)
                 else:
-                    terms.append(max(0.0, config.margin_for(label) - dist))
+                    terms.append(max(0.0, margin - dist))
     total = math.fsum(terms)
     if config.loss_reduction == "mean_contributing":
         total = total / contributing if contributing else 0.0
@@ -161,10 +165,10 @@ def random_instance(rng: SeedRng, max_h: int = 4, max_w: int = 4, max_c: int = 5
             for j in range(w):
                 valid = bool(d_a.valid[i, j]) and bool(d_s.valid[i, j])
                 diff = abs(float(d_a.values[i, j]) - float(d_s.values[i, j]))
-                label = _oracle_label(diff, valid, config)
+                label, margin = _oracle_label(diff, valid, config)
                 if label < 0:
                     continue
-                kinks = [0.0] + ([config.margin_for(label)] if label > 0 else [])
+                kinks = [0.0] + ([margin] if label > 0 else [])
                 while True:
                     dist = math.sqrt(float(np.sum((f_a.data[i, j] - f_s[i, j]) ** 2)))
                     if all(abs(dist - k) > GENERIC_GAP for k in kinks):
@@ -205,7 +209,7 @@ def _kink_free_mask(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfi
             for j in range(f_a.width):
                 valid = bool(d_a.valid[i, j]) and bool(pair.depth.valid[i, j])
                 diff = abs(float(d_a.values[i, j]) - float(pair.depth.values[i, j]))
-                label = _oracle_label(diff, valid, config)
+                label, margin = _oracle_label(diff, valid, config)
                 if label < 0:
                     continue
                 dist = math.sqrt(
@@ -213,7 +217,7 @@ def _kink_free_mask(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfi
                 )
                 if dist < KINK_MARGIN:
                     good[s_idx, i, j] = False
-                elif label > 0 and abs(dist - config.margin_for(label)) < KINK_MARGIN:
+                elif label > 0 and abs(dist - margin) < KINK_MARGIN:
                     good[s_idx, i, j] = False
     return good
 
@@ -233,12 +237,9 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: SampleSet,
     if mutate_hinge_sign:
         # Positive-only gradients via hinge margins too small to activate;
         # classification is untouched, so the reduction scale is identical.
-        if isinstance(config.strategy, Uniform):
-            pos_strategy = Uniform(config.strategy.r_n, 1e-300)
-        else:
-            pos_strategy = MultiRange(
-                tuple(NegativeRange(r.low, r.high, 1e-300) for r in config.strategy.ranges)
-            )
+        pos_strategy = MultiRange(
+            tuple(NegativeRange(r.low, r.high, 1e-300) for r in config.strategy.ranges)
+        )
         pos_cfg = RegConfig(config.r_p, pos_strategy, config.n_within, config.n_across,
                             config.loss_reduction, config.depth_loss_weight)
         res_pos = reg_loss(f_a, d_a, samples, pos_cfg)

@@ -74,6 +74,47 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match="missing config key"):
             config_from_dict({"scene": {"height": 16}})
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "outputdir"),
+        ("scene", "depth"),
+        ("regularization", "n_whithin"),
+        ("depth_loss", "focus"),
+        ("schedule", "step"),
+        ("separation", "nearr"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, section, key):
+        cfg = tiny_config(tmp_path)
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = 3
+        with pytest.raises(InvalidConfig, match=repr(key)):
+            config_from_dict(cfg)
+
+    @pytest.mark.parametrize("strategy, key", [
+        ({"kind": "uniform", "r_n": 0.5, "m_u": 4.0, "ranges": []}, "ranges"),
+        ({"kind": "multi_range", "ranges": [[0.5, 1.0, 3.0]], "m_u": 4.0}, "m_u"),
+        ({"kind": "disabled", "r_n": 0.5}, "r_n"),
+    ])
+    def test_unknown_strategy_key_rejected(self, tmp_path, strategy, key):
+        cfg = tiny_config(tmp_path)
+        cfg["regularization"]["strategy"] = strategy
+        with pytest.raises(InvalidConfig, match=repr(key)):
+            config_from_dict(cfg)
+
+    def test_misspelt_key_exits_2_without_outputs(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        cfg = tiny_config(out)
+        cfg["regularization"]["n_whithin"] = 3
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "n_whithin" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.json")))
+    def test_shipped_configs_load(self, path):
+        config_from_dict(load_config_file(path))
+
+    def test_separation_thresholds_validated(self, tmp_path):
+        with pytest.raises(InvalidConfig, match="separation"):
+            config_from_dict(tiny_config(tmp_path, separation={"near": 0.6, "far": 0.5}))
+
 
 class TestVerificationCommands:
     def test_gradcheck_passes_quick(self, capsys):
@@ -149,6 +190,20 @@ class TestEvalAndScenes:
         first = [float(x) for x in out[1].split(",")[:5]]
         assert first == [0.0, 0.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("drop", ["scene", "width"])
+    def test_gen_scenes_missing_scene_key_exits_2(self, tmp_path, capsys, drop):
+        cfg = tiny_config(tmp_path / "out")
+        cfg["scene"].pop(drop) if drop != "scene" else cfg.pop("scene")
+        assert main(["gen-scenes", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "scenes")]) == 2
+        assert f"missing config key: '{drop}'" in capsys.readouterr().err
+
+    def test_eval_rejects_negative_pfm_size(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pfm"
+        bad.write_bytes(b"Pf\n-2 -2\n-1.0\n" + bytes(16))
+        assert main(["eval", "--pred", str(bad), "--gt", str(bad)]) == 2
+        assert "positive integers" in capsys.readouterr().err
+
     def test_gen_scenes_deterministic(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         a, b = tmp_path / "a", tmp_path / "b"
@@ -187,6 +242,9 @@ class TestAblateCommand:
         for s in summary["strategies"].values():
             assert len(s["per_seed"]) == 2
             assert s["mean_abs_rel"] > 0
+            assert (s["mean_abs_rel_n"], s["mean_separation_n"], s["n_diverged"]) == (2, 2, 0)
+        assert [(p["count"], p["mean_abs_rel_n"], p["n_diverged"])
+                for p in summary["sweep_n_within"]] == [(1, 2, 0), (2, 2, 0)]
 
         sweep = (out / "sweep_n_within.dat").read_text().splitlines()
         assert len(sweep) == 2
@@ -203,3 +261,72 @@ class TestAblateCommand:
         main(["ablate", "--config", path])
         second = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert first == second
+
+
+def strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestNonFiniteOutputs:
+    # A near threshold below every nonzero depth differential and a far one
+    # above every differential leave each held-out scene without far pairs,
+    # so the separation statistic is not finite.
+    NO_FAR_PAIRS = {"near": 1e-12, "far": 1e9}
+
+    def test_train_writes_null_separation_with_reason(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        cfg = tiny_config(out, separation=self.NO_FAR_PAIRS)
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+        assert "separation=n/a" in capsys.readouterr().out
+        final = strict_json(out / "run" / "seed_5" / "summary.json")["final_eval"]
+        assert final["separation"] is None
+        assert final["separation_reason"].startswith("inf: ")
+        assert final["abs_rel"] > 0 and "abs_rel_reason" not in final
+
+    def test_finite_summary_has_no_reason_fields(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["train", "--config", write_config(tmp_path, tiny_config(out))]) == 0
+        final = strict_json(out / "run" / "seed_5" / "summary.json")["final_eval"]
+        assert not [k for k in final if k.endswith("_reason")]
+
+    def test_ablate_null_mean_separation_with_counts(self, tmp_path, capsys):
+        out = tmp_path / "ablation"
+        cfg = TestAblateCommand().ablate_config(out)
+        cfg["separation"] = self.NO_FAR_PAIRS
+        cfg["ablation"]["sweep"] = {"n_across": [1]}
+        assert main(["ablate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out.count("mean_separation=n/a") == 3
+        summary = strict_json(out / "ablation_summary.json")
+        for s in summary["strategies"].values():
+            assert s["mean_separation"] is None and s["mean_separation_n"] == 0
+            assert s["mean_separation_reason"].startswith("nan: ")
+            assert s["mean_abs_rel"] > 0 and s["mean_abs_rel_n"] == 2
+            assert "mean_abs_rel_reason" not in s
+            assert s["n_diverged"] == 0
+            for p in s["per_seed"]:
+                assert p["separation"] is None and p["separation_reason"].startswith("inf: ")
+        [point] = summary["sweep_n_across"]
+        assert point["mean_abs_rel_n"] == 2 and point["n_diverged"] == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_ablate_counts_diverged_seeds(self, tmp_path, capsys):
+        # lr 0.1 overflows the depth head before the only evaluation, at the
+        # last step, in every run but one uniform seed
+        out = tmp_path / "ablation"
+        cfg = TestAblateCommand().ablate_config(out)
+        cfg["schedule"].update(learning_rate=0.1, eval_every=100)
+        assert main(["ablate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out.count("mean_abs_rel=n/a") == 2
+        summary = strict_json(out / "ablation_summary.json")
+        strategies = summary["strategies"]
+        for s in [strategies["baseline"], strategies["multi_range"]] + summary["sweep_n_within"]:
+            assert s["n_diverged"] == 2
+            assert s["mean_abs_rel"] is None and s["mean_abs_rel_n"] == 0
+            assert s["mean_abs_rel_reason"].startswith("nan: ")
+        uniform = strategies["uniform"]
+        assert (uniform["n_diverged"], uniform["mean_abs_rel_n"]) == (1, 1)
+        [finite] = [p["abs_rel"] for p in uniform["per_seed"] if not p["diverged"]]
+        assert uniform["mean_abs_rel"] == finite
+        assert (out / "sweep_n_within.dat").read_text().splitlines()[0] == "1 nan"

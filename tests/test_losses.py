@@ -3,58 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from depthreg.errors import ContractViolation, DomainError, ShapeError
+from depthreg.errors import DomainError, ShapeError
 from depthreg.grid import Grid1, Grid3, SeedRng
-from depthreg.identify import IGNORED, MultiRange, NegativeRange, RegConfig, Uniform
-from depthreg.losses import (
-    DepthLossParams,
-    feat_distance,
-    final_loss,
-    pair_loss,
-    reg_loss,
-    si_loss,
-)
+from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform
+from depthreg.losses import DepthLossParams, reg_loss, si_loss
 from depthreg.sampling import Across, SamplePair, SampleSet
 from depthreg.verification import oracle_reg_loss, random_instance
 
 UNIFORM_NYU = RegConfig(r_p=0.1, strategy=Uniform(r_n=0.5, m_u=4.0))
-
-
-class TestFeatDistance:
-    def test_identical_is_zero(self):
-        assert feat_distance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_unit_vector(self):
-        assert feat_distance([1.0, 0.0], [0.0, 0.0]) == 1.0
-
-    def test_3_4_5(self):
-        assert feat_distance([3.0, 4.0], [0.0, 0.0]) == 5.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            feat_distance([1.0], [1.0, 2.0])
-
-
-class TestPairLoss:
-    def test_positive_zero_distance(self):
-        assert pair_loss(0.0, 0, UNIFORM_NYU) == 0.0
-
-    def test_positive_is_distance(self):
-        assert pair_loss(2.5, 0, UNIFORM_NYU) == 2.5
-
-    def test_negative_hinge_active(self):
-        assert pair_loss(1.0, 1, UNIFORM_NYU) == 3.0
-
-    def test_negative_hinge_inactive(self):
-        cfg = RegConfig(
-            r_p=0.1,
-            strategy=MultiRange((NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 2.0, 6.0))),
-        )
-        assert pair_loss(7.0, 2, cfg) == 0.0
-
-    def test_ignored_rejected(self):
-        with pytest.raises(ContractViolation):
-            pair_loss(1.0, IGNORED, UNIFORM_NYU)
+MULTI_NYU = RegConfig(
+    r_p=0.1,
+    strategy=MultiRange((NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 2.0, 6.0))),
+)
 
 
 def single_pixel_instance(anchor_feat, sample_feat, anchor_depth, sample_depth):
@@ -88,19 +48,36 @@ class TestRegLoss:
         assert res.grad_anchor.data[0, 0].tolist() == pytest.approx([0.6, 0.8])
         assert res.grad_samples[0].data[0, 0].tolist() == pytest.approx([-0.6, -0.8])
 
-    def test_negative_pair_hinge_gradient_pushes_apart(self):
-        f_a, d_a, ss = single_pixel_instance([1.0, 0.0], [0.0, 0.0], 1.0, 2.0)
-        res = reg_loss(f_a, d_a, ss, UNIFORM_NYU)
-        assert res.total == pytest.approx(3.0)  # max(0, 4 - 1)
+    @pytest.mark.parametrize("config, sample_depth, total, group", [
+        (UNIFORM_NYU, 2.0, 3.0, "negative_1"),  # max(0, 4 - 1)
+        (MULTI_NYU, 2.5, 5.0, "negative_2"),  # differential 1.5: max(0, 6 - 1)
+    ])
+    def test_negative_pair_hinge_gradient_pushes_apart(self, config, sample_depth, total,
+                                                       group):
+        f_a, d_a, ss = single_pixel_instance([1.0, 0.0], [0.0, 0.0], 1.0, sample_depth)
+        res = reg_loss(f_a, d_a, ss, config)
+        assert res.total == pytest.approx(total)
+        assert res.breakdown[group] == pytest.approx(total)
         assert res.grad_anchor.data[0, 0].tolist() == pytest.approx([-1.0, 0.0])
         assert res.grad_samples[0].data[0, 0].tolist() == pytest.approx([1.0, 0.0])
 
-    def test_inactive_hinge_contributes_count_but_nothing_else(self):
-        f_a, d_a, ss = single_pixel_instance([9.0, 0.0], [0.0, 0.0], 1.0, 2.0)
-        res = reg_loss(f_a, d_a, ss, UNIFORM_NYU)
+    @pytest.mark.parametrize("config, sample_depth, dist", [
+        (UNIFORM_NYU, 2.0, 9.0),
+        (MULTI_NYU, 2.5, 7.0),  # group 2, margin 6
+    ])
+    def test_inactive_hinge_contributes_count_but_nothing_else(self, config, sample_depth,
+                                                               dist):
+        f_a, d_a, ss = single_pixel_instance([dist, 0.0], [0.0, 0.0], 1.0, sample_depth)
+        res = reg_loss(f_a, d_a, ss, config)
         assert res.total == 0.0
         assert res.contributing_count == 1
         assert (res.grad_anchor.data == 0).all()
+
+    def test_channel_mismatch_rejected(self):
+        f_a, d_a, _ = single_pixel_instance([1.0], [1.0], 1.0, 1.0)
+        _, _, ss = single_pixel_instance([1.0, 2.0], [1.0, 2.0], 1.0, 1.0)
+        with pytest.raises(ShapeError):
+            reg_loss(f_a, d_a, ss, UNIFORM_NYU)
 
     def test_breakdown_sums_to_total(self):
         rng = SeedRng(404)
@@ -268,21 +245,3 @@ class TestSiLoss:
         with pytest.raises(ShapeError):
             si_loss(Grid1(np.ones((1, 2))), Grid1(np.ones((2, 1))), self.params())
 
-
-class TestFinalLoss:
-    def zero_result(self):
-        f_a = Grid3(np.ones((1, 1, 1)))
-        return reg_loss(f_a, Grid1(np.ones((1, 1))), SampleSet(()), UNIFORM_NYU)
-
-    def test_zero_plus_zero(self):
-        assert final_loss(self.zero_result(), 0.0, 1.0) == 0.0
-
-    def test_sum(self):
-        res = self.zero_result()
-        object.__setattr__(res, "total", 2.5)
-        assert final_loss(res, 1.5, 1.0) == 4.0
-
-    def test_zero_weight_drops_depth_term(self):
-        res = self.zero_result()
-        object.__setattr__(res, "total", 2.5)
-        assert final_loss(res, 1.5, 0.0) == 2.5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from depthreg.errors import ShapeError
 from depthreg.grid import Grid1, Grid3, SeedRng
 from depthreg.pfmio import (
     read_pfm_g1,
@@ -67,3 +68,38 @@ def test_pgm_label_dump(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n2 2\n255\n")
     assert raw[-4:] == bytes([0, 1, 2, 255])
+
+
+@pytest.mark.parametrize("header", [
+    b"Pf\n-2 -2\n-1.0\n",
+    b"Pf\n0 2\n-1.0\n",
+    b"Pf\n2\n-1.0\n",
+    b"Pf\n2 2 2\n-1.0\n",
+    b"Pf\n2 x\n-1.0\n",
+    b"Pf\n2 2\n0.0\n",
+    b"Pf\n2 2\nnan\n",
+    b"Pf\n2 2\n-inf\n",
+    b"Pf\n2 2\noops\n",
+])
+def test_bad_header_rejected(tmp_path, header):
+    path = tmp_path / "bad.pfm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(ShapeError):
+        read_pfm_g1(path)
+
+
+def test_g1_bytes_after_payload_rejected(tmp_path):
+    path = tmp_path / "depth.pfm"
+    write_pfm_g1(path, Grid1(np.ones((2, 2))))
+    path.write_bytes(path.read_bytes() + bytes(4))
+    with pytest.raises(ShapeError):
+        read_pfm_g1(path)
+
+
+@pytest.mark.parametrize("tail", [b"Pf\n", b"Pf\n5 4\n-1.0\n" + bytes(8)])
+def test_g3_trailing_partial_plane_rejected(tmp_path, tail):
+    path = tmp_path / "feat.pfm"
+    write_pfm_g3(path, Grid3(np.ones((4, 5, 6))))
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(ShapeError):
+        read_pfm_g3(path)

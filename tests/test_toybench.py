@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from depthreg.errors import InvalidConfig
-from depthreg.grid import Grid1, Grid3, SeedRng
-from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform
+from depthreg.grid import Grid3, SeedRng
+from depthreg.identify import MultiRange, NegativeRange, RegConfig
 from depthreg.losses import DepthLossParams
 from depthreg.toybench.model import ToyModel, model_backward, model_forward
 from depthreg.toybench.scenes import gen_scene
@@ -16,7 +16,7 @@ from depthreg.toybench.train import (
     train_run,
 )
 
-SEP_CFG = RegConfig(r_p=0.1, strategy=Uniform(0.5, 1.0), n_within=0, n_across=0)
+SEP = (0.1, 0.5)
 SMALL_MULTI = RegConfig(
     r_p=0.1,
     strategy=MultiRange((NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 2.0, 6.0))),
@@ -109,17 +109,12 @@ class TestFeatureSeparation:
     def test_constant_features_give_one(self):
         feats = Grid3(np.ones((8, 8, 3)))
         depth = gen_scene(1, 8, 8, 0.5, 10.0).depth
-        assert feature_separation(feats, depth, SEP_CFG) == 1.0
+        assert feature_separation(feats, depth, *SEP) == 1.0
 
     def test_depth_proportional_features_exceed_one(self):
         depth = gen_scene(2, 16, 16, 0.5, 10.0).depth
         feats = Grid3(np.repeat(depth.values[:, :, None], 3, axis=2))
-        assert feature_separation(feats, depth, SEP_CFG) > 1.0
-
-    def test_needs_thresholds(self):
-        disabled = RegConfig(r_p=0.1, strategy=None)
-        with pytest.raises(InvalidConfig):
-            feature_separation(Grid3(np.ones((4, 4, 2))), Grid1(np.ones((4, 4))), disabled)
+        assert feature_separation(feats, depth, *SEP) > 1.0
 
 
 class TestTraining:
@@ -135,18 +130,18 @@ class TestTraining:
         # still fluctuates with the per-step shift draws, so pin it off
         sched = self.schedule(steps=5, learning_rate=0.0, train_scenes=2)
         cfg = RegConfig(r_p=0.1, strategy=None)
-        rec = train_run((16, 16), (0.5, 10.0), cfg, DepthLossParams(), sched, 7, SEP_CFG)
+        rec = train_run((16, 16), (0.5, 10.0), cfg, DepthLossParams(), sched, 7, SEP)
         assert len({s.l_final for s in rec.steps}) == 1
         assert len({s.l_depth for s in rec.steps}) == 1
 
         rec2 = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(),
-                         sched, 7, SEP_CFG)
+                         sched, 7, SEP)
         assert len({s.l_depth for s in rec2.steps}) == 1
 
     def test_bit_identical_reruns(self):
         sched = self.schedule(steps=8)
-        a = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(), sched, 11, SEP_CFG)
-        b = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(), sched, 11, SEP_CFG)
+        a = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(), sched, 11, SEP)
+        b = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(), sched, 11, SEP)
         assert [s.__dict__ for s in a.steps] == [s.__dict__ for s in b.steps]
         assert [e.report for e in a.evals] == [e.report for e in b.evals]
         assert [e.separation for e in a.evals] == [e.separation for e in b.evals]
@@ -154,14 +149,14 @@ class TestTraining:
     def test_baseline_records_zero_reg(self):
         cfg = RegConfig(r_p=0.1, strategy=None, n_within=10, n_across=4)
         rec = train_run((16, 16), (0.5, 10.0), cfg, DepthLossParams(),
-                        self.schedule(), 3, SEP_CFG)
+                        self.schedule(), 3, SEP)
         assert all(s.l_re == 0.0 for s in rec.steps)
         assert all(s.contributing == 0 for s in rec.steps)
         assert all(s.l_final == s.l_depth for s in rec.steps)
 
     def test_reg_engages_and_is_not_vacuous(self):
         rec = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(),
-                        self.schedule(), 3, SEP_CFG)
+                        self.schedule(), 3, SEP)
         for s in rec.steps:
             assert s.ignored_fraction < 0.95
             assert s.contributing > 0
@@ -170,20 +165,24 @@ class TestTraining:
     def test_across_needs_batch_of_two(self):
         with pytest.raises(InvalidConfig):
             train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(),
-                      self.schedule(batch_size=1), 3, SEP_CFG)
+                      self.schedule(batch_size=1), 3, SEP)
 
     def test_eval_cadence(self):
         rec = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(),
-                        self.schedule(steps=7, eval_every=3), 3, SEP_CFG)
+                        self.schedule(steps=7, eval_every=3), 3, SEP)
         assert [e.step for e in rec.evals] == [2, 5, 6]
 
-    def test_batch_objective_loss_composition(self):
+    @pytest.mark.parametrize("weight", [1.0, 0.5, 0.0])
+    def test_batch_objective_loss_composition(self, weight):
         scenes = [gen_scene(s, 16, 16, 0.5, 10.0) for s in (1, 2)]
         model = ToyModel.init(SeedRng(5))
+        cfg = RegConfig(SMALL_MULTI.r_p, SMALL_MULTI.strategy, SMALL_MULTI.n_within,
+                        SMALL_MULTI.n_across, depth_loss_weight=weight)
         l_re, l_depth, l_final, contributing, grad, breakdown = batch_objective(
-            model, scenes, SMALL_MULTI, DepthLossParams(), sample_seed=9
+            model, scenes, cfg, DepthLossParams(), sample_seed=9
         )
-        assert l_final == pytest.approx(l_re + l_depth)
+        assert l_depth > 0.0
+        assert l_final == l_re + weight * l_depth
         assert grad.shape == (model.param_count,)
         assert contributing > 0
         assert set(breakdown) <= {"positive", "negative_1", "negative_2"}
