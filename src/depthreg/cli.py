@@ -10,19 +10,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import DepthRegError
 from .experiment import (
     CONFIG_KEYS,
+    SceneParams,
     check_keys,
     config_from_dict,
     config_to_dict,
+    from_section,
     load_config_file,
     reg_config_from_dict,
     run_ablation,
     run_experiment,
-    scene_from_dict,
 )
 from .grid import SeedRng, shift2d_g1
 from .identify import differential_map, identify
@@ -76,10 +78,9 @@ def _fmt(value: float | None, spec: str) -> str:
 
 
 def cmd_train(args) -> int:
-    raw = load_config_file(args.config)
-    cfg = config_from_dict(raw)
+    cfg = config_from_dict(load_config_file(args.config))
     if args.seed is not None:
-        cfg = config_from_dict({**raw, "schedule": {**raw["schedule"], "seeds": [args.seed]}})
+        cfg = replace(cfg, schedule=replace(cfg.schedule, seeds=(args.seed,)))
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     _write_config_echo(out, cfg)
     summaries = run_experiment(cfg, out)
@@ -120,12 +121,8 @@ def cmd_eval(args) -> int:
 
 def cmd_gen_scenes(args) -> int:
     raw = check_keys(load_config_file(args.config), "config", ("scene",), CONFIG_KEYS)
-    scene = scene_from_dict(raw["scene"])
-    reg_cfg = None
-    if "regularization" in raw:
-        reg_cfg = reg_config_from_dict(raw["regularization"])
-        if not reg_cfg.enabled:
-            reg_cfg = None
+    scene = from_section(SceneParams, raw["scene"], "scene")
+    reg_cfg = reg_config_from_dict(raw["regularization"]) if "regularization" in raw else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seq = SeedRng(args.seed)
@@ -134,7 +131,7 @@ def cmd_gen_scenes(args) -> int:
         sc = gen_scene(s, scene.height, scene.width, scene.d_min, scene.d_max)
         write_pfm_g3(out / f"scene_{i:04d}.image.pfm", sc.image)
         write_pfm_g1(out / f"scene_{i:04d}.depth.pfm", sc.depth)
-        if reg_cfg is not None:
+        if reg_cfg is not None and reg_cfg.enabled:
             # inspection aid: sample-type map of the scene against its own
             # depth rolled by one pixel (sharp bands at discontinuities)
             d_r = differential_map(sc.depth, shift2d_g1(sc.depth, 1, 1))

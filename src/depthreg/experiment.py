@@ -1,38 +1,34 @@
 """Declarative experiment configs and the ablation driver.
 
-Config files are JSON.  Schema (defaults in parentheses):
-
-    {
-      "scene":    {"height", "width", "d_min", "d_max"},
-      "regularization": {
-          "r_p", "strategy", "n_within" (10), "n_across" (4),
-          "loss_reduction" ("mean_contributing"), "depth_loss_weight" (1.0)
-      },
-      "depth_loss": {"variance_focus" (0.85), "output_scale" (10.0)},
-      "schedule": {"steps", "batch_size", "learning_rate", "seeds",
-                   "train_scenes" (40), "eval_scenes" (10), "eval_every" (500)},
-      "separation": {"near" (0.1), "far" (0.5)},
-      "output_dir"
-    }
-
-where "strategy" is one of
+A config file is a JSON object of sections, each read into the frozen
+dataclass that states its schema: "scene" (``SceneParams``),
+"regularization" (``RegConfig``), "depth_loss" (``DepthLossParams``),
+"schedule" (``Schedule``), "separation" (``Separation``), "output_dir"
+(a string, default "runs") and, for ``depthreg ablate``, "ablation"
+(``Ablation``, with "sweep" read into ``Sweep``).  A section's keys are
+its dataclass's fields, the fields without a default are the required
+keys and the field defaults are the defaults.  A strategy is one of
 
     {"kind": "uniform", "r_n": ..., "m_u": ...}
     {"kind": "multi_range", "ranges": [[low, high, margin], ...]}
     {"kind": "disabled"}
 
-and any key outside this schema is rejected.  An ablation config adds an
-"ablation" section: a "strategies" name->strategy map, plus an optional
-"sweep" with "n_within"/"n_across" count lists (the sweep varies one
-collecting means with the other disabled).  All randomness roots in the
-explicit seed list; rerunning a command overwrites byte-identical outputs.
+A missing or unknown key, or a value that does not convert to its field's
+type, raises ``InvalidConfig`` naming ``section.key``.  An ablation runs
+every (strategy, seed) pair of its "strategies" map, then, for each count
+in the "sweep" lists, the "sweep_strategy" with that count on its axis
+("n_within" or "n_across") and 0 on the other.  A run whose loss or
+held-out evaluation diverges is recorded as diverged at that step and the
+other runs go on.  All randomness roots in the explicit seed list;
+rerunning a command overwrites byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import InvalidConfig
@@ -51,23 +47,44 @@ class SceneParams:
 
 
 @dataclass(frozen=True)
+class Separation:
+    """Depth-differential thresholds of the feature-separation statistic."""
+
+    near: float = 0.1
+    far: float = 0.5
+
+    def __post_init__(self):
+        if not 0 < self.near <= self.far:
+            raise InvalidConfig("separation thresholds need 0 < near <= far")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     scene: SceneParams
     reg: RegConfig
     depth_loss: DepthLossParams
     schedule: Schedule
-    separation_near: float
-    separation_far: float
-    output_dir: str
+    separation: Separation
+    output_dir: str = "runs"
 
-    def __post_init__(self):
-        if not 0 < self.separation_near <= self.separation_far:
-            raise InvalidConfig("separation thresholds need 0 < near <= far")
+
+@dataclass(frozen=True)
+class Sweep:
+    n_within: tuple[int, ...] = ()
+    n_across: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class Ablation:
+    strategies: dict[str, Uniform | MultiRange | None]
+    sweep: Sweep = Sweep()
+    sweep_strategy: Uniform | MultiRange | None = MultiRange((NegativeRange(0.5, 1.0, 2.0),))
 
 
 CONFIG_KEYS = ("scene", "regularization", "depth_loss", "schedule", "separation",
                "output_dir", "ablation")
-STRATEGY_KEYS = {"disabled": (), "uniform": ("r_n", "m_u"), "multi_range": ("ranges",)}
+# field types are annotation strings: every config module postpones annotations
+_SCALARS = {"int": int, "float": float, "str": str}
 
 
 def check_keys(d, where: str, required: tuple[str, ...], allowed: tuple[str, ...] = ()) -> dict:
@@ -76,119 +93,104 @@ def check_keys(d, where: str, required: tuple[str, ...], allowed: tuple[str, ...
         raise InvalidConfig(f"{where} must be a JSON object")
     for key in required:
         if key not in d:
-            raise InvalidConfig(f"missing config key: {key!r}")
+            raise InvalidConfig(f"missing config key: {key!r} in {where}")
     for key in d:
         if key not in required and key not in allowed:
             raise InvalidConfig(f"unknown config key {key!r} in {where}")
     return d
 
 
-def scene_from_dict(d: dict) -> SceneParams:
-    check_keys(d, "scene", ("height", "width", "d_min", "d_max"))
-    return SceneParams(int(d["height"]), int(d["width"]), float(d["d_min"]), float(d["d_max"]))
+def from_section(cls, d, where: str, **convert):
+    """``cls`` built from the JSON object ``d``, whose keys are ``cls``'s fields.
+
+    A field without a default is a required key.  Each value goes through
+    ``convert[key]`` if given, else through its field's type when that is
+    int, float or str; a ``TypeError`` or ``ValueError`` on the way becomes
+    ``InvalidConfig("<where>.<key>: ...")``.
+    """
+    fs = fields(cls)
+    check_keys(d, where, tuple(f.name for f in fs if f.default is MISSING),
+               tuple(f.name for f in fs))
+    values = {}
+    for f in fs:
+        if f.name in d:
+            to = convert.get(f.name) or _SCALARS.get(f.type)
+            try:
+                values[f.name] = to(d[f.name]) if to else d[f.name]
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(f"{where}.{f.name}: {exc}") from exc
+    return cls(**values)
 
 
-def strategy_from_dict(d: dict):
+def _ints(xs) -> tuple[int, ...]:
+    return tuple(int(x) for x in xs)
+
+
+def strategy_from_dict(d, where: str):
+    """The strategy a ``{"kind": ...}`` object names; ``None`` for "disabled"."""
     kind = d.get("kind") if isinstance(d, dict) else None
-    if not isinstance(kind, str) or kind not in STRATEGY_KEYS:
-        raise InvalidConfig(f"unknown strategy kind {kind!r}")
-    check_keys(d, f"{kind} strategy", ("kind",) + STRATEGY_KEYS[kind])
-    if kind == "disabled":
-        return None
+    if kind not in ("disabled", "uniform", "multi_range"):
+        raise InvalidConfig(f"unknown strategy kind {kind!r} in {where}")
+    rest = {k: v for k, v in d.items() if k != "kind"}
     if kind == "uniform":
-        return Uniform(r_n=float(d["r_n"]), m_u=float(d["m_u"]))
-    return MultiRange(
-        tuple(NegativeRange(float(lo), float(hi), float(m)) for lo, hi, m in d["ranges"])
-    )
+        return from_section(Uniform, rest, where)
+    if kind == "multi_range":
+        return from_section(MultiRange, rest, where, ranges=lambda rows: tuple(
+            NegativeRange(*map(float, row)) for row in rows))
+    check_keys(rest, where, ())
+    return None
 
 
 def strategy_to_dict(s) -> dict:
     if s is None:
         return {"kind": "disabled"}
     if isinstance(s, Uniform):
-        return {"kind": "uniform", "r_n": s.r_n, "m_u": s.m_u}
-    return {"kind": "multi_range", "ranges": [[r.low, r.high, r.margin] for r in s.ranges]}
+        return {"kind": "uniform", **asdict(s)}
+    return {"kind": "multi_range", "ranges": [list(astuple(r)) for r in s.ranges]}
 
 
 def reg_config_from_dict(d: dict) -> RegConfig:
-    check_keys(d, "regularization", ("r_p", "strategy"),
-               ("n_within", "n_across", "loss_reduction", "depth_loss_weight"))
-    return RegConfig(
-        r_p=float(d["r_p"]),
-        strategy=strategy_from_dict(d["strategy"]),
-        n_within=int(d.get("n_within", 10)),
-        n_across=int(d.get("n_across", 4)),
-        loss_reduction=d.get("loss_reduction", "mean_contributing"),
-        depth_loss_weight=float(d.get("depth_loss_weight", 1.0)),
-    )
-
-
-def reg_config_to_dict(cfg: RegConfig) -> dict:
-    return {
-        "r_p": cfg.r_p,
-        "strategy": strategy_to_dict(cfg.strategy),
-        "n_within": cfg.n_within,
-        "n_across": cfg.n_across,
-        "loss_reduction": cfg.loss_reduction,
-        "depth_loss_weight": cfg.depth_loss_weight,
-    }
+    return from_section(RegConfig, d, "regularization",
+                        strategy=partial(strategy_from_dict, where="regularization.strategy"))
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """The experiment a config describes; its "ablation" section is ``ablation_from_dict``'s."""
     check_keys(d, "config", ("scene", "regularization", "schedule"), CONFIG_KEYS)
-    sched = check_keys(d["schedule"], "schedule",
-                       ("steps", "batch_size", "learning_rate", "seeds"),
-                       ("train_scenes", "eval_scenes", "eval_every"))
-    depth = check_keys(d.get("depth_loss", {}), "depth_loss", (),
-                       ("variance_focus", "output_scale"))
-    sep = check_keys(d.get("separation", {}), "separation", (), ("near", "far"))
     return ExperimentConfig(
-        scene=scene_from_dict(d["scene"]),
+        scene=from_section(SceneParams, d["scene"], "scene"),
         reg=reg_config_from_dict(d["regularization"]),
-        depth_loss=DepthLossParams(
-            variance_focus=float(depth.get("variance_focus", 0.85)),
-            output_scale=float(depth.get("output_scale", 10.0)),
-        ),
-        schedule=Schedule(
-            steps=int(sched["steps"]),
-            batch_size=int(sched["batch_size"]),
-            learning_rate=float(sched["learning_rate"]),
-            seeds=tuple(int(s) for s in sched["seeds"]),
-            train_scenes=int(sched.get("train_scenes", 40)),
-            eval_scenes=int(sched.get("eval_scenes", 10)),
-            eval_every=int(sched.get("eval_every", 500)),
-        ),
-        separation_near=float(sep.get("near", 0.1)),
-        separation_far=float(sep.get("far", 0.5)),
-        output_dir=str(d.get("output_dir", "runs")),
+        depth_loss=from_section(DepthLossParams, d.get("depth_loss", {}), "depth_loss"),
+        schedule=from_section(Schedule, d["schedule"], "schedule", seeds=_ints),
+        separation=from_section(Separation, d.get("separation", {}), "separation"),
+        output_dir=str(d.get("output_dir", ExperimentConfig.output_dir)),
     )
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
-        "scene": {
-            "height": cfg.scene.height,
-            "width": cfg.scene.width,
-            "d_min": cfg.scene.d_min,
-            "d_max": cfg.scene.d_max,
-        },
-        "regularization": reg_config_to_dict(cfg.reg),
-        "depth_loss": {
-            "variance_focus": cfg.depth_loss.variance_focus,
-            "output_scale": cfg.depth_loss.output_scale,
-        },
-        "schedule": {
-            "steps": cfg.schedule.steps,
-            "batch_size": cfg.schedule.batch_size,
-            "learning_rate": cfg.schedule.learning_rate,
-            "seeds": list(cfg.schedule.seeds),
-            "train_scenes": cfg.schedule.train_scenes,
-            "eval_scenes": cfg.schedule.eval_scenes,
-            "eval_every": cfg.schedule.eval_every,
-        },
-        "separation": {"near": cfg.separation_near, "far": cfg.separation_far},
+        "scene": asdict(cfg.scene),
+        "regularization": {**asdict(cfg.reg), "strategy": strategy_to_dict(cfg.reg.strategy)},
+        "depth_loss": asdict(cfg.depth_loss),
+        "schedule": {**asdict(cfg.schedule), "seeds": list(cfg.schedule.seeds)},
+        "separation": asdict(cfg.separation),
         "output_dir": cfg.output_dir,
     }
+
+
+def _strategies(d) -> dict:
+    if not isinstance(d, dict) or not d:
+        raise InvalidConfig("ablation.strategies must be a non-empty name->strategy map")
+    return {name: strategy_from_dict(s, f"ablation.strategies.{name}") for name, s in d.items()}
+
+
+def ablation_from_dict(d: dict) -> Ablation:
+    return from_section(
+        Ablation, d, "ablation",
+        strategies=_strategies,
+        sweep=lambda s: from_section(Sweep, s, "ablation.sweep", n_within=_ints, n_across=_ints),
+        sweep_strategy=partial(strategy_from_dict, where="ablation.sweep_strategy"),
+    )
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -257,20 +259,18 @@ def write_run_outputs(run_dir: Path, record: TrainRecord, seed: int) -> dict:
     return summary
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path, reg_override: RegConfig | None = None,
-                   label: str = "run") -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir: Path, label: str = "run") -> dict:
     """All seeds of one configuration; returns {seed: summary}."""
-    reg = cfg.reg if reg_override is None else reg_override
     summaries = {}
     for seed in cfg.schedule.seeds:
         record = train_run(
             (cfg.scene.height, cfg.scene.width),
             (cfg.scene.d_min, cfg.scene.d_max),
-            reg,
+            cfg.reg,
             cfg.depth_loss,
             cfg.schedule,
             seed,
-            (cfg.separation_near, cfg.separation_far),
+            astuple(cfg.separation),
         )
         summaries[seed] = write_run_outputs(out_dir / label / f"seed_{seed}", record, seed)
     return summaries
@@ -297,22 +297,11 @@ def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path) -> dict:
     Writes one run directory per (strategy, seed), a JSON comparison summary,
     and two-column plot-data files for any sweep grids.
     """
-    strategies = ablation.get("strategies")
-    if not strategies:
-        raise InvalidConfig("ablation config needs a non-empty 'strategies' map")
-
+    ab = ablation_from_dict(ablation)
     summary: dict = {"seeds": list(cfg.schedule.seeds), "strategies": {}}
-    for name, strat_dict in strategies.items():
-        strat = strategy_from_dict(strat_dict)
-        reg = RegConfig(
-            r_p=cfg.reg.r_p,
-            strategy=strat,
-            n_within=cfg.reg.n_within,
-            n_across=cfg.reg.n_across,
-            loss_reduction=cfg.reg.loss_reduction,
-            depth_loss_weight=cfg.reg.depth_loss_weight,
-        )
-        runs = run_experiment(cfg, out_dir, reg_override=reg, label=name)
+    for name, strategy in ab.strategies.items():
+        runs = run_experiment(replace(cfg, reg=replace(cfg.reg, strategy=strategy)), out_dir,
+                              label=name)
         per_seed = []
         for seed in cfg.schedule.seeds:
             final = runs[seed]["final_eval"] or {}
@@ -327,26 +316,14 @@ def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path) -> dict:
                      mean_separation=[p["separation"] for p in per_seed]),
         }
 
-    sweep = ablation.get("sweep", {})
-    sweep_base = ablation.get(
-        "sweep_strategy", {"kind": "multi_range", "ranges": [[0.5, 1.0, 2.0]]}
-    )
-    for axis, counts in (("n_within", sweep.get("n_within", [])),
-                         ("n_across", sweep.get("n_across", []))):
+    for axis, counts in asdict(ab.sweep).items():
         if not counts:
             continue
         points = []
         for count in counts:
-            reg = RegConfig(
-                r_p=cfg.reg.r_p,
-                strategy=strategy_from_dict(sweep_base),
-                n_within=count if axis == "n_within" else 0,
-                n_across=count if axis == "n_across" else 0,
-                loss_reduction=cfg.reg.loss_reduction,
-                depth_loss_weight=cfg.reg.depth_loss_weight,
-            )
-            runs = run_experiment(cfg, out_dir, reg_override=reg,
-                                  label=f"sweep_{axis}_{count}")
+            reg = replace(cfg.reg, strategy=ab.sweep_strategy,
+                          **{"n_within": 0, "n_across": 0, axis: count})
+            runs = run_experiment(replace(cfg, reg=reg), out_dir, label=f"sweep_{axis}_{count}")
             abs_rels = [
                 r["final_eval"]["abs_rel"] for r in runs.values() if r["final_eval"]
             ]

@@ -126,10 +126,6 @@ class IdentMap:
     def width(self) -> int:
         return self.labels.shape[1]
 
-    def ignored_fraction(self) -> float:
-        """Diagnostic: share of pixels classifying as neither pos nor neg."""
-        return float(np.mean(self.labels == IGNORED))
-
 
 def differential_map(d_a: Grid1, d_s: Grid1) -> Grid1:
     """|d_a - d_s| per pixel; valid only where both inputs are valid."""

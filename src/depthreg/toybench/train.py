@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DomainError, InvalidConfig
+from ..errors import DomainError, EmptyEvaluation, InvalidConfig
 from ..grid import Grid1, Grid3, SeedRng
 from ..identify import RegConfig
 from ..losses import DepthLossParams, reg_loss, si_loss
@@ -175,7 +175,9 @@ def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
 
     The scene pools and model initialization derive from ``seed`` alone (not
     from the strategy), so runs differing only in ``reg_cfg`` are paired:
-    same scenes, same initial weights, same held-out set.
+    same scenes, same initial weights, same held-out set.  A non-finite loss
+    or a model overflow, in a step or in an evaluation, ends the run,
+    recorded as diverged at that step.
     """
     if reg_cfg.n_across > 0 and schedule.batch_size < 2:
         raise InvalidConfig("cross-batch sampling needs batch_size >= 2")
@@ -222,9 +224,13 @@ def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
 
         last = step == schedule.steps - 1
         if (step + 1) % schedule.eval_every == 0 or last:
-            record.evals.append(
-                EvalStats(step, *evaluate_model(model, eval_pool, separation))
-            )
+            try:
+                report, sep = evaluate_model(model, eval_pool, separation)
+            except (DomainError, EmptyEvaluation):
+                record.diverged = True
+                record.diverged_step = step
+                break
+            record.evals.append(EvalStats(step, report, sep))
     return record
 
 

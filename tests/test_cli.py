@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +8,15 @@ import pytest
 
 from depthreg.cli import main
 from depthreg.experiment import (
+    ablation_from_dict,
     config_from_dict,
     config_to_dict,
     load_config_file,
     run_ablation,
 )
 from depthreg.errors import InvalidConfig
+
+ROOT = Path(__file__).parents[1]
 
 
 def tiny_config(out_dir, **overrides):
@@ -110,6 +115,38 @@ class TestConfig:
     @pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.json")))
     def test_shipped_configs_load(self, path):
         config_from_dict(load_config_file(path))
+
+    @pytest.mark.parametrize("section, key, value, name", [
+        ("regularization", "r_p", "abc", "regularization.r_p"),
+        ("regularization", "strategy", {"kind": "multi_range", "ranges": [[0.5, 1.0]]},
+         "regularization.strategy.ranges"),
+        ("schedule", "seeds", 5, "schedule.seeds"),
+        ("scene", "height", "x", "scene.height"),
+    ])
+    def test_bad_value_names_section_key_and_exits_2(self, tmp_path, capsys,
+                                                    section, key, value, name):
+        out = tmp_path / "runs"
+        cfg = tiny_config(out)
+        cfg[section][key] = value
+        with pytest.raises(InvalidConfig, match=name):
+            config_from_dict(cfg)
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    # The benchmark under perfbench/ builds its configs in workload_spec; a
+    # parser that rejected one of them would fail every benchmark run.
+    @pytest.mark.parametrize("scale", ["full", "tiny"])
+    @pytest.mark.parametrize("workload", [
+        w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    ])
+    def test_benchmark_configs_load(self, monkeypatch, workload, scale):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        _, config, _ = importlib.import_module("workload").workload_spec(workload, scale)
+        config_from_dict(config)
+        if "ablation" in config:
+            ablation_from_dict(config["ablation"])
 
     def test_separation_thresholds_validated(self, tmp_path):
         with pytest.raises(InvalidConfig, match="separation"):
@@ -250,6 +287,21 @@ class TestAblateCommand:
         assert len(sweep) == 2
         assert sweep[0].split()[0] == "1"
 
+    @pytest.mark.parametrize("edit, name", [
+        (lambda ab: ab.update(sweeps=ab.pop("sweep")), "'sweeps'"),
+        (lambda ab: ab.update(sweep={"n_whithin": [1]}), "'n_whithin'"),
+        (lambda ab: ab.update(sweep={"n_within": 3}), "ablation.sweep.n_within"),
+        (lambda ab: ab.update(strategies={}), "ablation.strategies"),
+        (lambda ab: ab.update(sweep_strategy={"kind": "uniform"}), "'r_n'"),
+    ])
+    def test_bad_ablation_section_exits_2(self, tmp_path, capsys, edit, name):
+        out = tmp_path / "ablation"
+        cfg = self.ablate_config(out)
+        edit(cfg["ablation"])
+        assert main(["ablate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert name in capsys.readouterr().err
+        assert not (out / "baseline").exists()
+
     def test_ablate_byte_identical_rerun(self, tmp_path, capsys):
         out = tmp_path / "ablation"
         cfg = self.ablate_config(out)
@@ -330,3 +382,26 @@ class TestNonFiniteOutputs:
         [finite] = [p["abs_rel"] for p in uniform["per_seed"] if not p["diverged"]]
         assert uniform["mean_abs_rel"] == finite
         assert (out / "sweep_n_within.dat").read_text().splitlines()[0] == "1 nan"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_at_evaluation_is_recorded(self, tmp_path, capsys):
+        # lr 0.3 overflows the depth head's prediction in the only
+        # evaluation, after the last step of seed 5
+        out = tmp_path / "runs"
+        cfg = tiny_config(out)
+        cfg["schedule"].update(learning_rate=0.3, eval_every=100)
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+        assert "seed 5: DIVERGED at step 3" in capsys.readouterr().out
+        summary = strict_json(out / "run" / "seed_5" / "summary.json")
+        assert summary["diverged"] and summary["diverged_step"] == 3
+        assert summary["steps_completed"] == 4 and summary["final_eval"] is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ablate_counts_divergence_at_evaluation(self, tmp_path, capsys):
+        # lr 0.05 makes the model overflow in the baseline's seed-5 evaluation
+        out = tmp_path / "ablation"
+        cfg = TestAblateCommand().ablate_config(out)
+        cfg["schedule"].update(learning_rate=0.05, eval_every=100)
+        assert main(["ablate", "--config", write_config(tmp_path, cfg)]) == 0
+        baseline = strict_json(out / "ablation_summary.json")["strategies"]["baseline"]
+        assert (baseline["n_diverged"], baseline["mean_abs_rel_n"]) == (1, 1)

@@ -8,7 +8,6 @@ from depthreg.grid import Grid1, SeedRng
 from depthreg.identify import (
     IGNORED,
     POSITIVE,
-    IdentMap,
     MultiRange,
     NegativeRange,
     RegConfig,
@@ -204,7 +203,3 @@ def test_single_range_subsumes_uniform_classification():
         uni = identify_uniform(d_r, 0.1, 0.5).labels
         assert np.array_equal(multi, uni)
 
-
-def test_ignored_fraction_diagnostic():
-    m = IdentMap(np.array([[0, 1], [IGNORED, IGNORED]], dtype=np.int16))
-    assert m.ignored_fraction() == pytest.approx(0.5)
