@@ -17,6 +17,7 @@ from .errors import DepthRegError
 from .experiment import (
     CONFIG_KEYS,
     SceneParams,
+    ablation_runs,
     check_keys,
     config_from_dict,
     config_to_dict,
@@ -67,7 +68,7 @@ def cmd_oracle(args) -> int:
 def _write_config_echo(out: Path, cfg) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n",
+        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )
 
@@ -98,6 +99,7 @@ def cmd_ablate(args) -> int:
     raw = load_config_file(args.config)
     cfg = config_from_dict(raw)
     ablation = raw.get("ablation", {})
+    ablation_runs(cfg.reg, ablation)  # a bad section fails before anything is written
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     _write_config_echo(out, cfg)
     summary = run_ablation(cfg, ablation, out)

@@ -13,14 +13,17 @@ keys and the field defaults are the defaults.  A strategy is one of
     {"kind": "multi_range", "ranges": [[low, high, margin], ...]}
     {"kind": "disabled"}
 
-A missing or unknown key, or a value that does not convert to its field's
-type, raises ``InvalidConfig`` naming ``section.key``.  An ablation runs
-every (strategy, seed) pair of its "strategies" map, then, for each count
-in the "sweep" lists, the "sweep_strategy" with that count on its axis
-("n_within" or "n_across") and 0 on the other.  A run whose loss or
-held-out evaluation diverges is recorded as diverged at that step and the
-other runs go on.  All randomness roots in the explicit seed list;
-rerunning a command overwrites byte-identical outputs.
+A missing or unknown key, or a value that is not of its field's type,
+raises ``InvalidConfig`` naming ``section.key``; nothing is coerced (an
+integer field rejects 2.7, "12" and true, a number field strings, bools,
+NaN and the infinities).  An ablation runs every (strategy, seed) pair of
+its "strategies" map, then, for each count in the "sweep" lists, the
+"sweep_strategy" with that count on its axis ("n_within" or "n_across") and
+0 on the other; every run's regularizer is built and checked before the
+first run.  A run whose loss or held-out evaluation diverges is recorded
+as diverged at that step and the other runs go on.  All randomness roots
+in the explicit seed list; rerunning a command overwrites byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -83,8 +86,27 @@ class Ablation:
 
 CONFIG_KEYS = ("scene", "regularization", "depth_loss", "schedule", "separation",
                "output_dir", "ablation")
+
+
+def _int(x) -> int:
+    """A JSON integer; an integral number such as 3.0 passes, a bool or string does not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or (
+            isinstance(x, float) and not x.is_integer()):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
+def _float(x) -> float:
+    """A finite JSON number; a bool, a string, NaN or an infinity does not pass."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, got {x!r}")
+    if not math.isfinite(x := float(x)):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return x
+
+
 # field types are annotation strings: every config module postpones annotations
-_SCALARS = {"int": int, "float": float, "str": str}
+_SCALARS = {"int": _int, "float": _float, "str": str}
 
 
 def check_keys(d, where: str, required: tuple[str, ...], allowed: tuple[str, ...] = ()) -> dict:
@@ -105,8 +127,9 @@ def from_section(cls, d, where: str, **convert):
 
     A field without a default is a required key.  Each value goes through
     ``convert[key]`` if given, else through its field's type when that is
-    int, float or str; a ``TypeError`` or ``ValueError`` on the way becomes
-    ``InvalidConfig("<where>.<key>: ...")``.
+    int, float or str, the first two taking only JSON integers and finite
+    JSON numbers; a ``TypeError``, ``ValueError`` or ``OverflowError`` on the
+    way becomes ``InvalidConfig("<where>.<key>: ...")``.
     """
     fs = fields(cls)
     check_keys(d, where, tuple(f.name for f in fs if f.default is MISSING),
@@ -117,13 +140,13 @@ def from_section(cls, d, where: str, **convert):
             to = convert.get(f.name) or _SCALARS.get(f.type)
             try:
                 values[f.name] = to(d[f.name]) if to else d[f.name]
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidConfig(f"{where}.{f.name}: {exc}") from exc
     return cls(**values)
 
 
 def _ints(xs) -> tuple[int, ...]:
-    return tuple(int(x) for x in xs)
+    return tuple(_int(x) for x in xs)
 
 
 def strategy_from_dict(d, where: str):
@@ -136,7 +159,7 @@ def strategy_from_dict(d, where: str):
         return from_section(Uniform, rest, where)
     if kind == "multi_range":
         return from_section(MultiRange, rest, where, ranges=lambda rows: tuple(
-            NegativeRange(*map(float, row)) for row in rows))
+            NegativeRange(*map(_float, row)) for row in rows))
     check_keys(rest, where, ())
     return None
 
@@ -191,6 +214,34 @@ def ablation_from_dict(d: dict) -> Ablation:
         sweep=lambda s: from_section(Sweep, s, "ablation.sweep", n_within=_ints, n_across=_ints),
         sweep_strategy=partial(strategy_from_dict, where="ablation.sweep_strategy"),
     )
+
+
+def ablation_runs(reg: RegConfig, d: dict) -> tuple[dict, dict]:
+    """The regularizer of every run of the "ablation" section ``d``, all checked up front.
+
+    Returns ``({strategy name: RegConfig}, {axis: [(count, RegConfig), ...]})``,
+    each built from ``reg``; a strategy ``reg`` rejects (ranges starting below
+    ``r_p``, say) raises ``InvalidConfig`` naming ``ablation.strategies.<name>``
+    before any run trains.
+    """
+    ab = ablation_from_dict(d)
+
+    def build(where: str, base: RegConfig, **changes) -> RegConfig:
+        try:
+            return replace(base, **changes)
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"{where}: {exc}") from exc
+
+    strategies = {name: build(f"ablation.strategies.{name}", reg, strategy=s)
+                  for name, s in ab.strategies.items()}
+    sweeps = {}
+    for axis, counts in asdict(ab.sweep).items():
+        if counts:
+            swept = build("ablation.sweep_strategy", reg, strategy=ab.sweep_strategy,
+                          n_within=0, n_across=0)
+            sweeps[axis] = [(count, build(f"ablation.sweep.{axis}", swept, **{axis: count}))
+                            for count in counts]
+    return strategies, sweeps
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -295,13 +346,13 @@ def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path) -> dict:
     """Strategy comparison plus optional sample-count sweeps.
 
     Writes one run directory per (strategy, seed), a JSON comparison summary,
-    and two-column plot-data files for any sweep grids.
+    and two-column plot-data files for any sweep grids.  The whole section is
+    checked (``ablation_runs``) before the first run.
     """
-    ab = ablation_from_dict(ablation)
+    strategies, sweeps = ablation_runs(cfg.reg, ablation)
     summary: dict = {"seeds": list(cfg.schedule.seeds), "strategies": {}}
-    for name, strategy in ab.strategies.items():
-        runs = run_experiment(replace(cfg, reg=replace(cfg.reg, strategy=strategy)), out_dir,
-                              label=name)
+    for name, reg in strategies.items():
+        runs = run_experiment(replace(cfg, reg=reg), out_dir, label=name)
         per_seed = []
         for seed in cfg.schedule.seeds:
             final = runs[seed]["final_eval"] or {}
@@ -316,13 +367,9 @@ def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path) -> dict:
                      mean_separation=[p["separation"] for p in per_seed]),
         }
 
-    for axis, counts in asdict(ab.sweep).items():
-        if not counts:
-            continue
+    for axis, sweep in sweeps.items():
         points = []
-        for count in counts:
-            reg = replace(cfg.reg, strategy=ab.sweep_strategy,
-                          **{"n_within": 0, "n_across": 0, axis: count})
+        for count, reg in sweep:
             runs = run_experiment(replace(cfg, reg=reg), out_dir, label=f"sweep_{axis}_{count}")
             abs_rels = [
                 r["final_eval"]["abs_rel"] for r in runs.values() if r["final_eval"]

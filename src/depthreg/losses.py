@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, InvalidConfig, ShapeError
 from .grid import Grid1, Grid3
 from .identify import RegConfig, identify
-from .sampling import SampleSet, stack_depths, stack_features
+from .sampling import SampleSet
 
 
 @dataclass(frozen=True)
@@ -82,18 +82,20 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig) -> L
     n = len(samples)
     h, w = f_a.height, f_a.width
 
-    # One classification pass over every (sample, pixel): the stacked
-    # differentials form an (N*H, W) map, classified through the public
-    # identify path (it is purely per-pixel, so the reshape is transparent).
-    sd_vals, sd_valid = stack_depths(samples)
-    dr = Grid1._owned(
-        np.abs(d_a.values[None, :, :] - sd_vals).reshape(n * h, w),
-        (d_a.valid[None, :, :] & sd_valid).reshape(n * h, w),
-    )
+    # One classification pass over every (sample, pixel): the differentials
+    # form an (N*H, W) map, classified through the public identify path (it
+    # is purely per-pixel, so the reshape is transparent).  The buffers are
+    # filled sample by sample; no sample map is stacked or copied first.
+    diff = np.empty((n,) + f_a.data.shape)  # f_a - f_s; becomes the f_s gradient below
+    dd = np.empty((n, h, w))
+    valid = np.empty((n, h, w), dtype=bool)
+    for i, p in enumerate(samples):
+        np.subtract(f_a.data, p.feature.data, out=diff[i])
+        np.subtract(d_a.values, p.depth.values, out=dd[i])
+        np.logical_and(d_a.valid, p.depth.valid, out=valid[i])
+    dr = Grid1._owned(np.abs(dd, out=dd).reshape(n * h, w), valid.reshape(n * h, w))
     labels = identify(dr, config).labels.reshape(n, h, w)
 
-    sf = stack_features(samples)  # (N, H, W, C)
-    diff = f_a.data[None, :, :, :] - sf
     dist = np.sqrt(np.einsum("nhwc,nhwc->nhw", diff, diff))  # (N, H, W)
 
     ranges = config.strategy.ranges
@@ -122,8 +124,9 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig) -> L
         (neg & (dist < m)).astype(np.float64) - pos.astype(np.float64)
     )
 
-    per_sample = coef[:, :, :, None] * diff  # (N, H, W, C), gradient wrt each f_s
+    per_sample = np.multiply(diff, coef[:, :, :, None], out=diff)  # gradient wrt each f_s
     grad_anchor = Grid3._owned(-per_sample.sum(axis=0))
+    per_sample.setflags(write=False)
     grad_samples = tuple(Grid3._owned(per_sample[i]) for i in range(n))
 
     return LossResult(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBatch, InvalidDimension, ShapeError
-from .grid import Grid1, Grid3, SeedRng, gen_shift_seed, shift2d_g1, shift2d_g3
+from .grid import Grid1, Grid3, SeedRng, gen_shift_seed
 
 
 @dataclass(frozen=True)
@@ -82,25 +82,42 @@ class Batch:
         return len(self.items)
 
 
+def _wrap_tile(a: np.ndarray) -> np.ndarray:
+    """Read-only 2x2 tiling of ``a`` over its first two axes.
+
+    Built by concatenation, which returns an array that owns its memory:
+    ``np.tile`` returns a view of a writable array, so its windows could be
+    written through ``.base``.
+    """
+    t = np.concatenate([a, a], axis=0)
+    t = np.concatenate([t, t], axis=1)
+    t.setflags(write=False)
+    return t
+
+
 def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng) -> SampleSet:
     """n_within circular-shift samples of the anchor pair, fresh seeds each.
 
     Vertical seed is drawn before the horizontal one on every iteration.
+    Each sample is a read-only window into one 2x2 wrap tile of the anchor:
+    ``tile[h - s_h : 2h - s_h, w - s_w : 2w - s_w]`` equals
+    ``shift2d_*(anchor, s_h, s_w)`` without copying it.
     """
-    if f_a.height < 2 or f_a.width < 2:
+    h, w = f_a.height, f_a.width
+    if h < 2 or w < 2:
         raise InvalidDimension("shift sampling needs height and width >= 2")
-    if (d_a.height, d_a.width) != (f_a.height, f_a.width):
+    if (d_a.height, d_a.width) != (h, w):
         raise ShapeError("anchor feature and depth shapes disagree")
+    if n_within == 0:
+        return SampleSet(())
+    ft, dt, mt = (_wrap_tile(a) for a in (f_a.data, d_a.values, d_a.valid))
     pairs = []
     for _ in range(n_within):
-        s_h = gen_shift_seed(rng, f_a.height)
-        s_w = gen_shift_seed(rng, f_a.width)
+        s_h = gen_shift_seed(rng, h)
+        s_w = gen_shift_seed(rng, w)
+        win = np.s_[h - s_h:2 * h - s_h, w - s_w:2 * w - s_w]
         pairs.append(
-            SamplePair(
-                shift2d_g3(f_a, s_h, s_w),
-                shift2d_g1(d_a, s_h, s_w),
-                Within(s_h, s_w),
-            )
+            SamplePair(Grid3._owned(ft[win]), Grid1._owned(dt[win], mt[win]), Within(s_h, s_w))
         )
     return SampleSet(tuple(pairs))
 
@@ -137,15 +154,3 @@ def build_sample_set(
     within = collect_within(f_a, d_a, n_within, rng)
     across = collect_across(batch, anchor_index, n_across, rng)
     return SampleSet(within.pairs + across.pairs)
-
-
-def stack_features(samples: SampleSet) -> np.ndarray:
-    """(N, H, W, C) view-free stack of the sample feature maps."""
-    return np.stack([p.feature.data for p in samples])
-
-
-def stack_depths(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
-    """(N, H, W) stacks of sample depth values and validity masks."""
-    vals = np.stack([p.depth.values for p in samples])
-    valid = np.stack([p.depth.valid for p in samples])
-    return vals, valid

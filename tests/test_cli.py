@@ -112,6 +112,15 @@ class TestConfig:
         assert "n_whithin" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integral_numbers_pass_as_ints(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        cfg["scene"]["height"] = 16.0
+        cfg["schedule"]["seeds"] = [5.0, 6]
+        parsed = config_from_dict(cfg)
+        assert parsed.scene.height == 16 and type(parsed.scene.height) is int
+        assert parsed.schedule.seeds == (5, 6)
+        assert all(type(s) is int for s in parsed.schedule.seeds)
+
     @pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.json")))
     def test_shipped_configs_load(self, path):
         config_from_dict(load_config_file(path))
@@ -122,6 +131,21 @@ class TestConfig:
          "regularization.strategy.ranges"),
         ("schedule", "seeds", 5, "schedule.seeds"),
         ("scene", "height", "x", "scene.height"),
+        # no silent coercion: truncation, strings, bools, non-finite numbers
+        ("schedule", "steps", 2.7, "schedule.steps"),
+        ("schedule", "seeds", "12", "schedule.seeds"),
+        ("schedule", "seeds", [5, 6.5], "schedule.seeds"),
+        ("schedule", "batch_size", True, "schedule.batch_size"),
+        ("scene", "height", "16", "scene.height"),
+        ("scene", "d_min", float("nan"), "scene.d_min"),
+        ("scene", "d_max", float("inf"), "scene.d_max"),
+        pytest.param("scene", "d_max", 10 ** 400, "scene.d_max", id="scene-d_max-huge-int"),
+        ("regularization", "r_p", "0.1", "regularization.r_p"),
+        ("regularization", "r_p", True, "regularization.r_p"),
+        ("regularization", "strategy",
+         {"kind": "multi_range", "ranges": [[0.5, 1.0, float("nan")]]},
+         "regularization.strategy.ranges"),
+        ("depth_loss", "output_scale", float("-inf"), "depth_loss.output_scale"),
     ])
     def test_bad_value_names_section_key_and_exits_2(self, tmp_path, capsys,
                                                     section, key, value, name):
@@ -293,6 +317,14 @@ class TestAblateCommand:
         (lambda ab: ab.update(sweep={"n_within": 3}), "ablation.sweep.n_within"),
         (lambda ab: ab.update(strategies={}), "ablation.strategies"),
         (lambda ab: ab.update(sweep_strategy={"kind": "uniform"}), "'r_n'"),
+        (lambda ab: ab.update(sweep={"n_within": [1.5]}), "ablation.sweep.n_within"),
+        (lambda ab: ab.update(sweep={"n_within": [1, -1]}), "ablation.sweep.n_within"),
+        # ranges are checked against r_p (0.1) for every run before the first
+        (lambda ab: ab["strategies"].update(low={"kind": "multi_range",
+                                                 "ranges": [[0.05, 1.0, 3.0]]}),
+         "ablation.strategies.low"),
+        (lambda ab: ab.update(sweep_strategy={"kind": "uniform", "r_n": 0.05, "m_u": 4.0}),
+         "ablation.sweep_strategy"),
     ])
     def test_bad_ablation_section_exits_2(self, tmp_path, capsys, edit, name):
         out = tmp_path / "ablation"
@@ -300,7 +332,7 @@ class TestAblateCommand:
         edit(cfg["ablation"])
         assert main(["ablate", "--config", write_config(tmp_path, cfg)]) == 2
         assert name in capsys.readouterr().err
-        assert not (out / "baseline").exists()
+        assert not out.exists()
 
     def test_ablate_byte_identical_rerun(self, tmp_path, capsys):
         out = tmp_path / "ablation"

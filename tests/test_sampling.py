@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthreg.errors import InsufficientBatch, InvalidDimension
-from depthreg.grid import Grid1, Grid3, SeedRng, shift2d_g1
+from depthreg.grid import Grid1, Grid3, SeedRng, gen_shift_seed, shift2d_g1, shift2d_g3
+from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform
+from depthreg.losses import reg_loss
 from depthreg.sampling import (
     Across,
     Batch,
+    SamplePair,
+    SampleSet,
     Within,
     build_sample_set,
     collect_across,
     collect_within,
 )
+from depthreg.verification import oracle_reg_loss
 
 
 def make_pair(seed, h=4, w=5, c=3):
@@ -133,3 +140,120 @@ def test_build_sample_set_deterministic():
     for pa, pb in zip(a, b):
         assert pa.origin == pb.origin
         assert np.array_equal(pa.depth.values, pb.depth.values)
+
+
+# ---------------------------------------------------------------------------
+# Within-samples are windows into a wrap tile: oracle equivalence
+# ---------------------------------------------------------------------------
+
+CONFIGS = [
+    RegConfig(r_p=0.2, strategy=Uniform(r_n=0.5, m_u=2.0), loss_reduction=reduction)
+    for reduction in ("sum", "mean_contributing")
+] + [
+    RegConfig(r_p=0.2, strategy=MultiRange((NegativeRange(0.5, 1.0, 1.5),
+                                            NegativeRange(1.0, 2.0, 3.0))),
+              loss_reduction=reduction)
+    for reduction in ("sum", "mean_contributing")
+]
+
+
+def masked_pair(seed, h, w, c, invalid):
+    """Anchor pair whose depth is valid everywhere, on ~30% of pixels or nowhere.
+
+    Invalid entries hold NaN: nothing may read them as depths.
+    """
+    rng = SeedRng(seed)
+    f = Grid3(rng.normals(h * w * c).reshape(h, w, c))
+    vals = rng.uniforms(h * w).reshape(h, w) * 2.2
+    valid = {"none": np.ones((h, w), bool), "partial": rng.uniforms(h * w).reshape(h, w) > 0.3,
+             "all": np.zeros((h, w), bool)}[invalid]
+    return f, Grid1(np.where(valid, vals, np.nan), valid)
+
+
+def windows_one_row_off(f_a, d_a, n_within, rng):
+    """``collect_within`` with every window one row too low: the canary's mutant."""
+    h, w = f_a.height, f_a.width
+    ft, dt, mt = (np.tile(f_a.data, (2, 2, 1)), np.tile(d_a.values, (2, 2)),
+                  np.tile(d_a.valid, (2, 2)))
+    pairs = []
+    for _ in range(n_within):
+        s_h, s_w = gen_shift_seed(rng, h), gen_shift_seed(rng, w)
+        win = np.s_[h - s_h + 1:2 * h - s_h + 1, w - s_w:2 * w - s_w]
+        pairs.append(SamplePair(Grid3._owned(ft[win]), Grid1._owned(dt[win], mt[win]),
+                                Within(s_h, s_w)))
+    return SampleSet(tuple(pairs))
+
+
+def read_only(a):
+    return not a.flags.writeable and (a.base is None or not a.base.flags.writeable)
+
+
+def check_within_against_oracle(collect, seed, h, w, c, n_within, invalid, config):
+    f, d = masked_pair(seed, h, w, c, invalid)
+    ss = collect(f, d, n_within, SeedRng(seed + 1))
+    assert len(ss) == n_within
+    rolled = []
+    for p in ss:
+        s_h, s_w = p.origin.s_h, p.origin.s_w
+        want_f, want_d = shift2d_g3(f, s_h, s_w), shift2d_g1(d, s_h, s_w)
+        assert np.array_equal(p.feature.data, want_f.data)
+        assert np.array_equal(p.depth.values, want_d.values, equal_nan=True)
+        assert np.array_equal(p.depth.valid, want_d.valid)
+        assert all(read_only(a) for a in (p.feature.data, p.depth.values, p.depth.valid))
+        rolled.append(SamplePair(want_f, want_d, p.origin))
+    got = reg_loss(f, d, ss, config)
+    want, want_count = oracle_reg_loss(f, d, ss, config)
+    assert got.total == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert got.contributing_count == want_count
+    # windows and rolled copies are the same inputs: same bits out
+    copies = reg_loss(f, d, SampleSet(tuple(rolled)), config)
+    assert copies.total == got.total
+    assert np.array_equal(copies.grad_anchor.data, got.grad_anchor.data)
+    for a, b in zip(copies.grad_samples, got.grad_samples):
+        assert np.array_equal(a.data, b.data)
+
+
+WITHIN_CASES = dict(
+    seed=st.integers(0, 2**32), h=st.integers(2, 6), w=st.integers(2, 6), c=st.integers(1, 4),
+    n_within=st.integers(0, 4), invalid=st.sampled_from(["none", "partial", "all"]),
+    config=st.sampled_from(CONFIGS),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**WITHIN_CASES)
+def test_within_windows_equal_shifts_and_match_oracle(seed, h, w, c, n_within, invalid,
+                                                      config):
+    check_within_against_oracle(collect_within, seed, h, w, c, n_within, invalid, config)
+
+
+@pytest.mark.parametrize("h, w, c", [(2, 2, 1), (3, 5, 2), (8, 8, 6)])
+def test_within_window_one_row_off_is_caught(h, w, c):
+    with pytest.raises(AssertionError):
+        check_within_against_oracle(windows_one_row_off, 11, h, w, c, 3, "partial",
+                                    CONFIGS[2])
+
+
+def test_within_windows_share_one_tile():
+    f, d = make_pair(9)
+    ss = collect_within(f, d, 6, SeedRng(1))
+    for p in ss:
+        assert np.shares_memory(p.feature.data, ss.pairs[0].feature.data)
+        assert not np.shares_memory(p.feature.data, f.data)
+
+
+def test_reg_loss_leaves_inputs_unchanged_and_gradients_read_only():
+    f, d = masked_pair(3, 6, 7, 3, "partial")
+    batch = Batch((masked_pair(4, 6, 7, 3, "partial"), masked_pair(5, 6, 7, 3, "none")))
+    ss = build_sample_set(f, d, batch, 0, 4, 3, SeedRng(2))
+    arrays = [f.data, d.values, d.valid] + [
+        a for p in ss for a in (p.feature.data, p.depth.values, p.depth.valid)]
+    before = [a.tobytes() for a in arrays]
+    res = reg_loss(f, d, ss, CONFIGS[3])
+    assert res.contributing_count > 0
+    assert [a.tobytes() for a in arrays] == before
+    grads = (res.grad_anchor,) + res.grad_samples
+    assert len(grads) == 1 + len(ss)
+    assert all(read_only(g.data) for g in grads)
+    with pytest.raises(ValueError):
+        res.grad_samples[0].data[0, 0, 0] = 1.0
