@@ -99,7 +99,7 @@ def cmd_ablate(args) -> int:
     raw = load_config_file(args.config)
     cfg = config_from_dict(raw)
     ablation = raw.get("ablation", {})
-    ablation_runs(cfg.reg, ablation)  # a bad section fails before anything is written
+    ablation_runs(cfg, ablation)  # a bad section fails before anything is written
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     _write_config_echo(out, cfg)
     summary = run_ablation(cfg, ablation, out)

@@ -38,7 +38,7 @@ from .errors import InvalidConfig
 from .identify import MultiRange, NegativeRange, RegConfig, Uniform
 from .losses import DepthLossParams
 from .metrics import CSV_HEADER
-from .toybench.train import Schedule, TrainRecord, train_run
+from .toybench.train import Schedule, TrainRecord, check_batch, train_run
 
 
 @dataclass(frozen=True)
@@ -216,19 +216,23 @@ def ablation_from_dict(d: dict) -> Ablation:
     )
 
 
-def ablation_runs(reg: RegConfig, d: dict) -> tuple[dict, dict]:
+def ablation_runs(cfg: ExperimentConfig, d: dict) -> tuple[dict, dict]:
     """The regularizer of every run of the "ablation" section ``d``, all checked up front.
 
     Returns ``({strategy name: RegConfig}, {axis: [(count, RegConfig), ...]})``,
-    each built from ``reg``; a strategy ``reg`` rejects (ranges starting below
-    ``r_p``, say) raises ``InvalidConfig`` naming ``ablation.strategies.<name>``
-    before any run trains.
+    each built from ``cfg.reg``; a strategy ``cfg.reg`` rejects (ranges
+    starting below ``r_p``, say), or one ``cfg.schedule`` cannot train
+    (cross-batch samples with ``batch_size`` 1), raises ``InvalidConfig``
+    naming ``ablation.strategies.<name>`` before any run trains.
     """
     ab = ablation_from_dict(d)
+    reg = cfg.reg
 
     def build(where: str, base: RegConfig, **changes) -> RegConfig:
         try:
-            return replace(base, **changes)
+            built = replace(base, **changes)
+            check_batch(built, cfg.schedule)
+            return built
         except InvalidConfig as exc:
             raise InvalidConfig(f"{where}: {exc}") from exc
 
@@ -349,7 +353,7 @@ def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path) -> dict:
     and two-column plot-data files for any sweep grids.  The whole section is
     checked (``ablation_runs``) before the first run.
     """
-    strategies, sweeps = ablation_runs(cfg.reg, ablation)
+    strategies, sweeps = ablation_runs(cfg, ablation)
     summary: dict = {"seeds": list(cfg.schedule.seeds), "strategies": {}}
     for name, reg in strategies.items():
         runs = run_experiment(replace(cfg, reg=reg), out_dir, label=name)

@@ -3,6 +3,8 @@
 Conventions pinned here so every golden file and test stays reproducible:
 
 * Storage is row-major float64; grids are immutable after construction.
+* A ``Scratch`` arena lends the training step its large work arrays; a
+  function taking ``scratch=None`` allocates them fresh instead.
 * ``shift2d_*`` rolls content DOWN by ``s_h`` and RIGHT by ``s_w``:
   ``out[i, j] = in[(i - s_h) mod H, (j - s_w) mod W]``.
 * ``SeedRng`` is SplitMix64 (Steele/Lea/Flood 2014): state advances by the
@@ -140,6 +142,12 @@ class Grid3:
         return self.data.shape[2]
 
 
+def _check_depth(values: np.ndarray, valid: np.ndarray) -> None:
+    """Valid entries finite and >= 0, checked in place (no gather of the valid entries)."""
+    if not np.all(np.isfinite(values), where=valid) or np.any(values < 0, where=valid):
+        raise DomainError("valid depth entries must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class Grid1:
     """H x W depth map (meters) with a validity mask.
@@ -164,9 +172,7 @@ class Grid1:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != vals.shape:
                 raise ShapeError(f"mask shape {mask.shape} != values shape {vals.shape}")
-        checked = vals[mask]
-        if checked.size and (not np.all(np.isfinite(checked)) or np.any(checked < 0)):
-            raise DomainError("valid depth entries must be finite and >= 0")
+        _check_depth(vals, mask)
         vals = vals.copy()
         vals.setflags(write=False)
         mask = mask.copy()
@@ -177,9 +183,7 @@ class Grid1:
     @classmethod
     def _owned(cls, values: np.ndarray, valid: np.ndarray) -> "Grid1":
         """No-copy wrap of freshly allocated arrays; invariants still checked."""
-        checked = values[valid]
-        if checked.size and (not np.all(np.isfinite(checked)) or np.any(checked < 0)):
-            raise DomainError("valid depth entries must be finite and >= 0")
+        _check_depth(values, valid)
         values.setflags(write=False)
         valid.setflags(write=False)
         obj = object.__new__(cls)
@@ -194,6 +198,44 @@ class Grid1:
     @property
     def width(self) -> int:
         return self.values.shape[1]
+
+
+class Scratch:
+    """Named work buffers reused from call to call.
+
+    ``take(key, shape, dtype)`` returns the buffer last handed out under
+    ``key``, allocating a new one only when the shape or dtype differs, so a
+    loop over same-shaped inputs allocates its large arrays once.  Contents
+    are left as the previous user wrote them.  Not reentrant: a buffer stays
+    valid only until ``key`` is taken again, so nothing taken may outlive the
+    call that took it, and two calls running at once must not share an
+    arena.  ``child(key)`` is a nested arena, for a callee that takes the
+    same keys once per item.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+        self._children: dict = {}
+
+    def take(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(shape, dtype)
+        buf.setflags(write=True)  # a previous user may have frozen it
+        return buf
+
+    def child(self, key) -> "Scratch":
+        sub = self._children.get(key)
+        if sub is None:
+            sub = self._children[key] = Scratch()
+        return sub
+
+
+def take(scratch: Scratch | None, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """``scratch.take(key, shape, dtype)``, or a fresh ``np.empty`` without an arena."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    return scratch.take(key, shape, dtype)
 
 
 def _check_shift(h: int, w: int, s_h: int, s_w: int) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, ShapeError
-from .grid import Grid1, Grid3
+from .grid import Grid1, Grid3, Scratch, take
 from .identify import RegConfig, identify
 from .sampling import SampleSet
 
@@ -64,13 +64,16 @@ def _zero_result(f_a: Grid3, n_samples: int) -> LossResult:
     )
 
 
-def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig) -> LossResult:
+def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
+             scratch: Scratch | None = None) -> LossResult:
     """Regularization loss of an anchor against its sample set, with gradients.
 
     Every sample pixel is classified from the depth-differential map of the
     anchor depth against that sample's depth, then accumulated per the pair
     term.  Reduction follows ``config.loss_reduction``.  Per-sample partials
     are reduced in sample order, so results are reproducible bit-for-bit.
+    With a ``scratch`` the work arrays, and the gradients returned, are its
+    buffers, valid until the next call with that arena.
     """
     if (d_a.height, d_a.width) != (f_a.height, f_a.width):
         raise ShapeError("anchor feature and depth shapes disagree")
@@ -81,30 +84,34 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig) -> L
 
     n = len(samples)
     h, w = f_a.height, f_a.width
+    nhw = (n, h, w)
 
     # One classification pass over every (sample, pixel): the differentials
     # form an (N*H, W) map, classified through the public identify path (it
     # is purely per-pixel, so the reshape is transparent).  The buffers are
     # filled sample by sample; no sample map is stacked or copied first.
-    diff = np.empty((n,) + f_a.data.shape)  # f_a - f_s; becomes the f_s gradient below
-    dd = np.empty((n, h, w))
-    valid = np.empty((n, h, w), dtype=bool)
+    diff = take(scratch, "diff", (n,) + f_a.data.shape)  # f_a - f_s; becomes the f_s gradient
+    dd = take(scratch, "dd", nhw)  # |d_a - d_s|; becomes the per-pixel margin
+    mask = take(scratch, "mask", nhw, bool)  # joint validity; then one label group at a time
     for i, p in enumerate(samples):
         np.subtract(f_a.data, p.feature.data, out=diff[i])
         np.subtract(d_a.values, p.depth.values, out=dd[i])
-        np.logical_and(d_a.valid, p.depth.valid, out=valid[i])
-    dr = Grid1._owned(np.abs(dd, out=dd).reshape(n * h, w), valid.reshape(n * h, w))
-    labels = identify(dr, config).labels.reshape(n, h, w)
+        np.logical_and(d_a.valid, p.depth.valid, out=mask[i])
+    dr = Grid1._owned(np.abs(dd, out=dd).reshape(n * h, w), mask.reshape(n * h, w))
+    labels = identify(dr, config).labels.reshape(nhw)
 
-    dist = np.sqrt(np.einsum("nhwc,nhwc->nhw", diff, diff))  # (N, H, W)
+    dist = np.einsum("nhwc,nhwc->nhw", diff, diff, out=take(scratch, "dist", nhw))
+    np.sqrt(dist, out=dist)
 
     ranges = config.strategy.ranges
-    margins = np.array([0.0] + [r.margin for r in ranges])
-
-    pos = labels == 0
-    neg = labels > 0
-    m = margins[np.maximum(labels, 0)]
-    hinge = np.maximum(0.0, m - dist)
+    pos = np.equal(labels, 0, out=take(scratch, "pos", nhw, bool))
+    neg = np.greater(labels, 0, out=take(scratch, "neg", nhw, bool))
+    m = dd
+    m.fill(0.0)
+    for j, r in enumerate(ranges, start=1):
+        np.copyto(m, r.margin, where=np.equal(labels, j, out=mask))
+    hinge = np.subtract(m, dist, out=take(scratch, "hinge", nhw))
+    np.maximum(0.0, hinge, out=hinge)
 
     contributing = int(np.count_nonzero(pos) + np.count_nonzero(neg))
     if config.loss_reduction == "mean_contributing":
@@ -114,18 +121,27 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig) -> L
 
     breakdown: dict[str, float] = {"positive": scale * float(np.sum(dist, where=pos))}
     for j in range(1, len(ranges) + 1):
-        breakdown[f"negative_{j}"] = scale * float(np.sum(hinge, where=labels == j))
+        np.equal(labels, j, out=mask)
+        breakdown[f"negative_{j}"] = scale * float(np.sum(hinge, where=mask))
     total = math.fsum(breakdown.values())
 
     # Gradient coefficient per (sample, pixel): d(term)/d(dist) toward the
-    # sample, zero at dist = 0 and on inactive hinges.
-    inv = 1.0 / np.where(dist > 0.0, dist, np.inf)
-    coef = (scale * inv) * (
-        (neg & (dist < m)).astype(np.float64) - pos.astype(np.float64)
-    )
+    # sample, zero at dist = 0 and on inactive hinges.  Built in the hinge
+    # buffer as scale / dist, negated on positives and +0.0 off the active
+    # pixels: the bits of (scale / dist) * (active - positive).
+    coef = hinge
+    coef.fill(np.inf)
+    np.copyto(coef, dist, where=np.greater(dist, 0.0, out=mask))
+    np.divide(1.0, coef, out=coef)
+    np.multiply(scale, coef, out=coef)
+    active = np.logical_and(neg, np.less(dist, m, out=mask), out=mask)
+    np.negative(coef, out=coef, where=pos)
+    idle = np.logical_not(np.logical_or(active, pos, out=neg), out=neg)
+    np.copyto(coef, 0.0, where=idle)
 
     per_sample = np.multiply(diff, coef[:, :, :, None], out=diff)  # gradient wrt each f_s
-    grad_anchor = Grid3._owned(-per_sample.sum(axis=0))
+    grad_anchor = np.sum(per_sample, axis=0, out=take(scratch, "grad_anchor", f_a.data.shape))
+    grad_anchor = Grid3._owned(np.negative(grad_anchor, out=grad_anchor))
     per_sample.setflags(write=False)
     grad_samples = tuple(Grid3._owned(per_sample[i]) for i in range(n))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBatch, InvalidDimension, ShapeError
-from .grid import Grid1, Grid3, SeedRng, gen_shift_seed
+from .grid import Grid1, Grid3, Scratch, SeedRng, gen_shift_seed, take
 
 
 @dataclass(frozen=True)
@@ -82,26 +82,30 @@ class Batch:
         return len(self.items)
 
 
-def _wrap_tile(a: np.ndarray) -> np.ndarray:
-    """Read-only 2x2 tiling of ``a`` over its first two axes.
+def _wrap_tile(a: np.ndarray, scratch: Scratch | None, key: str) -> np.ndarray:
+    """Read-only 2x2 tiling of ``a`` over its first two axes, quadrant by quadrant.
 
-    Built by concatenation, which returns an array that owns its memory:
-    ``np.tile`` returns a view of a writable array, so its windows could be
-    written through ``.base``.
+    The tile owns its memory (or is an arena buffer) and is frozen whole, so
+    no window into it can be written through ``.base``.
     """
-    t = np.concatenate([a, a], axis=0)
-    t = np.concatenate([t, t], axis=1)
+    h, w = a.shape[:2]
+    t = take(scratch, key, (2 * h, 2 * w) + a.shape[2:], a.dtype)
+    for rows in (slice(None, h), slice(h, None)):
+        for cols in (slice(None, w), slice(w, None)):
+            t[rows, cols] = a
     t.setflags(write=False)
     return t
 
 
-def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng) -> SampleSet:
+def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
+                   scratch: Scratch | None = None) -> SampleSet:
     """n_within circular-shift samples of the anchor pair, fresh seeds each.
 
     Vertical seed is drawn before the horizontal one on every iteration.
     Each sample is a read-only window into one 2x2 wrap tile of the anchor:
     ``tile[h - s_h : 2h - s_h, w - s_w : 2w - s_w]`` equals
-    ``shift2d_*(anchor, s_h, s_w)`` without copying it.
+    ``shift2d_*(anchor, s_h, s_w)`` without copying it.  With a ``scratch``
+    the tiles are its buffers, valid until the next call with that arena.
     """
     h, w = f_a.height, f_a.width
     if h < 2 or w < 2:
@@ -110,7 +114,8 @@ def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng) -> Sampl
         raise ShapeError("anchor feature and depth shapes disagree")
     if n_within == 0:
         return SampleSet(())
-    ft, dt, mt = (_wrap_tile(a) for a in (f_a.data, d_a.values, d_a.valid))
+    ft, dt, mt = (_wrap_tile(a, scratch, key) for a, key in
+                  ((f_a.data, "tile_f"), (d_a.values, "tile_d"), (d_a.valid, "tile_m")))
     pairs = []
     for _ in range(n_within):
         s_h = gen_shift_seed(rng, h)
@@ -149,8 +154,9 @@ def build_sample_set(
     n_within: int,
     n_across: int,
     rng: SeedRng,
+    scratch: Scratch | None = None,
 ) -> SampleSet:
     """Concatenate both collecting means, within-samples first."""
-    within = collect_within(f_a, d_a, n_within, rng)
+    within = collect_within(f_a, d_a, n_within, rng, scratch)
     across = collect_across(batch, anchor_index, n_across, rng)
     return SampleSet(within.pairs + across.pairs)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, ShapeError
-from ..grid import Grid1, Grid3, SeedRng
+from ..grid import Grid1, Grid3, Scratch, SeedRng, take
 
 
 @dataclass
@@ -85,54 +85,71 @@ class ToyModel:
         return self.param_vector().size
 
 
-def model_forward(model: ToyModel, image: Grid3):
-    """Forward pass; returns (features, prediction, cache for backward)."""
+def model_forward(model: ToyModel, image: Grid3, scratch: Scratch | None = None):
+    """Forward pass; returns (features, prediction, cache for backward).
+
+    ``features`` and ``prediction`` are read-only views of the cached
+    activations.  With a ``scratch`` every array returned is one of its
+    buffers, valid until the next call with that arena.
+    """
     if image.channels != model.c_in:
         raise ShapeError(f"model expects {model.c_in} input channels, got {image.channels}")
     h, w = image.height, image.width
+    p = h * w
     x = image.data.reshape(-1, model.c_in)
-    h1 = x @ model.w1.T
+    h1 = np.matmul(x, model.w1.T, out=take(scratch, "h1", (p, model.w1.shape[0])))
     h1 += model.b1
     np.tanh(h1, out=h1)
-    h2 = h1 @ model.w2.T
+    h2 = np.matmul(h1, model.w2.T, out=take(scratch, "h2", (p, model.w2.shape[0])))
     h2 += model.b2
     np.tanh(h2, out=h2)
-    f = h2 @ model.w3.T
+    f = np.matmul(h2, model.w3.T, out=take(scratch, "f", (p, model.c_feat)))
     f += model.b3
-    z = f @ model.w4
+    z = np.matmul(f, model.w4, out=take(scratch, "z", (p,)))
     z += model.b4
     if not np.all(np.isfinite(z)):
         raise DomainError("model output diverged (non-finite pre-activation)")
-    pred = np.exp(z)
+    pred = np.exp(z, out=z)
     if not np.all(np.isfinite(pred)):
         raise DomainError("model output diverged (prediction overflow)")
-    cache = {"x": x, "h1": h1, "h2": h2, "f": f, "pred": pred, "shape": (h, w)}
-    features = Grid3._owned(f.reshape(h, w, model.c_feat).copy())
-    prediction = Grid1._owned(pred.reshape(h, w).copy(), np.ones((h, w), dtype=bool))
+    f.setflags(write=False)  # the returned grids are views of these cached arrays
+    pred.setflags(write=False)
+    valid = take(scratch, "valid", (h, w), bool)
+    valid.fill(True)
+    cache = {"x": x, "h1": h1, "h2": h2, "f": f, "pred": pred}
+    features = Grid3._owned(f.reshape(h, w, model.c_feat))
+    prediction = Grid1._owned(pred.reshape(h, w), valid)
     return features, prediction, cache
 
 
-def model_backward(model: ToyModel, cache, d_feat: np.ndarray, d_pred: np.ndarray) -> np.ndarray:
+def model_backward(model: ToyModel, cache, d_feat: np.ndarray, d_pred: np.ndarray,
+                   scratch: Scratch | None = None) -> np.ndarray:
     """Parameter gradient (flat, param_vector order) from upstream gradients.
 
     ``d_feat`` is (H, W, C) against the feature map, ``d_pred`` (H, W)
-    against the prediction.
+    against the prediction.  The returned vector is freshly allocated; a
+    ``scratch`` lends only the per-pixel work arrays.
     """
-    h, w = cache["shape"]
-    df = d_feat.reshape(-1, model.c_feat).copy()
-    dz = d_pred.reshape(-1) * cache["pred"]
-    df += dz[:, None] * model.w4[None, :]
+    h1, h2, f = cache["h1"], cache["h2"], cache["f"]
+    p = f.shape[0]
+    df = take(scratch, "df", f.shape)
+    np.copyto(df, d_feat.reshape(-1, model.c_feat))
+    dz = np.multiply(d_pred.reshape(-1), cache["pred"], out=take(scratch, "dz", (p,)))
+    wz = take(scratch, "wz", f.shape)
+    df += np.multiply(dz[:, None], model.w4[None, :], out=wz)
 
-    dw4 = cache["f"].T @ dz
+    dw4 = f.T @ dz
     db4 = float(np.sum(dz))
 
-    dw3 = df.T @ cache["h2"]
+    dw3 = df.T @ h2
     db3 = df.sum(axis=0)
-    dh2 = (df @ model.w3) * (1.0 - cache["h2"] ** 2)
+    dh2 = _tanh_grad(np.matmul(df, model.w3, out=take(scratch, "dh2", h2.shape)), h2,
+                     take(scratch, "g2", h2.shape))
 
-    dw2 = dh2.T @ cache["h1"]
+    dw2 = dh2.T @ h1
     db2 = dh2.sum(axis=0)
-    dh1 = (dh2 @ model.w2) * (1.0 - cache["h1"] ** 2)
+    dh1 = _tanh_grad(np.matmul(dh2, model.w2, out=take(scratch, "dh1", h1.shape)), h1,
+                     take(scratch, "g1", h1.shape))
 
     dw1 = dh1.T @ cache["x"]
     db1 = dh1.sum(axis=0)
@@ -140,3 +157,10 @@ def model_backward(model: ToyModel, cache, d_feat: np.ndarray, d_pred: np.ndarra
     return np.concatenate(
         [dw1.ravel(), db1, dw2.ravel(), db2, dw3.ravel(), db3, dw4, [db4]]
     )
+
+
+def _tanh_grad(upstream: np.ndarray, act: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``upstream * (1 - act**2)`` in place in ``upstream``, ``work`` holding the factor."""
+    np.square(act, out=work)
+    np.subtract(1.0, work, out=work)
+    return np.multiply(upstream, work, out=upstream)

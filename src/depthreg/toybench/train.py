@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DomainError, EmptyEvaluation, InvalidConfig
-from ..grid import Grid1, Grid3, SeedRng
+from ..grid import Grid1, Grid3, Scratch, SeedRng
 from ..identify import RegConfig
 from ..losses import DepthLossParams, reg_loss, si_loss
 from ..metrics import MetricReport, compute_metrics, mean_report
@@ -84,6 +84,26 @@ def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
     return mean_far / mean_near
 
 
+# The training step's work arrays, reused from step to step.  Private to
+# ``batch_objective``: nothing taken from it is returned, and it is not
+# reentrant (one step at a time per process).
+_ARENA = Scratch()
+
+
+def add_unshifted(acc: np.ndarray, g: np.ndarray, s_h: int, s_w: int) -> None:
+    """``acc += np.roll(g, (-s_h, -s_w), axis=(0, 1))``, bit for bit, without the copy.
+
+    Routes a within-sample's gradient back to the anchor pixels it came
+    from; each of the four quadrants is one in-place add.
+    """
+    h, w = g.shape[:2]
+    for dst_h, src_h in ((slice(None, h - s_h), slice(s_h, None)),
+                         (slice(h - s_h, None), slice(None, s_h))):
+        for dst_w, src_w in ((slice(None, w - s_w), slice(s_w, None)),
+                             (slice(w - s_w, None), slice(None, s_w))):
+            acc[dst_h, dst_w] += g[src_h, src_w]
+
+
 def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegConfig,
                     depth_params: DepthLossParams, sample_seed: int):
     """Loss and flat parameter gradient for one batch, sampling from a seed.
@@ -91,19 +111,23 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
     Returns (l_re, l_depth, l_final, contributing_count, grad_vec, breakdown).
     Rerunning with identical inputs (including ``sample_seed``) is bit-exact,
     which is what makes finite-difference checks through the whole model
-    possible.
+    possible.  Work arrays come from the module's arena; everything
+    returned is freshly allocated.
     """
     k = len(scenes)
+    items = [_ARENA.child(a) for a in range(k)]
     feats, preds, caches = [], [], []
-    for sc in scenes:
-        f, p, c = model_forward(model, sc.image)
+    for sc, arena in zip(scenes, items):
+        f, p, c = model_forward(model, sc.image, arena)
         feats.append(f)
         preds.append(p)
         caches.append(c)
     depths = [sc.depth for sc in scenes]
 
-    d_feat = [np.zeros_like(f.data) for f in feats]
-    d_pred = [np.zeros((p.height, p.width)) for p in preds]
+    d_feat = [arena.take("d_feat", f.data.shape) for f, arena in zip(feats, items)]
+    d_pred = [arena.take("d_pred", (p.height, p.width)) for p, arena in zip(preds, items)]
+    for g in d_feat + d_pred:
+        g.fill(0.0)
 
     l_re = 0.0
     contributing = 0
@@ -114,9 +138,9 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
         batch = Batch(tuple(zip(feats, depths)))
         for a in range(k):
             ss = build_sample_set(
-                feats[a], depths[a], batch, a, reg_cfg.n_within, reg_cfg.n_across, rng
+                feats[a], depths[a], batch, a, reg_cfg.n_within, reg_cfg.n_across, rng, _ARENA
             )
-            res = reg_loss(feats[a], depths[a], ss, reg_cfg)
+            res = reg_loss(feats[a], depths[a], ss, reg_cfg, _ARENA)
             l_re += res.total / k
             contributing += res.contributing_count
             for key, val in res.breakdown.items():
@@ -124,9 +148,7 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
             d_feat[a] += res.grad_anchor.data
             for pair, g in zip(ss.pairs, res.grad_samples):
                 if isinstance(pair.origin, Within):
-                    d_feat[a] += np.roll(
-                        g.data, (-pair.origin.s_h, -pair.origin.s_w), axis=(0, 1)
-                    )
+                    add_unshifted(d_feat[a], g.data, pair.origin.s_h, pair.origin.s_w)
                 else:
                     d_feat[(a + pair.origin.s_k) % k] += g.data
         for a in range(k):
@@ -141,7 +163,7 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
     l_final = l_re + reg_cfg.depth_loss_weight * l_depth
     grad = np.zeros(model.param_count)
     for a in range(k):
-        grad += model_backward(model, caches[a], d_feat[a], d_pred[a])
+        grad += model_backward(model, caches[a], d_feat[a], d_pred[a], _ARENA)
     return l_re, l_depth, l_final, contributing, grad, breakdown
 
 
@@ -168,6 +190,12 @@ class Schedule:
             raise InvalidConfig("eval settings must be >= 1")
 
 
+def check_batch(reg_cfg: RegConfig, schedule: Schedule) -> None:
+    """Cross-batch samples come from the other items of a batch: ask for two items."""
+    if reg_cfg.n_across > 0 and schedule.batch_size < 2:
+        raise InvalidConfig("cross-batch sampling needs batch_size >= 2")
+
+
 def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
               reg_cfg: RegConfig, depth_params: DepthLossParams, schedule: Schedule,
               seed: int, separation: tuple[float, float]) -> TrainRecord:
@@ -179,8 +207,7 @@ def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
     or a model overflow, in a step or in an evaluation, ends the run,
     recorded as diverged at that step.
     """
-    if reg_cfg.n_across > 0 and schedule.batch_size < 2:
-        raise InvalidConfig("cross-batch sampling needs batch_size >= 2")
+    check_batch(reg_cfg, schedule)
     h, w = scene_shape
     d_min, d_max = depth_range
 

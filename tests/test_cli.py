@@ -172,6 +172,17 @@ class TestConfig:
         if "ablation" in config:
             ablation_from_dict(config["ablation"])
 
+    # The benchmark times each layer by replacing the functions in its HOOKS;
+    # a hook whose target is gone drops that layer from every benchmark run.
+    def test_benchmark_hook_targets_exist(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        hooks = importlib.import_module("tracing").HOOKS
+        assert hooks
+        missing = [(module, attr) for module, attr, _ in hooks
+                   if not callable(getattr(importlib.import_module(module), attr, None))]
+        assert missing == []
+
     def test_separation_thresholds_validated(self, tmp_path):
         with pytest.raises(InvalidConfig, match="separation"):
             config_from_dict(tiny_config(tmp_path, separation={"near": 0.6, "far": 0.5}))
@@ -333,6 +344,33 @@ class TestAblateCommand:
         assert main(["ablate", "--config", write_config(tmp_path, cfg)]) == 2
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    # One scene per batch leaves no other item to draw cross-batch samples
+    # from: every run that would draw them is rejected before the first trains.
+    @pytest.mark.parametrize("n_across, sweep, name", [
+        (0, {"n_across": [1]}, "ablation.sweep.n_across"),
+        (0, {"n_within": [1], "n_across": [0, 2]}, "ablation.sweep.n_across"),
+        (1, {"n_within": [1]}, "ablation.strategies.baseline"),
+    ])
+    def test_across_samples_with_batch_of_one_exits_2(self, tmp_path, capsys, n_across, sweep,
+                                                      name):
+        out = tmp_path / "ablation"
+        cfg = self.ablate_config(out)
+        cfg["schedule"]["batch_size"] = 1
+        cfg["regularization"]["n_across"] = n_across
+        cfg["ablation"]["sweep"] = sweep
+        assert main(["ablate", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "batch_size >= 2" in err
+        assert not out.exists()
+
+    def test_batch_of_one_without_across_samples_ablates(self, tmp_path, capsys):
+        out = tmp_path / "ablation"
+        cfg = self.ablate_config(out)
+        cfg["schedule"].update(batch_size=1, seeds=[5])
+        cfg["regularization"]["n_across"] = 0
+        assert main(["ablate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert len(list(out.rglob("record.csv"))) == 3 + 2
 
     def test_ablate_byte_identical_rerun(self, tmp_path, capsys):
         out = tmp_path / "ablation"
