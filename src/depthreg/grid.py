@@ -110,24 +110,21 @@ class Grid3:
             raise ShapeError(f"expected 3 axes, got {arr.ndim}")
         if min(arr.shape) < 1:
             raise InvalidDimension(f"degenerate shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("feature grid contains non-finite entries")
+        _check_finite(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @classmethod
-    def _owned(cls, arr: np.ndarray) -> "Grid3":
+    def _owned(cls, arr: np.ndarray, work: np.ndarray | None = None) -> "Grid3":
         """Wrap a freshly allocated float64 array without the defensive copy.
 
-        Internal fast path; the finiteness invariant is still verified.
+        Internal fast path; the finiteness invariant is still verified, in
+        ``work`` when given (see ``_check_finite``).
         """
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("feature grid contains non-finite entries")
+        _check_finite(arr, work)
         arr.setflags(write=False)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "data", arr)
-        return obj
+        return _view(cls, data=arr)
 
     @property
     def height(self) -> int:
@@ -142,9 +139,38 @@ class Grid3:
         return self.data.shape[2]
 
 
-def _check_depth(values: np.ndarray, valid: np.ndarray) -> None:
-    """Valid entries finite and >= 0, checked in place (no gather of the valid entries)."""
-    if not np.all(np.isfinite(values), where=valid) or np.any(values < 0, where=valid):
+def _view(cls, **arrays: np.ndarray):
+    """A ``cls`` over ``arrays`` as given: the one path that checks nothing.
+
+    Only for read-only views into a buffer that its maker verified whole (or
+    built to the invariant) and froze: a sample window of a checked wrap
+    tile, one sample's slice of a checked gradient buffer, a fresh label map.
+    Every element such a view reads was checked once, where it was made.
+    """
+    obj = object.__new__(cls)
+    for name, arr in arrays.items():
+        object.__setattr__(obj, name, arr)
+    return obj
+
+
+def _check_finite(arr: np.ndarray, work: np.ndarray | None = None) -> None:
+    """All entries finite; ``work``, a bool array of ``arr``'s shape, spares the temporary."""
+    if not np.isfinite(arr, out=work).all():
+        raise DomainError("feature grid contains non-finite entries")
+
+
+def _check_depth(values: np.ndarray, valid: np.ndarray, work: np.ndarray | None = None) -> None:
+    """Valid entries finite and >= 0, in plain elementwise passes (no gather, no ``where=``).
+
+    An entry is good when ``0 <= v < inf``: the first comparison is false on
+    NaN and on every negative (-inf included), the second on +inf and NaN.
+    ``work``, a bool array of shape ``(2,) + values.shape``, spares the
+    temporaries.
+    """
+    good, below_inf = np.empty((2,) + values.shape, bool) if work is None else work
+    np.greater_equal(values, 0.0, out=good)
+    np.logical_and(good, np.less(values, np.inf, out=below_inf), out=good)
+    if np.greater(valid, good, out=good).any():  # valid and not good
         raise DomainError("valid depth entries must be finite and >= 0")
 
 
@@ -181,15 +207,13 @@ class Grid1:
         object.__setattr__(self, "valid", mask)
 
     @classmethod
-    def _owned(cls, values: np.ndarray, valid: np.ndarray) -> "Grid1":
-        """No-copy wrap of freshly allocated arrays; invariants still checked."""
-        _check_depth(values, valid)
+    def _owned(cls, values: np.ndarray, valid: np.ndarray,
+               work: np.ndarray | None = None) -> "Grid1":
+        """No-copy wrap of freshly allocated arrays; invariants still checked, in ``work``."""
+        _check_depth(values, valid, work)
         values.setflags(write=False)
         valid.setflags(write=False)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "values", values)
-        object.__setattr__(obj, "valid", valid)
-        return obj
+        return _view(cls, values=values, valid=valid)
 
     @property
     def height(self) -> int:

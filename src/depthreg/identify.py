@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, ShapeError
-from .grid import Grid1
+from .grid import Grid1, _view
 
 POSITIVE = 0
 IGNORED = -1
@@ -139,12 +139,27 @@ def differential_map(d_a: Grid1, d_s: Grid1) -> Grid1:
 
 
 def _classify(d_r: Grid1, r_p: float, bounds: list[tuple[float, float]]) -> np.ndarray:
-    labels = np.full((d_r.height, d_r.width), IGNORED, dtype=np.int16)
-    v = d_r.values
-    ok = d_r.valid
-    labels[ok & (v < r_p)] = POSITIVE
-    for j, (low, high) in enumerate(bounds, start=1):
-        labels[ok & (v > low) & (v < high)] = j
+    """Read-only (H, W) int16 labels, built by adding masks in two reused bool buffers.
+
+    The groups (positive, then each negative range) are disjoint and
+    ascending: every bound pair and ``r_p`` below the first are checked by
+    the callers.  So a pixel of group j lies in the union "group k or a
+    later one" for exactly k = 0..j, and summing those j + 1 unions over
+    the valid pixels, from ``IGNORED``, gives its label.
+    """
+    v, ok = d_r.values, d_r.valid
+    labels = np.zeros(v.shape, np.int16)
+    later = np.zeros(v.shape, bool)  # the union of the groups processed so far
+    test = np.empty(v.shape, bool)
+    for low, high in reversed(bounds):
+        # a pixel below ``high`` or in a later group, and above ``low``
+        np.logical_or(np.less(v, high, out=test), later, out=later)
+        np.logical_and(later, np.greater(v, low, out=test), out=later)
+        labels += later
+    labels += np.logical_or(np.less(v, r_p, out=test), later, out=later)
+    labels *= ok
+    labels += IGNORED
+    labels.setflags(write=False)
     return labels
 
 
@@ -152,7 +167,7 @@ def identify_uniform(d_r: Grid1, r_p: float, r_n: float) -> IdentMap:
     """Positive below r_p, negative group 1 above r_n, ignored between."""
     if r_p > r_n:
         raise InvalidConfig(f"r_p={r_p} exceeds r_n={r_n}")
-    return IdentMap(_classify(d_r, r_p, [(r_n, np.inf)]))
+    return _view(IdentMap, labels=_classify(d_r, r_p, [(r_n, np.inf)]))
 
 
 def identify_multirange(d_r: Grid1, config: RegConfig) -> IdentMap:
@@ -167,4 +182,4 @@ def identify(d_r: Grid1, config: RegConfig) -> IdentMap:
     if not config.enabled:
         raise InvalidConfig("regularization disabled; nothing to identify")
     bounds = [(r.low, r.high) for r in config.strategy.ranges]
-    return IdentMap(_classify(d_r, config.r_p, bounds))
+    return _view(IdentMap, labels=_classify(d_r, config.r_p, bounds))

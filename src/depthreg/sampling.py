@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBatch, InvalidDimension, ShapeError
-from .grid import Grid1, Grid3, Scratch, SeedRng, gen_shift_seed, take
+from .grid import (Grid1, Grid3, Scratch, SeedRng, _check_depth, _check_finite, _view,
+                   gen_shift_seed, take)
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,10 @@ def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
     Vertical seed is drawn before the horizontal one on every iteration.
     Each sample is a read-only window into one 2x2 wrap tile of the anchor:
     ``tile[h - s_h : 2h - s_h, w - s_w : 2w - s_w]`` equals
-    ``shift2d_*(anchor, s_h, s_w)`` without copying it.  With a ``scratch``
-    the tiles are its buffers, valid until the next call with that arena.
+    ``shift2d_*(anchor, s_h, s_w)`` without copying it.  Each tile is
+    verified once, whole, so the windows into it are not checked again.
+    With a ``scratch`` the tiles are its buffers, valid until the next call
+    with that arena.
     """
     h, w = f_a.height, f_a.width
     if h < 2 or w < 2:
@@ -116,14 +119,15 @@ def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
         return SampleSet(())
     ft, dt, mt = (_wrap_tile(a, scratch, key) for a, key in
                   ((f_a.data, "tile_f"), (d_a.values, "tile_d"), (d_a.valid, "tile_m")))
+    _check_finite(ft, take(scratch, "tile_f_ok", ft.shape, bool))
+    _check_depth(dt, mt, take(scratch, "tile_d_ok", (2,) + dt.shape, bool))
     pairs = []
     for _ in range(n_within):
         s_h = gen_shift_seed(rng, h)
         s_w = gen_shift_seed(rng, w)
         win = np.s_[h - s_h:2 * h - s_h, w - s_w:2 * w - s_w]
-        pairs.append(
-            SamplePair(Grid3._owned(ft[win]), Grid1._owned(dt[win], mt[win]), Within(s_h, s_w))
-        )
+        pairs.append(SamplePair(_view(Grid3, data=ft[win]),
+                                _view(Grid1, values=dt[win], valid=mt[win]), Within(s_h, s_w)))
     return SampleSet(tuple(pairs))
 
 

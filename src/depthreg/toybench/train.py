@@ -191,8 +191,11 @@ class Schedule:
 
 
 def check_batch(reg_cfg: RegConfig, schedule: Schedule) -> None:
-    """Cross-batch samples come from the other items of a batch: ask for two items."""
-    if reg_cfg.n_across > 0 and schedule.batch_size < 2:
+    """Cross-batch samples come from the other items of a batch: ask for two items.
+
+    A disabled regularizer draws no samples, so it trains on any batch size.
+    """
+    if reg_cfg.enabled and reg_cfg.n_across > 0 and schedule.batch_size < 2:
         raise InvalidConfig("cross-batch sampling needs batch_size >= 2")
 
 

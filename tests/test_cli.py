@@ -1,5 +1,6 @@
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -183,6 +184,15 @@ class TestConfig:
                    if not callable(getattr(importlib.import_module(module), attr, None))]
         assert missing == []
 
+    # The benchmark's self-test recomputes classification, losses and
+    # gradients independently of the package and checks its hooks; a change
+    # that breaks either fails here, not first in a benchmark run.  It writes
+    # only under perfbench/work and perfbench/results, both git-ignored.
+    def test_benchmark_selftest_passes(self):
+        out = subprocess.run([sys.executable, "-B", str(ROOT / "perfbench" / "selftest.py")],
+                             cwd=ROOT, capture_output=True, text=True, timeout=600)
+        assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+
     def test_separation_thresholds_validated(self, tmp_path):
         with pytest.raises(InvalidConfig, match="separation"):
             config_from_dict(tiny_config(tmp_path, separation={"near": 0.6, "far": 0.5}))
@@ -233,6 +243,15 @@ class TestTrainCommand:
         lines = (out / "run" / "seed_5" / "record.csv").read_text().splitlines()
         assert lines[0] == "step,l_re,l_depth,l_final,contributing,ignored_fraction"
         assert len(lines) == 1 + 4  # header + one row per step
+
+    def test_disabled_strategy_with_batch_of_one_trains(self, tmp_path, capsys):
+        """A disabled regularizer draws no cross-batch samples, so one scene per batch is enough."""
+        out = tmp_path / "runs"
+        cfg = tiny_config(out)
+        cfg["regularization"].update(strategy={"kind": "disabled"}, n_across=4)
+        cfg["schedule"].update(batch_size=1, seeds=[5])
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+        assert (out / "run" / "seed_5" / "record.csv").exists()
 
     def test_missing_config_no_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -350,7 +369,8 @@ class TestAblateCommand:
     @pytest.mark.parametrize("n_across, sweep, name", [
         (0, {"n_across": [1]}, "ablation.sweep.n_across"),
         (0, {"n_within": [1], "n_across": [0, 2]}, "ablation.sweep.n_across"),
-        (1, {"n_within": [1]}, "ablation.strategies.baseline"),
+        # the disabled baseline draws no samples, so the first strategy rejected is uniform
+        (1, {"n_within": [1]}, "ablation.strategies.uniform"),
     ])
     def test_across_samples_with_batch_of_one_exits_2(self, tmp_path, capsys, n_across, sweep,
                                                       name):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthreg.errors import DomainError, InvalidDimension, InvalidShift
-from depthreg.grid import Grid1, Grid3, SeedRng, gen_shift_seed, shift2d_g1, shift2d_g3
+from depthreg.grid import (Grid1, Grid3, SeedRng, _check_depth, gen_shift_seed, shift2d_g1,
+                           shift2d_g3)
 
 
 class TestSeedRng:
@@ -83,6 +84,35 @@ class TestGrids:
         valid = np.array([[True, False], [True, True]])
         g = Grid1(vals, valid)
         assert g.values[0, 1] == -5.0
+
+
+def where_check_rejects(values, valid):
+    """The depth check as two ``where=`` reductions: the reference for the plain passes."""
+    return not np.all(np.isfinite(values), where=valid) or bool(np.any(values < 0, where=valid))
+
+
+DEPTH_ENTRIES = [0.0, -0.0, 5e-324, 1.5, 1e308, -5e-324, -1.0, -1e308, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), h=st.integers(1, 5), w=st.integers(1, 5))
+def test_depth_check_rejects_exactly_what_the_where_check_rejects(data, h, w):
+    values = np.array(data.draw(st.lists(st.sampled_from(DEPTH_ENTRIES), min_size=h * w,
+                                         max_size=h * w))).reshape(h, w)
+    valid = np.array(data.draw(st.lists(st.booleans(), min_size=h * w,
+                                        max_size=h * w))).reshape(h, w)
+    bad = where_check_rejects(values, valid)
+    for work in (None, np.empty((2, h, w), bool)):
+        if bad:
+            with pytest.raises(DomainError):
+                _check_depth(values, valid, work)
+        else:
+            _check_depth(values, valid, work)
+    if bad:
+        with pytest.raises(DomainError):
+            Grid1(values, valid)
+    else:
+        assert np.array_equal(Grid1(values, valid).values, values, equal_nan=True)
 
 
 class TestShift:

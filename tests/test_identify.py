@@ -13,6 +13,7 @@ from depthreg.identify import (
     RegConfig,
     Uniform,
     differential_map,
+    identify,
     identify_multirange,
     identify_uniform,
 )
@@ -179,6 +180,40 @@ def test_partition_matches_brute_force_multirange():
         d_r = random_differential_map(rng)
         got = identify_multirange(d_r, cfg).labels
         assert np.array_equal(got, brute_force_multirange(d_r, cfg))
+
+
+@st.composite
+def threshold_cases(draw):
+    """A valid config (ranges touching r_p or each other, or not; the last maybe
+    open-ended) and a map whose valid pixels sit on every threshold, between
+    them and beyond, and whose invalid pixels hold NaN, +-inf or negatives."""
+    r_p = draw(st.sampled_from([0.1, 0.25, 1.0]))
+    ranges, edge = [], r_p
+    for _ in range(draw(st.integers(1, 4))):
+        low = edge + draw(st.sampled_from([0.0, 0.2, 0.5]))
+        edge = low + draw(st.sampled_from([0.1, 0.5, 1.0]))
+        ranges.append(NegativeRange(low, edge, 1.0))
+    if draw(st.booleans()):
+        ranges[-1] = NegativeRange(ranges[-1].low, np.inf, 1.0)
+    cfg = RegConfig(r_p=r_p, strategy=MultiRange(tuple(ranges)))
+    cuts = sorted({r_p} | {b for r in ranges for b in (r.low, r.high) if np.isfinite(b)})
+    between = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [cuts[-1] + 1.0, 1e300]
+    on_valid = st.sampled_from([0.0, r_p / 2] + cuts + between)
+    on_invalid = st.sampled_from([np.nan, np.inf, -np.inf, -1.0] + cuts)
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    valid = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
+    vals = np.array([draw(on_valid if ok else on_invalid) for ok in valid])
+    return cfg, Grid1(vals.reshape(h, w), valid.reshape(h, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=threshold_cases())
+def test_labels_match_brute_force_on_thresholds_and_bad_invalid_pixels(case):
+    cfg, d_r = case
+    assert np.array_equal(identify(d_r, cfg).labels, brute_force_multirange(d_r, cfg))
+    r_n = cfg.strategy.ranges[0].low  # may equal r_p
+    assert np.array_equal(identify_uniform(d_r, cfg.r_p, r_n).labels,
+                          brute_force_uniform(d_r, cfg.r_p, r_n))
 
 
 def test_raising_rp_never_creates_negatives():

@@ -73,6 +73,17 @@ class TestRegLoss:
         assert res.contributing_count == 1
         assert (res.grad_anchor.data == 0).all()
 
+    @pytest.mark.parametrize("config", [UNIFORM_NYU, MULTI_NYU])
+    def test_overflowing_feature_difference_raises(self, config):
+        """Features of +-1e308 differ by inf: the gradients would be NaN, so the call raises."""
+        f_a = Grid3(np.full((2, 3, 2), 1e308))
+        d_a = Grid1(np.full((2, 3), 2.0))
+        samples = SampleSet(tuple(
+            SamplePair(Grid3(np.full((2, 3, 2), -1e308)), Grid1(np.full((2, 3), depth)), Across(1))
+            for depth in (2.0, 2.7)))  # one positive sample, one negative
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+            reg_loss(f_a, d_a, samples, config)
+
     def test_channel_mismatch_rejected(self):
         f_a, d_a, _ = single_pixel_instance([1.0], [1.0], 1.0, 1.0)
         _, _, ss = single_pixel_instance([1.0, 2.0], [1.0, 2.0], 1.0, 1.0)

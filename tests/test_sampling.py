@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthreg.errors import InsufficientBatch, InvalidDimension
+from depthreg import sampling
+from depthreg.errors import DomainError, InsufficientBatch, InvalidDimension
 from depthreg.grid import Grid1, Grid3, SeedRng, gen_shift_seed, shift2d_g1, shift2d_g3
 from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform
 from depthreg.losses import reg_loss
@@ -257,3 +258,26 @@ def test_reg_loss_leaves_inputs_unchanged_and_gradients_read_only():
     assert all(read_only(g.data) for g in grads)
     with pytest.raises(ValueError):
         res.grad_samples[0].data[0, 0, 0] = 1.0
+
+
+# Each wrap tile is checked once and its windows are wrapped unchecked, so
+# the tile's check is all that stands between a bad entry and the samples.
+# The mutant writes one into the tile at (h, w), a pixel every window reads.
+@pytest.mark.parametrize("key, bad", [("tile_f", np.nan), ("tile_f", -np.inf),
+                                      ("tile_d", np.nan), ("tile_d", -1.0),
+                                      ("tile_d", np.inf)])
+def test_bad_entry_written_into_a_wrap_tile_is_caught(monkeypatch, key, bad):
+    f, d = make_pair(13, h=5, w=6, c=2)
+    wrap = sampling._wrap_tile
+
+    def spoiled(a, scratch, tile_key):
+        t = wrap(a, scratch, tile_key)
+        if tile_key == key:
+            t = t.copy()
+            t[(f.height, f.width) + (0,) * (t.ndim - 2)] = bad
+            t.setflags(write=False)
+        return t
+
+    monkeypatch.setattr(sampling, "_wrap_tile", spoiled)
+    with pytest.raises(DomainError):
+        collect_within(f, d, 3, SeedRng(1))
