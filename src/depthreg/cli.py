@@ -41,7 +41,15 @@ from .verification import (
 )
 
 
+def _vacuous(suite: str, trials: int) -> bool:
+    if trials == 0:
+        print(f"WARN {suite} suite: trials=0, vacuously passing")
+    return trials == 0
+
+
 def cmd_gradcheck(args) -> int:
+    if _vacuous("gradcheck", args.trials):
+        return 0
     results = [
         run_regloss_gradcheck(args.trials, args.tolerance, seed=args.seed),
         run_siloss_gradcheck(args.trials, args.tolerance, seed=args.seed + 1),
@@ -53,8 +61,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.trials == 0:
-        print("WARN oracle suite: trials=0, vacuously passing")
+    if _vacuous("oracle", args.trials):
         return 0
     results = [
         run_regloss_oracle(args.trials, seed=args.seed),
@@ -152,19 +159,27 @@ def cmd_gen_scenes(args) -> int:
     return 0
 
 
+def count(text: str) -> int:
+    """An integer >= 0, for argparse."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="depthreg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
-    g.add_argument("--trials", type=int, default=100)
+    g.add_argument("--trials", type=count, default=100)
     g.add_argument("--tolerance", type=float, default=1e-5,
                    help="max relative error; the full-model check runs at 10x this")
     g.add_argument("--seed", type=int, default=20260801)
     g.set_defaults(func=cmd_gradcheck)
 
     o = sub.add_parser("oracle", help="vectorized paths vs scalar-loop references")
-    o.add_argument("--trials", type=int, default=100)
+    o.add_argument("--trials", type=count, default=100)
     o.add_argument("--seed", type=int, default=20260804)
     o.set_defaults(func=cmd_oracle)
 
@@ -189,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("gen-scenes", help="dump synthetic scenes as PFM files")
     s.add_argument("--config", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--count", type=int, default=4)
+    s.add_argument("--count", type=count, default=4)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_gen_scenes)
 
@@ -200,7 +215,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DepthRegError as exc:
+    except (DepthRegError, OSError) as exc:  # bad input, or a file that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

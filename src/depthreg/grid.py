@@ -116,14 +116,9 @@ class Grid3:
         object.__setattr__(self, "data", arr)
 
     @classmethod
-    def _owned(cls, arr: np.ndarray, work: np.ndarray | None = None) -> "Grid3":
-        """Wrap a freshly allocated float64 array without the defensive copy.
-
-        Internal fast path; the finiteness invariant is still verified, in
-        ``work`` when given (see ``_check_finite``).
-        """
-        _check_finite(arr, work)
-        arr.setflags(write=False)
+    def _owned(cls, arr: np.ndarray) -> "Grid3":
+        """No-copy wrap of a fresh float64 array that may have overflowed; finiteness is checked."""
+        _check_finite(arr)
         return _view(cls, data=arr)
 
     @property
@@ -140,37 +135,28 @@ class Grid3:
 
 
 def _view(cls, **arrays: np.ndarray):
-    """A ``cls`` over ``arrays`` as given: the one path that checks nothing.
+    """A ``cls`` over ``arrays`` as given, frozen: the one path that checks nothing.
 
-    Only for read-only views into a buffer that its maker verified whole (or
-    built to the invariant) and froze: a sample window of a checked wrap
-    tile, one sample's slice of a checked gradient buffer, a fresh label map.
-    Every element such a view reads was checked once, where it was made.
+    Checks sit only where arithmetic can break an invariant: grid
+    construction, the model's output and the anchor gradient.  ``_view``
+    wraps what follows from checked grids: windows and rolls of them, the
+    jointly valid ``|d_a - d_s|``, the sample gradients, ``exp(z)``.
     """
     obj = object.__new__(cls)
     for name, arr in arrays.items():
+        arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
     return obj
 
 
-def _check_finite(arr: np.ndarray, work: np.ndarray | None = None) -> None:
-    """All entries finite; ``work``, a bool array of ``arr``'s shape, spares the temporary."""
-    if not np.isfinite(arr, out=work).all():
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
         raise DomainError("feature grid contains non-finite entries")
 
 
-def _check_depth(values: np.ndarray, valid: np.ndarray, work: np.ndarray | None = None) -> None:
-    """Valid entries finite and >= 0, in plain elementwise passes (no gather, no ``where=``).
-
-    An entry is good when ``0 <= v < inf``: the first comparison is false on
-    NaN and on every negative (-inf included), the second on +inf and NaN.
-    ``work``, a bool array of shape ``(2,) + values.shape``, spares the
-    temporaries.
-    """
-    good, below_inf = np.empty((2,) + values.shape, bool) if work is None else work
-    np.greater_equal(values, 0.0, out=good)
-    np.logical_and(good, np.less(values, np.inf, out=below_inf), out=good)
-    if np.greater(valid, good, out=good).any():  # valid and not good
+def _check_depth(values: np.ndarray, valid: np.ndarray) -> None:
+    """Valid entries finite and >= 0: ``0 <= v < inf`` is false on NaN, every negative and +inf."""
+    if (valid > ((values >= 0) & (values < np.inf))).any():  # valid and not good
         raise DomainError("valid depth entries must be finite and >= 0")
 
 
@@ -205,15 +191,6 @@ class Grid1:
         mask.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "valid", mask)
-
-    @classmethod
-    def _owned(cls, values: np.ndarray, valid: np.ndarray,
-               work: np.ndarray | None = None) -> "Grid1":
-        """No-copy wrap of freshly allocated arrays; invariants still checked, in ``work``."""
-        _check_depth(values, valid, work)
-        values.setflags(write=False)
-        valid.setflags(write=False)
-        return _view(cls, values=values, valid=valid)
 
     @property
     def height(self) -> int:
@@ -272,13 +249,11 @@ def _check_shift(h: int, w: int, s_h: int, s_w: int) -> None:
 def shift2d_g3(m: Grid3, s_h: int, s_w: int) -> Grid3:
     """Circular roll: content moves down by s_h rows and right by s_w columns."""
     _check_shift(m.height, m.width, s_h, s_w)
-    return Grid3._owned(np.roll(m.data, (s_h, s_w), axis=(0, 1)))
+    return _view(Grid3, data=np.roll(m.data, (s_h, s_w), axis=(0, 1)))
 
 
 def shift2d_g1(m: Grid1, s_h: int, s_w: int) -> Grid1:
     """Same roll as shift2d_g3, applied jointly to values and validity mask."""
     _check_shift(m.height, m.width, s_h, s_w)
-    return Grid1._owned(
-        np.roll(m.values, (s_h, s_w), axis=(0, 1)),
-        np.roll(m.valid, (s_h, s_w), axis=(0, 1)),
-    )
+    return _view(Grid1, values=np.roll(m.values, (s_h, s_w), axis=(0, 1)),
+                 valid=np.roll(m.valid, (s_h, s_w), axis=(0, 1)))

@@ -106,17 +106,9 @@ class RegConfig:
 
 @dataclass(frozen=True)
 class IdentMap:
-    """Per-pixel sample-type labels; exactly one label per pixel."""
+    """Per-pixel sample-type labels: a read-only (H, W) int16 map, one label per pixel."""
 
     labels: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.labels, dtype=np.int16)
-        if arr.ndim != 2:
-            raise ShapeError("label map must be 2-D")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "labels", arr)
 
     @property
     def height(self) -> int:
@@ -135,7 +127,7 @@ def differential_map(d_a: Grid1, d_s: Grid1) -> Grid1:
         )
     valid = d_a.valid & d_s.valid
     vals = np.where(valid, np.abs(d_a.values - d_s.values), 0.0)
-    return Grid1(vals, valid)
+    return _view(Grid1, values=vals, valid=valid)  # finite, >= 0 where both are valid
 
 
 def _classify(d_r: Grid1, r_p: float, bounds: list[tuple[float, float]]) -> np.ndarray:
@@ -167,7 +159,7 @@ def identify_uniform(d_r: Grid1, r_p: float, r_n: float) -> IdentMap:
     """Positive below r_p, negative group 1 above r_n, ignored between."""
     if r_p > r_n:
         raise InvalidConfig(f"r_p={r_p} exceeds r_n={r_n}")
-    return _view(IdentMap, labels=_classify(d_r, r_p, [(r_n, np.inf)]))
+    return IdentMap(_classify(d_r, r_p, [(r_n, np.inf)]))
 
 
 def identify_multirange(d_r: Grid1, config: RegConfig) -> IdentMap:
@@ -182,4 +174,4 @@ def identify(d_r: Grid1, config: RegConfig) -> IdentMap:
     if not config.enabled:
         raise InvalidConfig("regularization disabled; nothing to identify")
     bounds = [(r.low, r.high) for r in config.strategy.ranges]
-    return _view(IdentMap, labels=_classify(d_r, config.r_p, bounds))
+    return IdentMap(_classify(d_r, config.r_p, bounds))

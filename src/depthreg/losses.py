@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, ShapeError
-from .grid import Grid1, Grid3, Scratch, _check_finite, _view, take
+from .grid import Grid1, Grid3, Scratch, _view, take
 from .identify import RegConfig, identify
 from .sampling import SampleSet
 
@@ -53,15 +53,8 @@ class DepthLossParams:
 
 
 def _zero_result(f_a: Grid3, n_samples: int) -> LossResult:
-    return LossResult(
-        total=0.0,
-        breakdown={},
-        contributing_count=0,
-        grad_anchor=Grid3._owned(np.zeros_like(f_a.data)),
-        grad_samples=tuple(
-            Grid3._owned(np.zeros_like(f_a.data)) for _ in range(n_samples)
-        ),
-    )
+    zero = _view(Grid3, data=np.zeros_like(f_a.data))
+    return LossResult(0.0, {}, 0, grad_anchor=zero, grad_samples=(zero,) * n_samples)
 
 
 def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
@@ -97,8 +90,8 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
         np.subtract(f_a.data, p.feature.data, out=diff[i])
         np.subtract(d_a.values, p.depth.values, out=dd[i])
         np.logical_and(d_a.valid, p.depth.valid, out=mask[i])
-    dr = Grid1._owned(np.abs(dd, out=dd).reshape(n * h, w), mask.reshape(n * h, w),
-                      take(scratch, "dr_ok", (2, n * h, w), bool))
+    # |d_a - d_s| of two checked depth maps: finite and >= 0 where both are valid
+    dr = _view(Grid1, values=np.abs(dd, out=dd).reshape(n * h, w), valid=mask.reshape(n * h, w))
     labels = identify(dr, config).labels.reshape(nhw)
 
     dist = np.einsum("nhwc,nhwc->nhw", diff, diff, out=take(scratch, "dist", nhw))
@@ -140,15 +133,15 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
     idle = np.logical_not(np.logical_or(active, pos, out=neg), out=neg)
     np.copyto(coef, 0.0, where=idle)
 
-    # The sample gradients are checked once, as one buffer, and handed out as
-    # read-only views of it.
+    # Each entry is ``scale`` times a feature difference over its norm (so at
+    # most about ``scale``) or NaN where the difference overflowed: the anchor
+    # gradient, minus their sum, is finite exactly when all are.  Its check
+    # covers the sample gradients, handed out as read-only views.
     per_sample = np.multiply(diff, coef[:, :, :, None], out=diff)  # gradient wrt each f_s
-    finite = take(scratch, "finite", per_sample.shape, bool)
-    _check_finite(per_sample, finite)
     per_sample.setflags(write=False)
     grad_samples = tuple(_view(Grid3, data=g) for g in per_sample)
     grad_anchor = np.sum(per_sample, axis=0, out=take(scratch, "grad_anchor", f_a.data.shape))
-    grad_anchor = Grid3._owned(np.negative(grad_anchor, out=grad_anchor), finite[0])
+    grad_anchor = Grid3._owned(np.negative(grad_anchor, out=grad_anchor))
 
     return LossResult(
         total=total,

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBatch, InvalidDimension, ShapeError
-from .grid import (Grid1, Grid3, Scratch, SeedRng, _check_depth, _check_finite, _view,
-                   gen_shift_seed, take)
+from .grid import Grid1, Grid3, Scratch, SeedRng, _view, gen_shift_seed, take
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,8 @@ def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
     Vertical seed is drawn before the horizontal one on every iteration.
     Each sample is a read-only window into one 2x2 wrap tile of the anchor:
     ``tile[h - s_h : 2h - s_h, w - s_w : 2w - s_w]`` equals
-    ``shift2d_*(anchor, s_h, s_w)`` without copying it.  Each tile is
-    verified once, whole, so the windows into it are not checked again.
+    ``shift2d_*(anchor, s_h, s_w)`` without copying it.  The tiles are
+    copies of the checked anchor, so the windows are wrapped unchecked.
     With a ``scratch`` the tiles are its buffers, valid until the next call
     with that arena.
     """
@@ -119,8 +118,6 @@ def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
         return SampleSet(())
     ft, dt, mt = (_wrap_tile(a, scratch, key) for a, key in
                   ((f_a.data, "tile_f"), (d_a.values, "tile_d"), (d_a.valid, "tile_m")))
-    _check_finite(ft, take(scratch, "tile_f_ok", ft.shape, bool))
-    _check_depth(dt, mt, take(scratch, "tile_d_ok", (2,) + dt.shape, bool))
     pairs = []
     for _ in range(n_within):
         s_h = gen_shift_seed(rng, h)

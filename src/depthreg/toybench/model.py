@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, ShapeError
-from ..grid import Grid1, Grid3, Scratch, SeedRng, take
+from ..grid import Grid1, Grid3, Scratch, SeedRng, _view, take
 
 
 @dataclass
@@ -118,7 +118,7 @@ def model_forward(model: ToyModel, image: Grid3, scratch: Scratch | None = None)
     valid.fill(True)
     cache = {"x": x, "h1": h1, "h2": h2, "f": f, "pred": pred}
     features = Grid3._owned(f.reshape(h, w, model.c_feat))
-    prediction = Grid1._owned(pred.reshape(h, w), valid)
+    prediction = _view(Grid1, values=pred.reshape(h, w), valid=valid)  # exp: finite, >= 0
     return features, prediction, cache
 
 

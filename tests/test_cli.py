@@ -16,6 +16,8 @@ from depthreg.experiment import (
     run_ablation,
 )
 from depthreg.errors import InvalidConfig
+from depthreg.grid import Grid1
+from depthreg.pfmio import write_pfm_g1
 
 ROOT = Path(__file__).parents[1]
 
@@ -215,6 +217,10 @@ class TestVerificationCommands:
         assert main(["oracle", "--trials", "0"]) == 0
         assert "WARN" in capsys.readouterr().out
 
+    def test_gradcheck_zero_trials_warns(self, capsys):
+        assert main(["gradcheck", "--trials", "0"]) == 0
+        assert capsys.readouterr().out == "WARN gradcheck suite: trials=0, vacuously passing\n"
+
 
 class TestTrainCommand:
     def test_train_writes_outputs(self, tmp_path, capsys):
@@ -302,6 +308,39 @@ class TestEvalAndScenes:
         main(["gen-scenes", "--config", cfg_path, "--out", str(b), "--count", "2"])
         for name in ("scene_0001.image.pfm", "scene_0001.depth.pfm", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# Each case gets tmp_path and the paths of a valid config and depth map in it.
+BAD_INVOCATIONS = {
+    "eval-missing-pred": lambda t, cfg, gt: ["eval", "--pred", t / "nope.pfm", "--gt", gt],
+    "eval-directory-pred": lambda t, cfg, gt: ["eval", "--pred", t, "--gt", gt],
+    "eval-out-in-missing-dir": lambda t, cfg, gt: ["eval", "--pred", gt, "--gt", gt,
+                                                   "--out", t / "nodir" / "m.csv"],
+    "train-directory-config": lambda t, cfg, gt: ["train", "--config", t],
+    "train-out-is-file": lambda t, cfg, gt: ["train", "--config", cfg, "--out", gt],
+    "gen-scenes-out-is-file": lambda t, cfg, gt: ["gen-scenes", "--config", cfg, "--out", gt],
+    "oracle-negative-trials": lambda t, cfg, gt: ["oracle", "--trials", "-3"],
+    "gradcheck-negative-trials": lambda t, cfg, gt: ["gradcheck", "--trials", "-2"],
+    "gen-scenes-negative-count": lambda t, cfg, gt: ["gen-scenes", "--config", cfg,
+                                                     "--out", t / "scenes", "--count", "-2"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_INVOCATIONS)
+def test_unusable_file_or_negative_count_exits_2_without_outputs(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    gt = tmp_path / "gt.pfm"
+    write_pfm_g1(gt, Grid1(np.ones((4, 4))))
+    before = sorted(tmp_path.rglob("*"))
+    argv = [str(a) for a in BAD_INVOCATIONS[case](tmp_path, cfg, gt)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestAblateCommand:

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthreg.errors import DomainError, ShapeError
-from depthreg.grid import Grid1, Grid3, SeedRng
-from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform
+from depthreg.grid import Grid1, Grid3, SeedRng, _check_depth
+from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform, differential_map
 from depthreg.losses import DepthLossParams, reg_loss, si_loss
 from depthreg.sampling import Across, SamplePair, SampleSet
 from depthreg.verification import oracle_reg_loss, random_instance
@@ -181,6 +184,68 @@ class TestRegLoss:
         assert reg_loss(f_a, d_a, ss, UNIFORM_NYU).total == 0.0
         f_a, d_a, ss = single_pixel_instance([3.0, 0.0], [0.0, 0.0], 1.0, 9.0)
         assert reg_loss(f_a, d_a, ss, UNIFORM_NYU).total > 0.0
+
+
+# reg_loss checks neither the differential map nor the sample gradients:
+# both follow from checks that stay.  These properties pin the implications.
+
+VALID_DEPTHS = st.one_of(st.floats(0.0, 1e308), st.sampled_from([-0.0, 5e-324, 1e308]))
+HOLES = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -1e308, 1e308])
+
+
+def checked_depth_map(data, h, w):
+    """A ``Grid1`` with valid depths up to 1e308 and NaN, +-inf or negatives in its holes."""
+    valid = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    values = [data.draw(VALID_DEPTHS if ok else HOLES) for ok in valid]
+    return Grid1(np.array(values).reshape(h, w), np.array(valid).reshape(h, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), h=st.integers(1, 4), w=st.integers(1, 4))
+def test_differential_of_checked_depth_maps_passes_the_depth_check(data, h, w):
+    d_a, d_s = checked_depth_map(data, h, w), checked_depth_map(data, h, w)
+    joint = d_a.valid & d_s.valid
+    with np.errstate(over="ignore", invalid="ignore"):  # only in the holes
+        _check_depth(np.abs(d_a.values - d_s.values), joint)  # as reg_loss computes it
+        d_r = differential_map(d_a, d_s)
+    assert np.array_equal(d_r.valid, joint)
+    _check_depth(d_r.values, d_r.valid)
+
+
+HUGE_FEATURES = [1e308, -1e308, 1.7e308, -1.7e308, 1e200, -1e160, 1e154, -1e-160, 5e-324]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), n=st.integers(1, 4), c=st.integers(1, 2),
+       config=st.sampled_from([UNIFORM_NYU, MULTI_NYU]),
+       reduction=st.sampled_from(["sum", "mean_contributing"]))
+def test_anchor_gradient_check_covers_every_sample_gradient(data, seed, n, c, config,
+                                                            reduction):
+    """Features mixing normal and huge entries: reg_loss raises, or all its gradients are finite."""
+    h, w = 1, 3
+    rng = SeedRng(seed)
+
+    def features():
+        x = rng.normals(h * w * c)
+        for i, v in data.draw(st.lists(st.tuples(st.integers(0, x.size - 1),
+                                                 st.sampled_from(HUGE_FEATURES)), max_size=3)):
+            x[i] = v
+        return Grid3(x.reshape(h, w, c))
+
+    def depths():  # positives, both negative groups and ignored pixels
+        return Grid1(np.array(data.draw(st.lists(st.sampled_from([1.0, 1.05, 1.3, 1.8, 2.5, 4.0]),
+                                                 min_size=h * w, max_size=h * w))).reshape(h, w))
+
+    f_a, d_a = features(), depths()
+    samples = SampleSet(tuple(SamplePair(features(), depths(), Across(1)) for _ in range(n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            res = reg_loss(f_a, d_a, samples, replace(config, loss_reduction=reduction))
+        except DomainError:
+            return
+    assert np.isfinite(res.grad_anchor.data).all()
+    for g in res.grad_samples:
+        assert np.isfinite(g.data).all()
 
 
 class TestSubsumption:

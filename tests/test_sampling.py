@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthreg import sampling
-from depthreg.errors import DomainError, InsufficientBatch, InvalidDimension
-from depthreg.grid import Grid1, Grid3, SeedRng, gen_shift_seed, shift2d_g1, shift2d_g3
+from depthreg.errors import InsufficientBatch, InvalidDimension
+from depthreg.grid import Grid1, Grid3, SeedRng, _view, gen_shift_seed, shift2d_g1, shift2d_g3
 from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform
 from depthreg.losses import reg_loss
 from depthreg.sampling import (
@@ -174,14 +174,13 @@ def masked_pair(seed, h, w, c, invalid):
 def windows_one_row_off(f_a, d_a, n_within, rng):
     """``collect_within`` with every window one row too low: the canary's mutant."""
     h, w = f_a.height, f_a.width
-    ft, dt, mt = (np.tile(f_a.data, (2, 2, 1)), np.tile(d_a.values, (2, 2)),
-                  np.tile(d_a.valid, (2, 2)))
+    ft, dt, mt = (sampling._wrap_tile(a, None, "") for a in (f_a.data, d_a.values, d_a.valid))
     pairs = []
     for _ in range(n_within):
         s_h, s_w = gen_shift_seed(rng, h), gen_shift_seed(rng, w)
         win = np.s_[h - s_h + 1:2 * h - s_h + 1, w - s_w:2 * w - s_w]
-        pairs.append(SamplePair(Grid3._owned(ft[win]), Grid1._owned(dt[win], mt[win]),
-                                Within(s_h, s_w)))
+        pairs.append(SamplePair(_view(Grid3, data=ft[win]),
+                                _view(Grid1, values=dt[win], valid=mt[win]), Within(s_h, s_w)))
     return SampleSet(tuple(pairs))
 
 
@@ -260,24 +259,25 @@ def test_reg_loss_leaves_inputs_unchanged_and_gradients_read_only():
         res.grad_samples[0].data[0, 0, 0] = 1.0
 
 
-# Each wrap tile is checked once and its windows are wrapped unchecked, so
-# the tile's check is all that stands between a bad entry and the samples.
-# The mutant writes one into the tile at (h, w), a pixel every window reads.
+# The wrap tiles are copies of the checked anchor and their windows are
+# wrapped unchecked, so a tile that is not an exact copy is caught only by
+# comparing the windows with rolled copies.  The mutant writes a bad entry
+# into the tile at (h, w), a pixel every window reads, on an all-valid anchor.
 @pytest.mark.parametrize("key, bad", [("tile_f", np.nan), ("tile_f", -np.inf),
                                       ("tile_d", np.nan), ("tile_d", -1.0),
                                       ("tile_d", np.inf)])
 def test_bad_entry_written_into_a_wrap_tile_is_caught(monkeypatch, key, bad):
-    f, d = make_pair(13, h=5, w=6, c=2)
     wrap = sampling._wrap_tile
 
     def spoiled(a, scratch, tile_key):
         t = wrap(a, scratch, tile_key)
         if tile_key == key:
             t = t.copy()
-            t[(f.height, f.width) + (0,) * (t.ndim - 2)] = bad
+            h, w = t.shape[0] // 2, t.shape[1] // 2
+            t[(h, w) + (0,) * (t.ndim - 2)] = bad
             t.setflags(write=False)
         return t
 
     monkeypatch.setattr(sampling, "_wrap_tile", spoiled)
-    with pytest.raises(DomainError):
-        collect_within(f, d, 3, SeedRng(1))
+    with pytest.raises(AssertionError):
+        check_within_against_oracle(collect_within, 13, 5, 6, 2, 3, "none", CONFIGS[2])
