@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -167,13 +168,21 @@ def count(text: str) -> int:
     return n
 
 
+def positive_finite(text: str) -> float:
+    """A finite float > 0, for argparse."""
+    x = float(text)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="depthreg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
     g.add_argument("--trials", type=count, default=100)
-    g.add_argument("--tolerance", type=float, default=1e-5,
+    g.add_argument("--tolerance", type=positive_finite, default=1e-5,
                    help="max relative error; the full-model check runs at 10x this")
     g.add_argument("--seed", type=int, default=20260801)
     g.set_defaults(func=cmd_gradcheck)

@@ -254,6 +254,10 @@ def load_config_file(path: str | Path) -> dict:
         raise InvalidConfig(f"config file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(
+            f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfig(
             f"config parse error at {path}:{exc.lineno}:{exc.colno}: {exc.msg}"

@@ -57,6 +57,20 @@ def _zero_result(f_a: Grid3, n_samples: int) -> LossResult:
     return LossResult(0.0, {}, 0, grad_anchor=zero, grad_samples=(zero,) * n_samples)
 
 
+def _squared_distance(diff: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Per-pixel squared norm of a channel-planar (N, C, H, W) array, into ``out``.
+
+    Summed in the order numpy's ``einsum("nhwc,nhwc->nhw")`` sums a pixel's
+    C <= 7 contiguous channels in two SIMD lanes: the even channels in turn,
+    the odd channels in turn (in ``work``), then the two partial sums.  The
+    bits are einsum's on numpy 2.4.6 (x86-64), which the step digests pin;
+    from C = 8 einsum's unrolled loop sums in another order.
+    """
+    np.einsum("nchw,nchw->nhw", diff[:, 0::2], diff[:, 0::2], out=out)
+    np.einsum("nchw,nchw->nhw", diff[:, 1::2], diff[:, 1::2], out=work)
+    return np.add(out, work, out=out)
+
+
 def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
              scratch: Scratch | None = None) -> LossResult:
     """Regularization loss of an anchor against its sample set, with gradients.
@@ -76,25 +90,33 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
         raise ShapeError("sample shape disagrees with anchor")
 
     n = len(samples)
-    h, w = f_a.height, f_a.width
+    h, w, c = f_a.data.shape
     nhw = (n, h, w)
+    fa = f_a.data.transpose(2, 0, 1)  # (C, H, W); contiguous when f_a views planar storage
 
     # One classification pass over every (sample, pixel): the differentials
     # form an (N*H, W) map, classified through the public identify path (it
     # is purely per-pixel, so the reshape is transparent).  The buffers are
-    # filled sample by sample; no sample map is stacked or copied first.
-    diff = take(scratch, "diff", (n,) + f_a.data.shape)  # f_a - f_s; becomes the f_s gradient
+    # filled sample by sample, channel-planar: each sample is copied into
+    # its slot and the anchor subtracted there in place, so every ufunc of
+    # the pass runs on contiguous operands (on row-strided windows or an
+    # inner axis of length C it runs several times slower).
+    diff = take(scratch, "diff", (n, c, h, w))  # f_a - f_s; becomes the f_s gradient
     dd = take(scratch, "dd", nhw)  # |d_a - d_s|; becomes the per-pixel margin
     mask = take(scratch, "mask", nhw, bool)  # joint validity; then one label group at a time
     for i, p in enumerate(samples):
-        np.subtract(f_a.data, p.feature.data, out=diff[i])
-        np.subtract(d_a.values, p.depth.values, out=dd[i])
-        np.logical_and(d_a.valid, p.depth.valid, out=mask[i])
+        np.copyto(diff[i], p.feature.data.transpose(2, 0, 1))
+        np.subtract(fa, diff[i], out=diff[i])
+        np.copyto(dd[i], p.depth.values)
+        np.subtract(d_a.values, dd[i], out=dd[i])
+        np.copyto(mask[i], p.depth.valid)
+        np.logical_and(d_a.valid, mask[i], out=mask[i])
     # |d_a - d_s| of two checked depth maps: finite and >= 0 where both are valid
     dr = _view(Grid1, values=np.abs(dd, out=dd).reshape(n * h, w), valid=mask.reshape(n * h, w))
     labels = identify(dr, config).labels.reshape(nhw)
 
-    dist = np.einsum("nhwc,nhwc->nhw", diff, diff, out=take(scratch, "dist", nhw))
+    hinge = take(scratch, "hinge", nhw)  # holds the odd-channel partial sums first
+    dist = _squared_distance(diff, take(scratch, "dist", nhw), hinge)
     np.sqrt(dist, out=dist)
 
     ranges = config.strategy.ranges
@@ -104,7 +126,7 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
     m.fill(0.0)
     for j, r in enumerate(ranges, start=1):
         np.copyto(m, r.margin, where=np.equal(labels, j, out=mask))
-    hinge = np.subtract(m, dist, out=take(scratch, "hinge", nhw))
+    np.subtract(m, dist, out=hinge)
     np.maximum(0.0, hinge, out=hinge)
 
     contributing = int(np.count_nonzero(pos) + np.count_nonzero(neg))
@@ -136,12 +158,15 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
     # Each entry is ``scale`` times a feature difference over its norm (so at
     # most about ``scale``) or NaN where the difference overflowed: the anchor
     # gradient, minus their sum, is finite exactly when all are.  Its check
-    # covers the sample gradients, handed out as read-only views.
-    per_sample = np.multiply(diff, coef[:, :, :, None], out=diff)  # gradient wrt each f_s
+    # covers the sample gradients.  Both are handed out as read-only
+    # (H, W, C) views of frozen channel-planar buffers.
+    per_sample = np.multiply(diff, coef[:, None], out=diff)  # gradient wrt each f_s
     per_sample.setflags(write=False)
-    grad_samples = tuple(_view(Grid3, data=g) for g in per_sample)
-    grad_anchor = np.sum(per_sample, axis=0, out=take(scratch, "grad_anchor", f_a.data.shape))
-    grad_anchor = Grid3._owned(np.negative(grad_anchor, out=grad_anchor))
+    grad_samples = tuple(_view(Grid3, data=g.transpose(1, 2, 0)) for g in per_sample)
+    grad_anchor = np.sum(per_sample, axis=0, out=take(scratch, "grad_anchor", (c, h, w)))
+    np.negative(grad_anchor, out=grad_anchor)
+    grad_anchor.setflags(write=False)
+    grad_anchor = Grid3._owned(grad_anchor.transpose(1, 2, 0))
 
     return LossResult(
         total=total,

@@ -83,16 +83,16 @@ class Batch:
 
 
 def _wrap_tile(a: np.ndarray, scratch: Scratch | None, key: str) -> np.ndarray:
-    """Read-only 2x2 tiling of ``a`` over its first two axes, quadrant by quadrant.
+    """Read-only 2x2 tiling of ``a`` over its last two axes, quadrant by quadrant.
 
     The tile owns its memory (or is an arena buffer) and is frozen whole, so
     no window into it can be written through ``.base``.
     """
-    h, w = a.shape[:2]
-    t = take(scratch, key, (2 * h, 2 * w) + a.shape[2:], a.dtype)
+    h, w = a.shape[-2:]
+    t = take(scratch, key, a.shape[:-2] + (2 * h, 2 * w), a.dtype)
     for rows in (slice(None, h), slice(h, None)):
         for cols in (slice(None, w), slice(w, None)):
-            t[rows, cols] = a
+            t[..., rows, cols] = a
     t.setflags(write=False)
     return t
 
@@ -104,10 +104,12 @@ def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
     Vertical seed is drawn before the horizontal one on every iteration.
     Each sample is a read-only window into one 2x2 wrap tile of the anchor:
     ``tile[h - s_h : 2h - s_h, w - s_w : 2w - s_w]`` equals
-    ``shift2d_*(anchor, s_h, s_w)`` without copying it.  The tiles are
-    copies of the checked anchor, so the windows are wrapped unchecked.
-    With a ``scratch`` the tiles are its buffers, valid until the next call
-    with that arena.
+    ``shift2d_*(anchor, s_h, s_w)`` without copying it.  The feature tile is
+    channel-planar, (C, 2H, 2W), and each feature window an (H, W, C) view
+    of it, so a sample's channels are contiguous row blocks whatever the
+    anchor's storage order.  The tiles are copies of the checked anchor, so
+    the windows are wrapped unchecked.  With a ``scratch`` the tiles are its
+    buffers, valid until the next call with that arena.
     """
     h, w = f_a.height, f_a.width
     if h < 2 or w < 2:
@@ -117,14 +119,16 @@ def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
     if n_within == 0:
         return SampleSet(())
     ft, dt, mt = (_wrap_tile(a, scratch, key) for a, key in
-                  ((f_a.data, "tile_f"), (d_a.values, "tile_d"), (d_a.valid, "tile_m")))
+                  ((f_a.data.transpose(2, 0, 1), "tile_f"), (d_a.values, "tile_d"),
+                   (d_a.valid, "tile_m")))
     pairs = []
     for _ in range(n_within):
         s_h = gen_shift_seed(rng, h)
         s_w = gen_shift_seed(rng, w)
-        win = np.s_[h - s_h:2 * h - s_h, w - s_w:2 * w - s_w]
-        pairs.append(SamplePair(_view(Grid3, data=ft[win]),
-                                _view(Grid1, values=dt[win], valid=mt[win]), Within(s_h, s_w)))
+        rows, cols = slice(h - s_h, 2 * h - s_h), slice(w - s_w, 2 * w - s_w)
+        pairs.append(SamplePair(_view(Grid3, data=ft[:, rows, cols].transpose(1, 2, 0)),
+                                _view(Grid1, values=dt[rows, cols], valid=mt[rows, cols]),
+                                Within(s_h, s_w)))
     return SampleSet(tuple(pairs))
 
 

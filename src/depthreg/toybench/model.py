@@ -126,17 +126,23 @@ def model_backward(model: ToyModel, cache, d_feat: np.ndarray, d_pred: np.ndarra
                    scratch: Scratch | None = None) -> np.ndarray:
     """Parameter gradient (flat, param_vector order) from upstream gradients.
 
-    ``d_feat`` is (H, W, C) against the feature map, ``d_pred`` (H, W)
-    against the prediction.  The returned vector is freshly allocated; a
-    ``scratch`` lends only the per-pixel work arrays.
+    ``d_feat`` is (H, W, C) against the feature map, of any strides (an
+    (H, W, C) view of channel-planar storage reads fastest), ``d_pred``
+    (H, W) against the prediction.  The returned vector is freshly
+    allocated; a ``scratch`` lends only the per-pixel work arrays.
     """
     h1, h2, f = cache["h1"], cache["h2"], cache["f"]
     p = f.shape[0]
-    df = take(scratch, "df", f.shape)
-    np.copyto(df, d_feat.reshape(-1, model.c_feat))
     dz = np.multiply(d_pred.reshape(-1), cache["pred"], out=take(scratch, "dz", (p,)))
-    wz = take(scratch, "wz", f.shape)
-    df += np.multiply(dz[:, None], model.w4[None, :], out=wz)
+    # df = d_feat + dz * w4, formed channel-planar, where each ufunc's inner
+    # loop runs over pixels instead of the C channels, then transposed in
+    # one copy into the (P, C) buffer the matmuls read.
+    h, w, c = d_feat.shape
+    wz = take(scratch, "wz", (c, h, w))
+    np.multiply(model.w4[:, None], dz, out=wz.reshape(c, p))
+    np.add(wz, d_feat.transpose(2, 0, 1), out=wz)
+    df = take(scratch, "df", f.shape)
+    np.copyto(df.reshape(h, w, c), wz.transpose(1, 2, 0))
 
     dw4 = f.T @ dz
     db4 = float(np.sum(dz))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DomainError, EmptyEvaluation, InvalidConfig
-from ..grid import Grid1, Grid3, Scratch, SeedRng
+from ..grid import Grid1, Grid3, Scratch, SeedRng, _view, take
 from ..identify import RegConfig
 from ..losses import DepthLossParams, reg_loss, si_loss
 from ..metrics import MetricReport, compute_metrics, mean_report
@@ -90,18 +90,24 @@ def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
 _ARENA = Scratch()
 
 
-def add_unshifted(acc: np.ndarray, g: np.ndarray, s_h: int, s_w: int) -> None:
-    """``acc += np.roll(g, (-s_h, -s_w), axis=(0, 1))``, bit for bit, without the copy.
+def add_unshifted(acc: np.ndarray, g: np.ndarray, s_h: int, s_w: int,
+                  scratch: Scratch | None = None) -> None:
+    """``acc += np.roll(g, (-s_h, -s_w), axis=(-2, -1))``, bit for bit.
 
-    Routes a within-sample's gradient back to the anchor pixels it came
-    from; each of the four quadrants is one in-place add.
+    Routes a within-sample's channel-planar (C, H, W) gradient back to the
+    anchor pixels it came from: four quadrant copies unshift it into one
+    work buffer, then one contiguous add.  Adding the quadrants in place
+    instead would run four ufuncs on row-strided blocks, several times
+    slower per element than copying them.
     """
-    h, w = g.shape[:2]
+    h, w = g.shape[-2:]
+    unshifted = take(scratch, "unshifted", g.shape)
     for dst_h, src_h in ((slice(None, h - s_h), slice(s_h, None)),
                          (slice(h - s_h, None), slice(None, s_h))):
         for dst_w, src_w in ((slice(None, w - s_w), slice(s_w, None)),
                              (slice(w - s_w, None), slice(None, s_w))):
-            acc[dst_h, dst_w] += g[src_h, src_w]
+            unshifted[..., dst_h, dst_w] = g[..., src_h, src_w]
+    acc += unshifted
 
 
 def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegConfig,
@@ -118,14 +124,15 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
     items = [_ARENA.child(a) for a in range(k)]
     feats, preds, caches = [], [], []
     for sc, arena in zip(scenes, items):
-        f, p, c = model_forward(model, sc.image, arena)
+        f, p, cache = model_forward(model, sc.image, arena)
         feats.append(f)
         preds.append(p)
-        caches.append(c)
+        caches.append(cache)
     depths = [sc.depth for sc in scenes]
 
-    d_feat = [arena.take("d_feat", f.data.shape) for f, arena in zip(feats, items)]
-    d_pred = [arena.take("d_pred", (p.height, p.width)) for p, arena in zip(preds, items)]
+    h, w, c = feats[0].data.shape
+    d_feat = [arena.take("d_feat", (c, h, w)) for arena in items]  # channel-planar
+    d_pred = [arena.take("d_pred", (h, w)) for arena in items]
     for g in d_feat + d_pred:
         g.fill(0.0)
 
@@ -134,23 +141,32 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
     breakdown: dict[str, float] = {}
     use_reg = reg_cfg.enabled and (reg_cfg.n_within + reg_cfg.n_across) > 0
     if use_reg:
+        # Sampling and reg_loss read (H, W, C) views of one frozen
+        # channel-planar copy of each item's features.
+        planar = []
+        for f, arena in zip(feats, items):
+            copy = arena.take("planar", (c, h, w))
+            np.copyto(copy, f.data.transpose(2, 0, 1))
+            copy.setflags(write=False)
+            planar.append(_view(Grid3, data=copy.transpose(1, 2, 0)))
         rng = SeedRng(sample_seed)
-        batch = Batch(tuple(zip(feats, depths)))
+        batch = Batch(tuple(zip(planar, depths)))
         for a in range(k):
             ss = build_sample_set(
-                feats[a], depths[a], batch, a, reg_cfg.n_within, reg_cfg.n_across, rng, _ARENA
+                planar[a], depths[a], batch, a, reg_cfg.n_within, reg_cfg.n_across, rng, _ARENA
             )
-            res = reg_loss(feats[a], depths[a], ss, reg_cfg, _ARENA)
+            res = reg_loss(planar[a], depths[a], ss, reg_cfg, _ARENA)
             l_re += res.total / k
             contributing += res.contributing_count
             for key, val in res.breakdown.items():
                 breakdown[key] = breakdown.get(key, 0.0) + val / k
-            d_feat[a] += res.grad_anchor.data
+            d_feat[a] += res.grad_anchor.data.transpose(2, 0, 1)
             for pair, g in zip(ss.pairs, res.grad_samples):
+                g = g.data.transpose(2, 0, 1)
                 if isinstance(pair.origin, Within):
-                    add_unshifted(d_feat[a], g.data, pair.origin.s_h, pair.origin.s_w)
+                    add_unshifted(d_feat[a], g, pair.origin.s_h, pair.origin.s_w, _ARENA)
                 else:
-                    d_feat[(a + pair.origin.s_k) % k] += g.data
+                    d_feat[(a + pair.origin.s_k) % k] += g
         for a in range(k):
             d_feat[a] *= 1.0 / k
 
@@ -163,7 +179,7 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
     l_final = l_re + reg_cfg.depth_loss_weight * l_depth
     grad = np.zeros(model.param_count)
     for a in range(k):
-        grad += model_backward(model, caches[a], d_feat[a], d_pred[a], _ARENA)
+        grad += model_backward(model, caches[a], d_feat[a].transpose(1, 2, 0), d_pred[a], _ARENA)
     return l_re, l_depth, l_final, contributing, grad, breakdown
 
 

@@ -1,13 +1,15 @@
 """The training step's reused work arrays: routing, escape and allocation checks.
 
 ``batch_objective`` takes its large arrays from one module arena and routes
-within-sample gradients back with in-place quadrant adds.  These tests pin
-that the routing equals the ``np.roll`` it replaced bit for bit, that no
-arena buffer leaves a step or a call made without an arena, and that a
+channel-planar within-sample gradients back by four quadrant copies and one
+add.  These tests pin that the routing equals the ``np.roll`` it replaced
+bit for bit, that no arena buffer leaves a step or a call made without an
+arena, that only the regularizer makes planar feature copies, and that a
 steady-state step allocates little.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,23 +35,23 @@ MULTI = RegConfig(
 
 
 # ---------------------------------------------------------------------------
-# Gradient routing: quadrant adds equal np.roll plus add
+# Gradient routing: quadrant copies plus one add equal np.roll plus add
 # ---------------------------------------------------------------------------
 
 def wrong_sign(acc, g, s_h, s_w):
     """``add_unshifted`` with the shift's sign flipped: the canary's mutant."""
-    add_unshifted(acc, g, g.shape[0] - s_h, g.shape[1] - s_w)
+    add_unshifted(acc, g, g.shape[-2] - s_h, g.shape[-1] - s_w)
 
 
 def check_routing(route, seed, h, w, c):
-    """``route`` adds like ``acc += np.roll(g, (-s_h, -s_w))`` for every shift, bit for bit."""
+    """On (C, H, W) maps ``route`` adds like ``acc += np.roll(g, (-s_h, -s_w))``, bit for bit."""
     rng = SeedRng(seed)
     for s_h in range(1, h):
         for s_w in range(1, w):
-            acc = rng.normals(h * w * c).reshape(h, w, c)
-            g = rng.normals(h * w * c).reshape(h, w, c)
+            acc = rng.normals(c * h * w).reshape(c, h, w)
+            g = rng.normals(c * h * w).reshape(c, h, w)
             want = acc.copy()
-            want += np.roll(g, (-s_h, -s_w), axis=(0, 1))
+            want += np.roll(g, (-s_h, -s_w), axis=(1, 2))
             route(acc, g, s_h, s_w)
             assert acc.tobytes() == want.tobytes(), (s_h, s_w)
 
@@ -116,6 +118,22 @@ def test_calls_without_scratch_share_nothing_with_the_arena():
     fresh += [res.grad_anchor.data] + [g.data for g in res.grad_samples]
     for a in fresh:
         assert not any(np.shares_memory(a, buf) for buf in buffers)
+
+
+def arena_keys(scratch: Scratch) -> set:
+    keys = set(scratch._buffers)
+    for sub in scratch._children.values():
+        keys |= arena_keys(sub)
+    return keys
+
+
+def test_disabled_regularizer_makes_no_planar_feature_copy(monkeypatch):
+    """Only the regularizer reads the channel-planar feature copies; a baseline step makes none."""
+    for reg_cfg, copied in ((replace(MULTI, strategy=None), False), (MULTI, True)):
+        monkeypatch.setattr(train, "_ARENA", Scratch())
+        scenes = scene_pool(606, 4, 16, 12, 0.5, 10.0)
+        batch_objective(ToyModel.init(SeedRng(606)), scenes, reg_cfg, DepthLossParams(), 1)
+        assert ("planar" in arena_keys(train._ARENA)) == copied
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,19 @@ class TestVerificationCommands:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
 
-    def test_gradcheck_zero_tolerance_fails(self, capsys):
-        assert main(["gradcheck", "--trials", "3", "--tolerance", "0"]) != 0
+    def test_gradcheck_tiny_tolerance_fails(self, capsys):
+        assert main(["gradcheck", "--trials", "3", "--tolerance", "1e-300"]) == 1
+        assert capsys.readouterr().out.count("FAIL") == 3
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+    def test_gradcheck_tolerance_not_finite_and_positive_exits_2(self, capsys, tolerance):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects the flag value
+            main(["gradcheck", "--trials", "1", "--tolerance", tolerance])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("usage: depthreg gradcheck")
+        assert "argument --tolerance: must be finite and > 0" in err
+        assert "FAIL" not in out
 
     def test_oracle_passes_quick(self, capsys):
         assert main(["oracle", "--trials", "5"]) == 0
@@ -264,6 +275,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gen-scenes"])
+def test_config_not_utf8_exits_2_without_outputs(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file") and "not UTF-8" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 class TestEvalAndScenes:

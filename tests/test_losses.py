@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthreg.errors import DomainError, ShapeError
-from depthreg.grid import Grid1, Grid3, SeedRng, _check_depth
+from depthreg.grid import Grid1, Grid3, SeedRng, _check_depth, _view
 from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform, differential_map
-from depthreg.losses import DepthLossParams, reg_loss, si_loss
-from depthreg.sampling import Across, SamplePair, SampleSet
+from depthreg.losses import DepthLossParams, _squared_distance, reg_loss, si_loss
+from depthreg.sampling import Across, Batch, SamplePair, SampleSet, build_sample_set
 from depthreg.verification import oracle_reg_loss, random_instance
 
 UNIFORM_NYU = RegConfig(r_p=0.1, strategy=Uniform(r_n=0.5, m_u=4.0))
@@ -246,6 +246,64 @@ def test_anchor_gradient_check_covers_every_sample_gradient(data, seed, n, c, co
     assert np.isfinite(res.grad_anchor.data).all()
     for g in res.grad_samples:
         assert np.isfinite(g.data).all()
+
+
+# reg_loss works on channel-planar (N, C, H, W) copies of the samples, and
+# sums a pixel's squared channel differences in einsum's order on the
+# (H, W, C) layout the step digests were recorded with.
+
+NUMPY_VERSION = "2.4.6"  # the numpy tests/test_step_digest.py pins
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 3), h=st.integers(1, 5),
+       w=st.integers(1, 5), c=st.integers(1, 12))
+def test_planar_distance_sums_channels_in_einsum_order(seed, n, h, w, c):
+    rng = SeedRng(seed)
+    size = n * h * w * c
+    x = (rng.normals(size) * 10.0 ** np.floor(rng.uniforms(size) * 7 - 3)).reshape(n, h, w, c)
+    want = np.einsum("nhwc,nhwc->nhw", x, x)
+    planar = np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+    got = _squared_distance(planar, np.empty((n, h, w)), np.empty((n, h, w)))
+    if c <= 7 and np.__version__ == NUMPY_VERSION:
+        assert got.tobytes() == want.tobytes()
+    else:  # einsum's 4-way unrolled loop sums C >= 8 channels in another order
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def planar_backed(f: Grid3) -> Grid3:
+    """``f``'s values as an (H, W, C) view of (C, H, W) storage, as in the training step."""
+    return _view(Grid3, data=np.ascontiguousarray(f.data.transpose(2, 0, 1)).transpose(1, 2, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32), h=st.integers(2, 5), w=st.integers(2, 5),
+       c=st.integers(1, 9), k=st.integers(2, 3), n_within=st.integers(0, 3),
+       n_across=st.integers(0, 3), config=st.sampled_from([UNIFORM_NYU, MULTI_NYU]),
+       reduction=st.sampled_from(["sum", "mean_contributing"]))
+def test_reg_loss_is_independent_of_feature_storage_order(seed, h, w, c, k, n_within, n_across,
+                                                          config, reduction):
+    rng = SeedRng(seed)
+    items = []
+    for _ in range(k):
+        f = Grid3(rng.normals(h * w * c).reshape(h, w, c))
+        valid = rng.uniforms(h * w).reshape(h, w) > 0.2
+        items.append((f, Grid1(np.where(valid, rng.uniforms(h * w).reshape(h, w) * 3.0, np.nan),
+                               valid)))
+    config = replace(config, loss_reduction=reduction)
+    results = []
+    for wrap in (lambda f: f, planar_backed):
+        batch = Batch(tuple((wrap(f), d) for f, d in items))
+        f_a, d_a = batch.items[0]
+        ss = build_sample_set(f_a, d_a, batch, 0, n_within, n_across, SeedRng(seed + 1))
+        results.append(reg_loss(f_a, d_a, ss, config))
+    hwc, planar = results
+    assert (planar.total, planar.breakdown, planar.contributing_count) == (
+        hwc.total, hwc.breakdown, hwc.contributing_count)
+    assert planar.grad_anchor.data.tobytes() == hwc.grad_anchor.data.tobytes()
+    assert len(planar.grad_samples) == len(hwc.grad_samples) == n_within + n_across
+    for a, b in zip(planar.grad_samples, hwc.grad_samples):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestSubsumption:

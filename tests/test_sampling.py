@@ -174,13 +174,15 @@ def masked_pair(seed, h, w, c, invalid):
 def windows_one_row_off(f_a, d_a, n_within, rng):
     """``collect_within`` with every window one row too low: the canary's mutant."""
     h, w = f_a.height, f_a.width
-    ft, dt, mt = (sampling._wrap_tile(a, None, "") for a in (f_a.data, d_a.values, d_a.valid))
+    ft, dt, mt = (sampling._wrap_tile(a, None, "")
+                  for a in (f_a.data.transpose(2, 0, 1), d_a.values, d_a.valid))
     pairs = []
     for _ in range(n_within):
         s_h, s_w = gen_shift_seed(rng, h), gen_shift_seed(rng, w)
-        win = np.s_[h - s_h + 1:2 * h - s_h + 1, w - s_w:2 * w - s_w]
-        pairs.append(SamplePair(_view(Grid3, data=ft[win]),
-                                _view(Grid1, values=dt[win], valid=mt[win]), Within(s_h, s_w)))
+        rows, cols = slice(h - s_h + 1, 2 * h - s_h + 1), slice(w - s_w, 2 * w - s_w)
+        pairs.append(SamplePair(_view(Grid3, data=ft[:, rows, cols].transpose(1, 2, 0)),
+                                _view(Grid1, values=dt[rows, cols], valid=mt[rows, cols]),
+                                Within(s_h, s_w)))
     return SampleSet(tuple(pairs))
 
 
@@ -262,7 +264,8 @@ def test_reg_loss_leaves_inputs_unchanged_and_gradients_read_only():
 # The wrap tiles are copies of the checked anchor and their windows are
 # wrapped unchecked, so a tile that is not an exact copy is caught only by
 # comparing the windows with rolled copies.  The mutant writes a bad entry
-# into the tile at (h, w), a pixel every window reads, on an all-valid anchor.
+# into the tile at (h, w), a pixel every window reads, on an all-valid anchor
+# (channel 0 of the (C, 2H, 2W) feature tile).
 @pytest.mark.parametrize("key, bad", [("tile_f", np.nan), ("tile_f", -np.inf),
                                       ("tile_d", np.nan), ("tile_d", -1.0),
                                       ("tile_d", np.inf)])
@@ -273,8 +276,8 @@ def test_bad_entry_written_into_a_wrap_tile_is_caught(monkeypatch, key, bad):
         t = wrap(a, scratch, tile_key)
         if tile_key == key:
             t = t.copy()
-            h, w = t.shape[0] // 2, t.shape[1] // 2
-            t[(h, w) + (0,) * (t.ndim - 2)] = bad
+            h, w = t.shape[-2] // 2, t.shape[-1] // 2
+            t[(0,) * (t.ndim - 2) + (h, w)] = bad
             t.setflags(write=False)
         return t
 
