@@ -39,15 +39,6 @@ from .losses import (
     si_loss,
 )
 from .metrics import MetricReport, compute_metrics
-from .sampling import (
-    Across,
-    Batch,
-    SamplePair,
-    SampleSet,
-    Within,
-    build_sample_set,
-    collect_across,
-    collect_within,
-)
+from .sampling import Batch, SamplePair, build_sample_set, collect_across, collect_within
 
 __version__ = "0.1.0"

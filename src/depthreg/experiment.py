@@ -16,14 +16,15 @@ keys and the field defaults are the defaults.  A strategy is one of
 A missing or unknown key, or a value that is not of its field's type,
 raises ``InvalidConfig`` naming ``section.key``; nothing is coerced (an
 integer field rejects 2.7, "12" and true, a number field strings, bools,
-NaN and the infinities).  An ablation runs every (strategy, seed) pair of
-its "strategies" map, then, for each count in the "sweep" lists, the
-"sweep_strategy" with that count on its axis ("n_within" or "n_across") and
-0 on the other; every run's regularizer is built and checked before the
-first run.  A run whose loss or held-out evaluation diverges is recorded
-as diverged at that step and the other runs go on.  All randomness roots
-in the explicit seed list; rerunning a command overwrites byte-identical
-outputs.
+NaN and the infinities, a string field anything but a string, null
+included); a top-level key is named ``config.<key>``.  An ablation runs
+every (strategy, seed) pair of its "strategies" map, then, for each count
+in the "sweep" lists, the "sweep_strategy" with that count on its axis
+("n_within" or "n_across") and 0 on the other; every run's regularizer
+is built and checked before the first run.  A run whose loss or held-out
+evaluation diverges is recorded as diverged at that step and the other
+runs go on.  All randomness roots in the explicit seed list; rerunning a
+command overwrites byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import InvalidConfig
 from .identify import MultiRange, NegativeRange, RegConfig, Uniform
 from .losses import DepthLossParams
 from .metrics import CSV_HEADER
+from .toybench.scenes import check_scene
 from .toybench.train import Schedule, TrainRecord, check_batch, train_run
 
 
@@ -47,6 +49,9 @@ class SceneParams:
     width: int
     d_min: float
     d_max: float
+
+    def __post_init__(self):
+        check_scene(self.height, self.width, self.d_min, self.d_max)
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,23 @@ def _float(x) -> float:
     return x
 
 
+def _str(x) -> str:
+    """A JSON string; null, a number or a bool does not pass."""
+    if not isinstance(x, str):
+        raise TypeError(f"expected a string, got {x!r}")
+    return x
+
+
 # field types are annotation strings: every config module postpones annotations
-_SCALARS = {"int": _int, "float": _float, "str": str}
+_SCALARS = {"int": _int, "float": _float, "str": _str}
+
+
+def _converted(to, x, name: str):
+    """``to(x)``; a ``TypeError``, ``ValueError`` or ``OverflowError`` becomes ``InvalidConfig``."""
+    try:
+        return to(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"{name}: {exc}") from exc
 
 
 def check_keys(d, where: str, required: tuple[str, ...], allowed: tuple[str, ...] = ()) -> dict:
@@ -127,8 +147,8 @@ def from_section(cls, d, where: str, **convert):
 
     A field without a default is a required key.  Each value goes through
     ``convert[key]`` if given, else through its field's type when that is
-    int, float or str, the first two taking only JSON integers and finite
-    JSON numbers; a ``TypeError``, ``ValueError`` or ``OverflowError`` on the
+    int, float or str, taking only JSON integers, finite JSON numbers and
+    JSON strings; a ``TypeError``, ``ValueError`` or ``OverflowError`` on the
     way becomes ``InvalidConfig("<where>.<key>: ...")``.
     """
     fs = fields(cls)
@@ -138,10 +158,7 @@ def from_section(cls, d, where: str, **convert):
     for f in fs:
         if f.name in d:
             to = convert.get(f.name) or _SCALARS.get(f.type)
-            try:
-                values[f.name] = to(d[f.name]) if to else d[f.name]
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidConfig(f"{where}.{f.name}: {exc}") from exc
+            values[f.name] = _converted(to, d[f.name], f"{where}.{f.name}") if to else d[f.name]
     return cls(**values)
 
 
@@ -186,7 +203,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         depth_loss=from_section(DepthLossParams, d.get("depth_loss", {}), "depth_loss"),
         schedule=from_section(Schedule, d["schedule"], "schedule", seeds=_ints),
         separation=from_section(Separation, d.get("separation", {}), "separation"),
-        output_dir=str(d.get("output_dir", ExperimentConfig.output_dir)),
+        output_dir=_converted(_str, d.get("output_dir", ExperimentConfig.output_dir),
+                              "config.output_dir"),
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, InvalidConfig, ShapeError
 from .grid import Grid1, Grid3, Scratch, _view, take
 from .identify import RegConfig, identify
-from .sampling import SampleSet
+from .sampling import SamplePair
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def _squared_distance(diff: np.ndarray, out: np.ndarray, work: np.ndarray) -> np
     return np.add(out, work, out=out)
 
 
-def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
+def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: RegConfig,
              scratch: Scratch | None = None) -> LossResult:
     """Regularization loss of an anchor against its sample set, with gradients.
 
@@ -79,15 +79,15 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
     anchor depth against that sample's depth, then accumulated per the pair
     term.  Reduction follows ``config.loss_reduction``.  Per-sample partials
     are reduced in sample order, so results are reproducible bit-for-bit.
-    With a ``scratch`` the work arrays, and the gradients returned, are its
-    buffers, valid until the next call with that arena.
+    A sample whose feature or depth map differs in shape from the anchor's
+    raises ``ShapeError``.  With a ``scratch`` the work arrays, and the
+    gradients returned, are its buffers, valid until the next call with
+    that arena.
     """
     if (d_a.height, d_a.width) != (f_a.height, f_a.width):
         raise ShapeError("anchor feature and depth shapes disagree")
     if len(samples) == 0 or not config.enabled:
         return _zero_result(f_a, len(samples))
-    if samples.pairs[0].feature.data.shape != f_a.data.shape:
-        raise ShapeError("sample shape disagrees with anchor")
 
     n = len(samples)
     h, w, c = f_a.data.shape
@@ -100,11 +100,15 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
     # filled sample by sample, channel-planar: each sample is copied into
     # its slot and the anchor subtracted there in place, so every ufunc of
     # the pass runs on contiguous operands (on row-strided windows or an
-    # inner axis of length C it runs several times slower).
+    # inner axis of length C it runs several times slower).  Each sample's
+    # shape is checked before its slot is written: np.copyto would
+    # broadcast a (1, W) depth map silently.
     diff = take(scratch, "diff", (n, c, h, w))  # f_a - f_s; becomes the f_s gradient
     dd = take(scratch, "dd", nhw)  # |d_a - d_s|; becomes the per-pixel margin
     mask = take(scratch, "mask", nhw, bool)  # joint validity; then one label group at a time
     for i, p in enumerate(samples):
+        if p.feature.data.shape != (h, w, c) or p.depth.values.shape != (h, w):
+            raise ShapeError(f"sample {i} disagrees in shape with the anchor")
         np.copyto(diff[i], p.feature.data.transpose(2, 0, 1))
         np.subtract(fa, diff[i], out=diff[i])
         np.copyto(dd[i], p.depth.values)

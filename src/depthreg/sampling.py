@@ -1,10 +1,13 @@
 """Sample-set construction for an anchor feature map.
 
-Two collecting means, used together by default: circular shifts of the
-anchor's own feature/depth pair (feature and depth always share the same
-shift seeds, keeping each sample pixel locationally consistent with its
-depth), and whole feature/depth pairs taken from other items of the
-training batch.  Draws are independent per iteration, so repeats can occur.
+A sample is a whole feature/depth map: batch item ``(a + s_k) % K`` rolled
+down ``s_h`` and right ``s_w`` (the shift convention of ``grid.py``), for
+anchor ``a`` of a K-item batch.  Two collecting means draw samples, used
+together by default: circular shifts of the anchor's own pair (``s_k = 0``,
+shifts in [1, n-1]; feature and depth share the shift, keeping each sample
+pixel locationally consistent with its depth), and whole pairs of other
+batch items (``s_k`` in [1, K-1], ``s_h = s_w = 0``).  Draws are independent
+per iteration, so repeats can occur.
 """
 
 from __future__ import annotations
@@ -18,49 +21,14 @@ from .grid import Grid1, Grid3, Scratch, SeedRng, _view, gen_shift_seed, take
 
 
 @dataclass(frozen=True)
-class Within:
-    """Provenance of a shift-collected sample: the shift seeds used."""
-
-    s_h: int
-    s_w: int
-
-
-@dataclass(frozen=True)
-class Across:
-    """Provenance of a batch-collected sample: offset from the anchor index."""
-
-    s_k: int
-
-
-@dataclass(frozen=True)
 class SamplePair:
+    """Batch item ``(anchor + s_k) % K`` rolled down ``s_h`` and right ``s_w``."""
+
     feature: Grid3
     depth: Grid1
-    origin: Within | Across
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Ordered (feature, depth) sample pairs, within-collected first."""
-
-    pairs: tuple[SamplePair, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not self.pairs:
-            return
-        f0 = self.pairs[0].feature
-        for p in self.pairs:
-            if p.feature.data.shape != f0.data.shape:
-                raise ShapeError("sample feature maps disagree in shape")
-            if (p.depth.height, p.depth.width) != (f0.height, f0.width):
-                raise ShapeError("sample depth maps disagree with feature shape")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
+    s_k: int
+    s_h: int
+    s_w: int
 
 
 @dataclass(frozen=True)
@@ -98,7 +66,7 @@ def _wrap_tile(a: np.ndarray, scratch: Scratch | None, key: str) -> np.ndarray:
 
 
 def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
-                   scratch: Scratch | None = None) -> SampleSet:
+                   scratch: Scratch | None = None) -> tuple[SamplePair, ...]:
     """n_within circular-shift samples of the anchor pair, fresh seeds each.
 
     Vertical seed is drawn before the horizontal one on every iteration.
@@ -117,7 +85,7 @@ def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
     if (d_a.height, d_a.width) != (h, w):
         raise ShapeError("anchor feature and depth shapes disagree")
     if n_within == 0:
-        return SampleSet(())
+        return ()
     ft, dt, mt = (_wrap_tile(a, scratch, key) for a, key in
                   ((f_a.data.transpose(2, 0, 1), "tile_f"), (d_a.values, "tile_d"),
                    (d_a.valid, "tile_m")))
@@ -128,12 +96,13 @@ def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
         rows, cols = slice(h - s_h, 2 * h - s_h), slice(w - s_w, 2 * w - s_w)
         pairs.append(SamplePair(_view(Grid3, data=ft[:, rows, cols].transpose(1, 2, 0)),
                                 _view(Grid1, values=dt[rows, cols], valid=mt[rows, cols]),
-                                Within(s_h, s_w)))
-    return SampleSet(tuple(pairs))
+                                0, s_h, s_w))
+    return tuple(pairs)
 
 
-def collect_across(batch: Batch, anchor_index: int, n_across: int, rng: SeedRng) -> SampleSet:
-    """n_across whole pairs from other batch items.
+def collect_across(batch: Batch, anchor_index: int, n_across: int,
+                   rng: SeedRng) -> tuple[SamplePair, ...]:
+    """n_across whole, unshifted pairs from other batch items.
 
     The drawn value acts as an offset in [1, K-1] from the anchor index, so a
     sample can never alias the anchor itself.
@@ -147,8 +116,8 @@ def collect_across(batch: Batch, anchor_index: int, n_across: int, rng: SeedRng)
     for _ in range(n_across):
         s_k = gen_shift_seed(rng, k)
         f, d = batch.items[(anchor_index + s_k) % k]
-        pairs.append(SamplePair(f, d, Across(s_k)))
-    return SampleSet(tuple(pairs))
+        pairs.append(SamplePair(f, d, s_k, 0, 0))
+    return tuple(pairs)
 
 
 def build_sample_set(
@@ -160,8 +129,7 @@ def build_sample_set(
     n_across: int,
     rng: SeedRng,
     scratch: Scratch | None = None,
-) -> SampleSet:
+) -> tuple[SamplePair, ...]:
     """Concatenate both collecting means, within-samples first."""
     within = collect_within(f_a, d_a, n_within, rng, scratch)
-    across = collect_across(batch, anchor_index, n_across, rng)
-    return SampleSet(within.pairs + across.pairs)
+    return within + collect_across(batch, anchor_index, n_across, rng)

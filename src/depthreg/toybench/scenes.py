@@ -59,12 +59,17 @@ class SyntheticScene:
     seed: int
 
 
-def gen_scene(seed: int, h: int, w: int, d_min: float, d_max: float) -> SyntheticScene:
-    """Deterministic scene from a 64-bit seed."""
+def check_scene(h: int, w: int, d_min: float, d_max: float) -> None:
+    """Scenes need height and width >= 8 and depths 0 < d_min < d_max."""
     if h < 8 or w < 8:
         raise InvalidConfig("scenes need height and width >= 8")
     if not 0 < d_min < d_max:
         raise InvalidConfig("need 0 < d_min < d_max")
+
+
+def gen_scene(seed: int, h: int, w: int, d_min: float, d_max: float) -> SyntheticScene:
+    """Deterministic scene from a 64-bit seed."""
+    check_scene(h, w, d_min, d_max)
 
     rng = SeedRng(seed ^ GENERATOR_VERSION)
     span = d_max - d_min

@@ -3,9 +3,9 @@
 One training step forwards a batch of K scenes, treats every item as the
 anchor of its own sample set, and descends the mean (over anchors) of the
 regularization total plus the weighted mean scale-invariant depth loss.
-Feature-space gradients are routed back through the shift (within samples)
-or to the owning batch item (across samples) before the shared parameters
-are updated.  Everything is a pure function of (config, seeds).
+Each sample's feature-space gradient is routed back, unshifted, to the batch
+item it came from before the shared parameters are updated.  Everything is
+a pure function of (config, seeds).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ..grid import Grid1, Grid3, Scratch, SeedRng, _view, take
 from ..identify import RegConfig
 from ..losses import DepthLossParams, reg_loss, si_loss
 from ..metrics import MetricReport, compute_metrics, mean_report
-from ..sampling import Batch, Within, build_sample_set
+from ..sampling import Batch, build_sample_set
 from .model import ToyModel, model_backward, model_forward
 from .scenes import SyntheticScene, scene_pool
 
@@ -94,12 +94,15 @@ def add_unshifted(acc: np.ndarray, g: np.ndarray, s_h: int, s_w: int,
                   scratch: Scratch | None = None) -> None:
     """``acc += np.roll(g, (-s_h, -s_w), axis=(-2, -1))``, bit for bit.
 
-    Routes a within-sample's channel-planar (C, H, W) gradient back to the
-    anchor pixels it came from: four quadrant copies unshift it into one
-    work buffer, then one contiguous add.  Adding the quadrants in place
-    instead would run four ufuncs on row-strided blocks, several times
-    slower per element than copying them.
+    Routes a sample's channel-planar (C, H, W) gradient back to the pixels
+    it came from: four quadrant copies unshift it into one work buffer, then
+    one contiguous add.  Adding the quadrants in place instead would run
+    four ufuncs on row-strided blocks, several times slower per element than
+    copying them.  A zero shift (an across-sample) is added directly.
     """
+    if s_h == s_w == 0:
+        acc += g
+        return
     h, w = g.shape[-2:]
     unshifted = take(scratch, "unshifted", g.shape)
     for dst_h, src_h in ((slice(None, h - s_h), slice(s_h, None)),
@@ -161,12 +164,9 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
             for key, val in res.breakdown.items():
                 breakdown[key] = breakdown.get(key, 0.0) + val / k
             d_feat[a] += res.grad_anchor.data.transpose(2, 0, 1)
-            for pair, g in zip(ss.pairs, res.grad_samples):
-                g = g.data.transpose(2, 0, 1)
-                if isinstance(pair.origin, Within):
-                    add_unshifted(d_feat[a], g, pair.origin.s_h, pair.origin.s_w, _ARENA)
-                else:
-                    d_feat[(a + pair.origin.s_k) % k] += g
+            for p, g in zip(ss, res.grad_samples):
+                add_unshifted(d_feat[(a + p.s_k) % k], g.data.transpose(2, 0, 1), p.s_h, p.s_w,
+                              _ARENA)
         for a in range(k):
             d_feat[a] *= 1.0 / k
 

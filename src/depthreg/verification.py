@@ -10,7 +10,7 @@ suite can prove these checks would catch a real bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .grid import Grid1, Grid3, SeedRng
 from .identify import MultiRange, NegativeRange, RegConfig, Uniform
 from .losses import DepthLossParams, reg_loss, si_loss
 from .metrics import MetricReport, compute_metrics
-from .sampling import Across, SamplePair, SampleSet
+from .sampling import SamplePair
 
 KINK_MARGIN = 1e-4  # coordinates this close to a hinge kink or zero distance are skipped
 FD_STEP = 1e-5
@@ -54,7 +54,7 @@ def _oracle_label(diff: float, valid: bool, config: RegConfig,
     return -1, 0.0
 
 
-def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig,
+def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: RegConfig,
                     mutate_classifier: bool = False) -> tuple[float, int]:
     """Triple loop over (sample, pixel, channel); returns (total, contributing).
 
@@ -174,8 +174,8 @@ def random_instance(rng: SeedRng, max_h: int = 4, max_w: int = 4, max_c: int = 5
                     if all(abs(dist - k) > GENERIC_GAP for k in kinks):
                         break
                     f_s[i, j] = rng.normals(c)
-        pairs.append(SamplePair(Grid3(f_s), d_s, Across(1)))
-    return f_a, d_a, SampleSet(tuple(pairs)), config
+        pairs.append(SamplePair(Grid3(f_s), d_s, 1, 0, 0))
+    return f_a, d_a, tuple(pairs), config
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,8 @@ def noise_floor(loss_scale: float) -> float:
     return max(REL_FLOOR, DENOM_SCALE * max(1.0, abs(loss_scale)))
 
 
-def _kink_free_mask(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfig):
+def _kink_free_mask(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
+                    config: RegConfig):
     """Per-(sample, pixel) flag: True when safely away from kinks."""
     n = len(samples)
     good = np.ones((n, f_a.height, f_a.width), dtype=bool)
@@ -222,7 +223,7 @@ def _kink_free_mask(f_a: Grid3, d_a: Grid1, samples: SampleSet, config: RegConfi
     return good
 
 
-def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: SampleSet,
+def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
                             config: RegConfig, mutate_hinge_sign: bool = False) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
@@ -231,7 +232,6 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: SampleSet,
     ``mutate_hinge_sign`` the negative-pair gradient contributions are
     sign-flipped first (canary: the check must then fail).
     """
-    n = len(samples)
     res = reg_loss(f_a, d_a, samples, config)
     grads = [res.grad_anchor.data] + [g.data for g in res.grad_samples]
     if mutate_hinge_sign:
@@ -240,9 +240,7 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: SampleSet,
         pos_strategy = MultiRange(
             tuple(NegativeRange(r.low, r.high, 1e-300) for r in config.strategy.ranges)
         )
-        pos_cfg = RegConfig(config.r_p, pos_strategy, config.n_within, config.n_across,
-                            config.loss_reduction, config.depth_loss_weight)
-        res_pos = reg_loss(f_a, d_a, samples, pos_cfg)
+        res_pos = reg_loss(f_a, d_a, samples, replace(config, strategy=pos_strategy))
         pos_grads = [res_pos.grad_anchor.data] + [g.data for g in res_pos.grad_samples]
         grads = [2.0 * p - g for p, g in zip(pos_grads, grads)]
 
@@ -255,11 +253,10 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: SampleSet,
     def total_of(x: np.ndarray) -> float:
         fa = Grid3(x[:size].reshape(shape))
         new_pairs = tuple(
-            SamplePair(Grid3(x[size * (i + 1) : size * (i + 2)].reshape(shape)),
-                       samples.pairs[i].depth, samples.pairs[i].origin)
-            for i in range(n)
+            replace(p, feature=Grid3(x[size * (i + 1) : size * (i + 2)].reshape(shape)))
+            for i, p in enumerate(samples)
         )
-        return reg_loss(fa, d_a, SampleSet(new_pairs), config).total
+        return reg_loss(fa, d_a, new_pairs, config).total
 
     x0 = np.concatenate([f_a.data.ravel()] + [p.feature.data.ravel() for p in samples])
     floor = noise_floor(res.total)

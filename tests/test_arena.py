@@ -1,11 +1,11 @@
 """The training step's reused work arrays: routing, escape and allocation checks.
 
 ``batch_objective`` takes its large arrays from one module arena and routes
-channel-planar within-sample gradients back by four quadrant copies and one
-add.  These tests pin that the routing equals the ``np.roll`` it replaced
-bit for bit, that no arena buffer leaves a step or a call made without an
-arena, that only the regularizer makes planar feature copies, and that a
-steady-state step allocates little.
+channel-planar sample gradients back by four quadrant copies and one add
+(a plain add at zero shift).  These tests pin that the routing equals the
+``np.roll`` it replaced bit for bit, that no arena buffer leaves a step or a
+call made without an arena, that only the regularizer makes planar feature
+copies, and that a steady-state step allocates little.
 """
 
 import tracemalloc
@@ -43,11 +43,15 @@ def wrong_sign(acc, g, s_h, s_w):
     add_unshifted(acc, g, g.shape[-2] - s_h, g.shape[-1] - s_w)
 
 
-def check_routing(route, seed, h, w, c):
-    """On (C, H, W) maps ``route`` adds like ``acc += np.roll(g, (-s_h, -s_w))``, bit for bit."""
+def check_routing(route, seed, h, w, c, first=1):
+    """On (C, H, W) maps ``route`` adds like ``acc += np.roll(g, (-s_h, -s_w))``, bit for bit.
+
+    Shifts run from ``first`` to n - 1 on each axis; ``first=0`` adds the
+    zero shifts of across-samples, alone and on one axis.
+    """
     rng = SeedRng(seed)
-    for s_h in range(1, h):
-        for s_w in range(1, w):
+    for s_h in range(first, h):
+        for s_w in range(first, w):
             acc = rng.normals(c * h * w).reshape(c, h, w)
             g = rng.normals(c * h * w).reshape(c, h, w)
             want = acc.copy()
@@ -58,9 +62,9 @@ def check_routing(route, seed, h, w, c):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32), h=st.integers(2, 9), w=st.integers(2, 9),
-       c=st.integers(1, 6))
-def test_quadrant_routing_equals_roll(seed, h, w, c):
-    check_routing(add_unshifted, seed, h, w, c)
+       c=st.integers(1, 6), first=st.sampled_from([0, 1]))
+def test_quadrant_routing_equals_roll(seed, h, w, c, first):
+    check_routing(add_unshifted, seed, h, w, c, first)
 
 
 @pytest.mark.parametrize("h, w, c", [(2, 3, 1), (5, 4, 2), (9, 9, 6)])
@@ -114,7 +118,7 @@ def test_calls_without_scratch_share_nothing_with_the_arena():
     res = reg_loss(feats[0], depths[0], ss, MULTI)
     fresh = [f.data for f in feats] + [p.values for p in preds] + [p.valid for p in preds]
     fresh += [a for c in caches for a in (c["h1"], c["h2"], c["f"], c["pred"])]
-    fresh += [a for p in ss.pairs[:3] for a in (p.feature.data, p.depth.values, p.depth.valid)]
+    fresh += [a for p in ss[:3] for a in (p.feature.data, p.depth.values, p.depth.valid)]
     fresh += [res.grad_anchor.data] + [g.data for g in res.grad_samples]
     for a in fresh:
         assert not any(np.shares_memory(a, buf) for buf in buffers)

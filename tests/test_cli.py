@@ -149,17 +149,22 @@ class TestConfig:
          {"kind": "multi_range", "ranges": [[0.5, 1.0, float("nan")]]},
          "regularization.strategy.ranges"),
         ("depth_loss", "output_scale", float("-inf"), "depth_loss.output_scale"),
+        # string fields take only strings: null is not "None", 5 is not "5"
+        ("config", "output_dir", None, "config.output_dir"),
+        ("config", "output_dir", 5, "config.output_dir"),
+        ("regularization", "loss_reduction", None, "regularization.loss_reduction"),
     ])
-    def test_bad_value_names_section_key_and_exits_2(self, tmp_path, capsys,
+    def test_bad_value_names_section_key_and_exits_2(self, tmp_path, capsys, monkeypatch,
                                                     section, key, value, name):
+        monkeypatch.chdir(tmp_path)  # a coerced output_dir would land here
         out = tmp_path / "runs"
         cfg = tiny_config(out)
-        cfg[section][key] = value
+        (cfg if section == "config" else cfg[section])[key] = value
         with pytest.raises(InvalidConfig, match=name):
             config_from_dict(cfg)
         assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
         assert name in capsys.readouterr().err
-        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     # The benchmark under perfbench/ builds its configs in workload_spec; a
     # parser that rejected one of them would fail every benchmark run.
@@ -286,6 +291,22 @@ def test_config_not_utf8_exits_2_without_outputs(tmp_path, capsys, command):
     assert err.startswith("error: config file") and "not UTF-8" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "gen-scenes"])
+@pytest.mark.parametrize("scene", [{"height": 4}, {"d_min": 5.0, "d_max": 1.0}],
+                         ids=["height-4", "d_min-above-d_max"])
+def test_bad_scene_exits_2_without_outputs(tmp_path, capsys, command, scene):
+    cfg = tiny_config(tmp_path / "out")
+    cfg["scene"].update(scene)
+    cfg["ablation"] = {"strategies": {"baseline": {"kind": "disabled"}}}
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    if command == "gen-scenes":
+        argv += ["--out", str(tmp_path / "scenes")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestEvalAndScenes:

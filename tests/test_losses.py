@@ -10,7 +10,7 @@ from depthreg.errors import DomainError, ShapeError
 from depthreg.grid import Grid1, Grid3, SeedRng, _check_depth, _view
 from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform, differential_map
 from depthreg.losses import DepthLossParams, _squared_distance, reg_loss, si_loss
-from depthreg.sampling import Across, Batch, SamplePair, SampleSet, build_sample_set
+from depthreg.sampling import Batch, SamplePair, build_sample_set
 from depthreg.verification import oracle_reg_loss, random_instance
 
 UNIFORM_NYU = RegConfig(r_p=0.1, strategy=Uniform(r_n=0.5, m_u=4.0))
@@ -25,17 +25,19 @@ def single_pixel_instance(anchor_feat, sample_feat, anchor_depth, sample_depth):
     f_s = Grid3(np.array(sample_feat, dtype=float).reshape(1, 1, -1))
     d_a = Grid1(np.array([[anchor_depth]], dtype=float))
     d_s = Grid1(np.array([[sample_depth]], dtype=float))
-    return f_a, d_a, SampleSet((SamplePair(f_s, d_s, Across(1)),))
+    return f_a, d_a, (SamplePair(f_s, d_s, 1, 0, 0),)
 
 
 class TestRegLoss:
     def test_empty_sample_set(self):
         f_a = Grid3(np.ones((2, 2, 3)))
         d_a = Grid1(np.ones((2, 2)))
-        res = reg_loss(f_a, d_a, SampleSet(()), UNIFORM_NYU)
+        res = reg_loss(f_a, d_a, (), UNIFORM_NYU)
         assert res.total == 0.0
+        assert res.breakdown == {}
         assert res.contributing_count == 0
         assert (res.grad_anchor.data == 0).all()
+        assert res.grad_samples == ()
 
     def test_identical_positive_pair_is_zero(self):
         f_a, d_a, ss = single_pixel_instance([1.0, 2.0], [1.0, 2.0], 3.0, 3.0)
@@ -81,9 +83,9 @@ class TestRegLoss:
         """Features of +-1e308 differ by inf: the gradients would be NaN, so the call raises."""
         f_a = Grid3(np.full((2, 3, 2), 1e308))
         d_a = Grid1(np.full((2, 3), 2.0))
-        samples = SampleSet(tuple(
-            SamplePair(Grid3(np.full((2, 3, 2), -1e308)), Grid1(np.full((2, 3), depth)), Across(1))
-            for depth in (2.0, 2.7)))  # one positive sample, one negative
+        samples = tuple(
+            SamplePair(Grid3(np.full((2, 3, 2), -1e308)), Grid1(np.full((2, 3), depth)), 1, 0, 0)
+            for depth in (2.0, 2.7))  # one positive sample, one negative
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
             reg_loss(f_a, d_a, samples, config)
 
@@ -92,6 +94,23 @@ class TestRegLoss:
         _, _, ss = single_pixel_instance([1.0, 2.0], [1.0, 2.0], 1.0, 1.0)
         with pytest.raises(ShapeError):
             reg_loss(f_a, d_a, ss, UNIFORM_NYU)
+
+    # Each sample is checked in the fill loop, before its slot is written.
+    def test_second_sample_with_other_feature_shape_rejected(self):
+        f_a, d_a = Grid3(np.ones((2, 3, 2))), Grid1(np.ones((2, 3)))
+        samples = (SamplePair(Grid3(np.zeros((2, 3, 2))), Grid1(np.ones((2, 3))), 1, 0, 0),
+                   SamplePair(Grid3(np.zeros((2, 3, 3))), Grid1(np.ones((2, 3))), 1, 0, 0))
+        with pytest.raises(ShapeError, match="sample 1"):
+            reg_loss(f_a, d_a, samples, UNIFORM_NYU)
+
+    @pytest.mark.parametrize("depth_shape", [(1, 3), (2, 1), (3, 3)])
+    def test_sample_depth_map_alone_of_other_shape_rejected(self, depth_shape):
+        """A (1, W) or (H, 1) map would broadcast into the depth buffer unnoticed."""
+        f_a, d_a = Grid3(np.ones((2, 3, 2))), Grid1(np.ones((2, 3)))
+        samples = (SamplePair(Grid3(np.zeros((2, 3, 2))), Grid1(np.full(depth_shape, 3.0)),
+                              1, 0, 0),)
+        with pytest.raises(ShapeError, match="sample 0"):
+            reg_loss(f_a, d_a, samples, UNIFORM_NYU)
 
     def test_breakdown_sums_to_total(self):
         rng = SeedRng(404)
@@ -115,15 +134,14 @@ class TestRegLoss:
         cfg = RegConfig(r_p=0.1, strategy=Uniform(r_n=0.5, m_u=4.0), loss_reduction="sum")
         f_a = Grid3(rng.normals(2 * 2 * 3).reshape(2, 2, 3))
         d_a = Grid1(rng.uniforms(4).reshape(2, 2) * 2.0)
-        pairs = tuple(
+        samples = tuple(
             SamplePair(
                 Grid3(rng.normals(2 * 2 * 3).reshape(2, 2, 3)),
                 Grid1(rng.uniforms(4).reshape(2, 2) * 2.0),
-                Across(1),
+                1, 0, 0,
             )
             for _ in range(2)
         )
-        samples = SampleSet(pairs)
         res = reg_loss(f_a, d_a, samples, cfg)
         want, _ = oracle_reg_loss(f_a, d_a, samples, cfg)
         assert res.total == pytest.approx(want, rel=1e-12)
@@ -158,9 +176,9 @@ class TestRegLoss:
             return Grid1(g.values.reshape(-1)[perm].reshape(h, w),
                          g.valid.reshape(-1)[perm].reshape(h, w))
 
-        permuted = SampleSet(tuple(
-            SamplePair(permute3(p.feature), permute1(p.depth), p.origin) for p in samples
-        ))
+        permuted = tuple(
+            replace(p, feature=permute3(p.feature), depth=permute1(p.depth)) for p in samples
+        )
         a = reg_loss(f_a, d_a, samples, config).total
         b = reg_loss(permute3(f_a), permute1(d_a), permuted, config).total
         assert b == pytest.approx(a, rel=1e-12)
@@ -169,9 +187,7 @@ class TestRegLoss:
         rng = SeedRng(808)
         f_a, d_a, samples, config = random_instance(rng)
         shift = rng.normals(f_a.channels) * 10
-        shifted = SampleSet(tuple(
-            SamplePair(Grid3(p.feature.data + shift), p.depth, p.origin) for p in samples
-        ))
+        shifted = tuple(replace(p, feature=Grid3(p.feature.data + shift)) for p in samples)
         a = reg_loss(f_a, d_a, samples, config).total
         b = reg_loss(Grid3(f_a.data + shift), d_a, shifted, config).total
         assert b == pytest.approx(a, rel=1e-9)
@@ -237,7 +253,7 @@ def test_anchor_gradient_check_covers_every_sample_gradient(data, seed, n, c, co
                                                  min_size=h * w, max_size=h * w))).reshape(h, w))
 
     f_a, d_a = features(), depths()
-    samples = SampleSet(tuple(SamplePair(features(), depths(), Across(1)) for _ in range(n)))
+    samples = tuple(SamplePair(features(), depths(), 1, 0, 0) for _ in range(n))
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             res = reg_loss(f_a, d_a, samples, replace(config, loss_reduction=reduction))

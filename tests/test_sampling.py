@@ -9,11 +9,8 @@ from depthreg.grid import Grid1, Grid3, SeedRng, _view, gen_shift_seed, shift2d_
 from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform
 from depthreg.losses import reg_loss
 from depthreg.sampling import (
-    Across,
     Batch,
     SamplePair,
-    SampleSet,
-    Within,
     build_sample_set,
     collect_across,
     collect_within,
@@ -38,16 +35,16 @@ def test_within_count_and_provenance():
     ss = collect_within(f, d, 10, SeedRng(3))
     assert len(ss) == 10
     for p in ss:
-        assert isinstance(p.origin, Within)
-        assert 1 <= p.origin.s_h < f.height
-        assert 1 <= p.origin.s_w < f.width
+        assert p.s_k == 0
+        assert 1 <= p.s_h < f.height
+        assert 1 <= p.s_w < f.width
 
 
 def test_within_unshift_recovers_anchor_depth():
     f, d = make_pair(4)
     for p in collect_within(f, d, 6, SeedRng(5)):
         h, w = d.height, d.width
-        back = shift2d_g1(p.depth, (h - p.origin.s_h) % h, (w - p.origin.s_w) % w)
+        back = shift2d_g1(p.depth, (h - p.s_h) % h, (w - p.s_w) % w)
         assert np.array_equal(back.values, d.values)
         assert np.array_equal(back.valid, d.valid)
 
@@ -57,7 +54,7 @@ def test_within_locational_consistency():
     # because feature and depth moved with the same seeds
     f, d = make_pair(6)
     for p in collect_within(f, d, 5, SeedRng(7)):
-        s_h, s_w = p.origin.s_h, p.origin.s_w
+        s_h, s_w = p.s_h, p.s_w
         for i in range(d.height):
             for j in range(d.width):
                 src = ((i - s_h) % d.height, (j - s_w) % d.width)
@@ -78,7 +75,7 @@ def test_within_determinism():
     a = collect_within(f, d, 8, SeedRng(99))
     b = collect_within(f, d, 8, SeedRng(99))
     for pa, pb in zip(a, b):
-        assert pa.origin == pb.origin
+        assert (pa.s_k, pa.s_h, pa.s_w) == (pb.s_k, pb.s_h, pb.s_w)
         assert np.array_equal(pa.feature.data, pb.feature.data)
 
 
@@ -90,8 +87,7 @@ class TestAcross:
         batch = self.make_batch(2)
         ss = collect_across(batch, 0, 5, SeedRng(1))
         for p in ss:
-            assert isinstance(p.origin, Across)
-            assert p.origin.s_k == 1
+            assert (p.s_k, p.s_h, p.s_w) == (1, 0, 0)
             assert p.feature is batch.items[1][0]
 
     def test_never_aliases_anchor(self):
@@ -116,8 +112,8 @@ def test_build_sample_set_order_and_counts():
     # anchor pair is independent of the batch entries here; shapes agree
     ss = build_sample_set(f, d, batch, 0, 10, 4, SeedRng(5))
     assert len(ss) == 14
-    assert all(isinstance(p.origin, Within) for p in ss.pairs[:10])
-    assert all(isinstance(p.origin, Across) for p in ss.pairs[10:])
+    assert all(p.s_k == 0 and p.s_h > 0 and p.s_w > 0 for p in ss[:10])
+    assert all(p.s_k > 0 and p.s_h == p.s_w == 0 for p in ss[10:])
 
 
 def test_build_sample_set_within_only():
@@ -139,7 +135,7 @@ def test_build_sample_set_deterministic():
     a = build_sample_set(f, d, batch, 1, 4, 3, SeedRng(77))
     b = build_sample_set(f, d, batch, 1, 4, 3, SeedRng(77))
     for pa, pb in zip(a, b):
-        assert pa.origin == pb.origin
+        assert (pa.s_k, pa.s_h, pa.s_w) == (pb.s_k, pb.s_h, pb.s_w)
         assert np.array_equal(pa.depth.values, pb.depth.values)
 
 
@@ -182,8 +178,8 @@ def windows_one_row_off(f_a, d_a, n_within, rng):
         rows, cols = slice(h - s_h + 1, 2 * h - s_h + 1), slice(w - s_w, 2 * w - s_w)
         pairs.append(SamplePair(_view(Grid3, data=ft[:, rows, cols].transpose(1, 2, 0)),
                                 _view(Grid1, values=dt[rows, cols], valid=mt[rows, cols]),
-                                Within(s_h, s_w)))
-    return SampleSet(tuple(pairs))
+                                0, s_h, s_w))
+    return tuple(pairs)
 
 
 def read_only(a):
@@ -196,19 +192,19 @@ def check_within_against_oracle(collect, seed, h, w, c, n_within, invalid, confi
     assert len(ss) == n_within
     rolled = []
     for p in ss:
-        s_h, s_w = p.origin.s_h, p.origin.s_w
+        s_h, s_w = p.s_h, p.s_w
         want_f, want_d = shift2d_g3(f, s_h, s_w), shift2d_g1(d, s_h, s_w)
         assert np.array_equal(p.feature.data, want_f.data)
         assert np.array_equal(p.depth.values, want_d.values, equal_nan=True)
         assert np.array_equal(p.depth.valid, want_d.valid)
         assert all(read_only(a) for a in (p.feature.data, p.depth.values, p.depth.valid))
-        rolled.append(SamplePair(want_f, want_d, p.origin))
+        rolled.append(SamplePair(want_f, want_d, p.s_k, s_h, s_w))
     got = reg_loss(f, d, ss, config)
     want, want_count = oracle_reg_loss(f, d, ss, config)
     assert got.total == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert got.contributing_count == want_count
     # windows and rolled copies are the same inputs: same bits out
-    copies = reg_loss(f, d, SampleSet(tuple(rolled)), config)
+    copies = reg_loss(f, d, tuple(rolled), config)
     assert copies.total == got.total
     assert np.array_equal(copies.grad_anchor.data, got.grad_anchor.data)
     for a, b in zip(copies.grad_samples, got.grad_samples):
@@ -240,7 +236,7 @@ def test_within_windows_share_one_tile():
     f, d = make_pair(9)
     ss = collect_within(f, d, 6, SeedRng(1))
     for p in ss:
-        assert np.shares_memory(p.feature.data, ss.pairs[0].feature.data)
+        assert np.shares_memory(p.feature.data, ss[0].feature.data)
         assert not np.shares_memory(p.feature.data, f.data)
 
 
