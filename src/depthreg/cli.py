@@ -8,6 +8,7 @@ rewrite byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -86,13 +87,31 @@ def _fmt(value: float | None, spec: str) -> str:
     return "n/a" if value is None else format(value, spec)
 
 
+def _progress(total: int):
+    """An ``on_run`` callback printing one line to stderr per finished run of ``total``.
+
+    The line holds no wall-clock time, so a rerun prints the same lines.
+    """
+    done = itertools.count(1)
+
+    def on_run(label: str, seed: int, summary: dict) -> None:
+        if summary["diverged"]:
+            result = "DIVERGED"
+        else:
+            result = f"abs_rel={_fmt(summary['final_eval']['abs_rel'], '.6f')}"
+        print(f"[{next(done)}/{total}] {label} seed {seed}: "
+              f"{summary['steps_completed']} steps, {result}", file=sys.stderr, flush=True)
+
+    return on_run
+
+
 def cmd_train(args) -> int:
     cfg = config_from_dict(load_config_file(args.config))
     if args.seed is not None:
         cfg = replace(cfg, schedule=replace(cfg.schedule, seeds=(args.seed,)))
-    out = Path(args.out) if args.out else Path(cfg.output_dir)
+    out = Path(args.out if args.out is not None else cfg.output_dir)
     _write_config_echo(out, cfg)
-    summaries = run_experiment(cfg, out)
+    summaries = run_experiment(cfg, out, on_run=_progress(len(cfg.schedule.seeds)))
     for seed, s in summaries.items():
         final = s["final_eval"]
         if s["diverged"]:
@@ -107,10 +126,12 @@ def cmd_ablate(args) -> int:
     raw = load_config_file(args.config)
     cfg = config_from_dict(raw)
     ablation = raw.get("ablation", {})
-    ablation_runs(cfg, ablation)  # a bad section fails before anything is written
-    out = Path(args.out) if args.out else Path(cfg.output_dir)
+    # a bad section fails before anything is written
+    strategies, sweeps = ablation_runs(cfg, ablation)
+    total = (len(strategies) + sum(map(len, sweeps.values()))) * len(cfg.schedule.seeds)
+    out = Path(args.out if args.out is not None else cfg.output_dir)
     _write_config_echo(out, cfg)
-    summary = run_ablation(cfg, ablation, out)
+    summary = run_ablation(cfg, ablation, out, on_run=_progress(total))
     for name, s in summary["strategies"].items():
         print(f"{name}: mean_abs_rel={_fmt(s['mean_abs_rel'], '.6f')} "
               f"mean_separation={_fmt(s['mean_separation'], '.4f')}")
@@ -123,7 +144,7 @@ def cmd_eval(args) -> int:
     gt = read_pfm_g1(args.gt)
     report = compute_metrics(pred, gt)
     text = f"{CSV_HEADER}\n{report.csv_row()}\n"
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
@@ -160,6 +181,13 @@ def cmd_gen_scenes(args) -> int:
     return 0
 
 
+def out_path(text: str) -> str:
+    """A non-empty path, for argparse: an empty one would name the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
 def count(text: str) -> int:
     """An integer >= 0, for argparse."""
     n = int(text)
@@ -194,25 +222,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="seeded training runs from a config")
     t.add_argument("--config", required=True)
-    t.add_argument("--out", default=None)
+    t.add_argument("--out", type=out_path, default=None)
     t.add_argument("--seed", type=int, default=None,
                    help="override the config seed list with this single seed")
     t.set_defaults(func=cmd_train)
 
     a = sub.add_parser("ablate", help="strategy comparison and sample-count sweeps")
     a.add_argument("--config", required=True)
-    a.add_argument("--out", default=None)
+    a.add_argument("--out", type=out_path, default=None)
     a.set_defaults(func=cmd_ablate)
 
     e = sub.add_parser("eval", help="metrics for a prediction PFM against a ground-truth PFM")
     e.add_argument("--pred", required=True)
     e.add_argument("--gt", required=True)
-    e.add_argument("--out", default=None)
+    e.add_argument("--out", type=out_path, default=None)
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("gen-scenes", help="dump synthetic scenes as PFM files")
     s.add_argument("--config", required=True)
-    s.add_argument("--out", required=True)
+    s.add_argument("--out", type=out_path, required=True)
     s.add_argument("--count", type=count, default=4)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_gen_scenes)

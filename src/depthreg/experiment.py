@@ -4,7 +4,7 @@ A config file is a JSON object of sections, each read into the frozen
 dataclass that states its schema: "scene" (``SceneParams``),
 "regularization" (``RegConfig``), "depth_loss" (``DepthLossParams``),
 "schedule" (``Schedule``), "separation" (``Separation``), "output_dir"
-(a string, default "runs") and, for ``depthreg ablate``, "ablation"
+(a non-empty string, default "runs") and, for ``depthreg ablate``, "ablation"
 (``Ablation``, with "sweep" read into ``Sweep``).  A section's keys are
 its dataclass's fields, the fields without a default are the required
 keys and the field defaults are the defaults.  A strategy is one of
@@ -117,6 +117,13 @@ def _str(x) -> str:
     return x
 
 
+def _dir(x) -> str:
+    """A non-empty JSON string: an empty path would name the working directory."""
+    if not _str(x):
+        raise ValueError("expected a non-empty path, got ''")
+    return x
+
+
 # field types are annotation strings: every config module postpones annotations
 _SCALARS = {"int": _int, "float": _float, "str": _str}
 
@@ -203,7 +210,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         depth_loss=from_section(DepthLossParams, d.get("depth_loss", {}), "depth_loss"),
         schedule=from_section(Schedule, d["schedule"], "schedule", seeds=_ints),
         separation=from_section(Separation, d.get("separation", {}), "separation"),
-        output_dir=_converted(_str, d.get("output_dir", ExperimentConfig.output_dir),
+        output_dir=_converted(_dir, d.get("output_dir", ExperimentConfig.output_dir),
                               "config.output_dir"),
     )
 
@@ -336,8 +343,13 @@ def write_run_outputs(run_dir: Path, record: TrainRecord, seed: int) -> dict:
     return summary
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path, label: str = "run") -> dict:
-    """All seeds of one configuration; returns {seed: summary}."""
+def run_experiment(cfg: ExperimentConfig, out_dir: Path, label: str = "run",
+                   on_run=None) -> dict:
+    """All seeds of one configuration; returns {seed: summary}.
+
+    ``on_run(label, seed, summary)``, if given, is called once each run's
+    outputs are written.
+    """
     summaries = {}
     for seed in cfg.schedule.seeds:
         record = train_run(
@@ -350,6 +362,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, label: str = "run") -> 
             astuple(cfg.separation),
         )
         summaries[seed] = write_run_outputs(out_dir / label / f"seed_{seed}", record, seed)
+        if on_run is not None:
+            on_run(label, seed, summaries[seed])
     return summaries
 
 
@@ -368,17 +382,18 @@ def _means(runs: dict, **values: list) -> dict:
     return out
 
 
-def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path) -> dict:
+def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path, on_run=None) -> dict:
     """Strategy comparison plus optional sample-count sweeps.
 
     Writes one run directory per (strategy, seed), a JSON comparison summary,
     and two-column plot-data files for any sweep grids.  The whole section is
-    checked (``ablation_runs``) before the first run.
+    checked (``ablation_runs``) before the first run.  ``on_run`` is
+    ``run_experiment``'s, called after every run.
     """
     strategies, sweeps = ablation_runs(cfg, ablation)
     summary: dict = {"seeds": list(cfg.schedule.seeds), "strategies": {}}
     for name, reg in strategies.items():
-        runs = run_experiment(replace(cfg, reg=reg), out_dir, label=name)
+        runs = run_experiment(replace(cfg, reg=reg), out_dir, label=name, on_run=on_run)
         per_seed = []
         for seed in cfg.schedule.seeds:
             final = runs[seed]["final_eval"] or {}
@@ -396,7 +411,8 @@ def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path) -> dict:
     for axis, sweep in sweeps.items():
         points = []
         for count, reg in sweep:
-            runs = run_experiment(replace(cfg, reg=reg), out_dir, label=f"sweep_{axis}_{count}")
+            runs = run_experiment(replace(cfg, reg=reg), out_dir, label=f"sweep_{axis}_{count}",
+                                  on_run=on_run)
             abs_rels = [
                 r["final_eval"]["abs_rel"] for r in runs.values() if r["final_eval"]
             ]

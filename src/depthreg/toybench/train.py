@@ -57,8 +57,9 @@ def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
 
     Pairs are pixel positions drawn with a fixed seed; a pair is "near" when
     its depth differential is below ``near`` and "far" when it is above
-    ``far``.  Returns 1.0 when both means vanish (constant features) and +inf
-    when no near pair exists or near pairs sit at distance zero.
+    ``far``.  Returns 1.0 when both means vanish (constant features), +inf
+    when no near pair exists or near pairs sit at distance zero, and NaN
+    when near pairs exist but no far pair does.
     """
     h, w = features.height, features.width
     p = h * w

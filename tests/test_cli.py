@@ -152,6 +152,8 @@ class TestConfig:
         # string fields take only strings: null is not "None", 5 is not "5"
         ("config", "output_dir", None, "config.output_dir"),
         ("config", "output_dir", 5, "config.output_dir"),
+        # an empty path is the working directory
+        ("config", "output_dir", "", "config.output_dir"),
         ("regularization", "loss_reduction", None, "regularization.loss_reduction"),
     ])
     def test_bad_value_names_section_key_and_exits_2(self, tmp_path, capsys, monkeypatch,
@@ -362,6 +364,7 @@ BAD_INVOCATIONS = {
     "train-directory-config": lambda t, cfg, gt: ["train", "--config", t],
     "train-out-is-file": lambda t, cfg, gt: ["train", "--config", cfg, "--out", gt],
     "gen-scenes-out-is-file": lambda t, cfg, gt: ["gen-scenes", "--config", cfg, "--out", gt],
+    "eval-empty-out": lambda t, cfg, gt: ["eval", "--pred", gt, "--gt", gt, "--out", ""],
     "oracle-negative-trials": lambda t, cfg, gt: ["oracle", "--trials", "-3"],
     "gradcheck-negative-trials": lambda t, cfg, gt: ["gradcheck", "--trials", "-2"],
     "gen-scenes-negative-count": lambda t, cfg, gt: ["gen-scenes", "--config", cfg,
@@ -384,6 +387,18 @@ def test_unusable_file_or_negative_count_exits_2_without_outputs(tmp_path, capsy
     assert code == 2
     assert "error:" in err and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "gen-scenes"])
+def test_empty_out_exits_2_without_outputs(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # an empty path names the working directory
+    cfg = tiny_config(tmp_path / "out")
+    cfg["ablation"] = {"strategies": {"baseline": {"kind": "disabled"}}}
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the flag value
+        main([command, "--config", write_config(tmp_path, cfg), "--out", ""])
+    assert exc.value.code == 2
+    assert "argument --out: must be a non-empty path" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestAblateCommand:
@@ -422,6 +437,20 @@ class TestAblateCommand:
         sweep = (out / "sweep_n_within.dat").read_text().splitlines()
         assert len(sweep) == 2
         assert sweep[0].split()[0] == "1"
+
+    def test_ablate_prints_one_progress_line_per_run(self, tmp_path, capsys):
+        out = tmp_path / "ablation"
+        cfg = self.ablate_config(out)
+        cfg["ablation"] = {"strategies": {"baseline": {"kind": "disabled"},
+                                          "uniform": {"kind": "uniform", "r_n": 0.5, "m_u": 4.0}}}
+        assert main(["ablate", "--config", write_config(tmp_path, cfg)]) == 0
+        want = []
+        for i, (name, seed) in enumerate([("baseline", 5), ("baseline", 6),
+                                          ("uniform", 5), ("uniform", 6)], 1):
+            summary = json.loads((out / name / f"seed_{seed}" / "summary.json").read_text())
+            abs_rel = summary["final_eval"]["abs_rel"]
+            want.append(f"[{i}/4] {name} seed {seed}: 4 steps, abs_rel={abs_rel:.6f}")
+        assert capsys.readouterr().err.splitlines() == want
 
     @pytest.mark.parametrize("edit, name", [
         (lambda ab: ab.update(sweeps=ab.pop("sweep")), "'sweeps'"),
@@ -563,7 +592,9 @@ class TestNonFiniteOutputs:
         cfg = tiny_config(out)
         cfg["schedule"].update(learning_rate=0.3, eval_every=100)
         assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
-        assert "seed 5: DIVERGED at step 3" in capsys.readouterr().out
+        out_text, err = capsys.readouterr()
+        assert "seed 5: DIVERGED at step 3" in out_text
+        assert err.splitlines()[0] == "[1/2] run seed 5: 4 steps, DIVERGED"
         summary = strict_json(out / "run" / "seed_5" / "summary.json")
         assert summary["diverged"] and summary["diverged_step"] == 3
         assert summary["steps_completed"] == 4 and summary["final_eval"] is None

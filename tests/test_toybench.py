@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthreg.errors import InvalidConfig
 from depthreg.grid import Grid3, SeedRng
 from depthreg.identify import MultiRange, NegativeRange, RegConfig
 from depthreg.losses import DepthLossParams
-from depthreg.toybench.model import ToyModel, model_backward, model_forward
+from depthreg.toybench import model as model_module
+from depthreg.toybench.model import ToyModel, _column_sums, model_backward, model_forward
 from depthreg.toybench.scenes import gen_scene
 from depthreg.toybench.train import (
     Schedule,
@@ -103,6 +106,38 @@ class TestModel:
         x0 = m.param_vector()
         fd = (value(x0 + eps * direction) - value(x0 - eps * direction)) / (2 * eps)
         assert fd == pytest.approx(float(grad @ direction), rel=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 5000), c=st.integers(1, 16),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]), decades=st.integers(0, 16))
+def test_column_sums_equal_numpy_sum(seed, p, c, zeros, decades):
+    """Bit-equal to ``sum(axis=0)``, with signed zeros and magnitudes over ``decades``."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, c)) * 10.0 ** rng.uniform(-decades / 2, decades / 2, (p, c))
+    a[rng.random((p, c)) < zeros] = 0.0
+    np.copysign(a, rng.standard_normal((p, c)), out=a)
+    assert _column_sums(a).tobytes() == a.sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("hidden, c_feat", [((12, 12), 6), ((1, 1), 1)],
+                         ids=["default", "one-column"])
+def test_backward_bytes_equal_with_plain_column_sums(monkeypatch, hidden, c_feat):
+    """``model_backward`` gives the same bytes when its bias sums are ``sum(axis=0)``.
+
+    With ``hidden=(1, 1)`` and ``c_feat=1`` every bias sum takes the
+    one-column path.
+    """
+    rng = SeedRng(11)
+    m = ToyModel.init(rng, hidden=hidden, c_feat=c_feat)
+    m = m.with_params(m.param_vector() + 0.01 * rng.normals(m.param_count))
+    sc = gen_scene(5, 64, 64, 0.5, 10.0)
+    f, p, cache = model_forward(m, sc.image)
+    d_feat = rng.normals(f.data.size).reshape(f.data.shape)
+    d_pred = rng.normals(p.values.size).reshape(p.values.shape)
+    got = model_backward(m, cache, d_feat, d_pred)
+    monkeypatch.setattr(model_module, "_column_sums", lambda a: a.sum(axis=0))
+    assert got.tobytes() == model_backward(m, cache, d_feat, d_pred).tobytes()
 
 
 class TestFeatureSeparation:
