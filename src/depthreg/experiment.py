@@ -344,11 +344,11 @@ def write_run_outputs(run_dir: Path, record: TrainRecord, seed: int) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path, label: str = "run",
-                   on_run=None) -> dict:
+                   on_run=None, pools: dict | None = None) -> dict:
     """All seeds of one configuration; returns {seed: summary}.
 
     ``on_run(label, seed, summary)``, if given, is called once each run's
-    outputs are written.
+    outputs are written.  ``pools`` is ``train_run``'s store of scene pools.
     """
     summaries = {}
     for seed in cfg.schedule.seeds:
@@ -360,6 +360,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, label: str = "run",
             cfg.schedule,
             seed,
             astuple(cfg.separation),
+            pools=pools,
         )
         summaries[seed] = write_run_outputs(out_dir / label / f"seed_{seed}", record, seed)
         if on_run is not None:
@@ -388,12 +389,16 @@ def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path, on_run=No
     Writes one run directory per (strategy, seed), a JSON comparison summary,
     and two-column plot-data files for any sweep grids.  The whole section is
     checked (``ablation_runs``) before the first run.  ``on_run`` is
-    ``run_experiment``'s, called after every run.
+    ``run_experiment``'s, called after every run.  Every run takes its scene
+    pools from one store that lives as long as this call, so each seed's
+    pools are generated once, not once per run.
     """
     strategies, sweeps = ablation_runs(cfg, ablation)
+    pools: dict = {}
     summary: dict = {"seeds": list(cfg.schedule.seeds), "strategies": {}}
     for name, reg in strategies.items():
-        runs = run_experiment(replace(cfg, reg=reg), out_dir, label=name, on_run=on_run)
+        runs = run_experiment(replace(cfg, reg=reg), out_dir, label=name, on_run=on_run,
+                              pools=pools)
         per_seed = []
         for seed in cfg.schedule.seeds:
             final = runs[seed]["final_eval"] or {}
@@ -412,7 +417,7 @@ def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path, on_run=No
         points = []
         for count, reg in sweep:
             runs = run_experiment(replace(cfg, reg=reg), out_dir, label=f"sweep_{axis}_{count}",
-                                  on_run=on_run)
+                                  on_run=on_run, pools=pools)
             abs_rels = [
                 r["final_eval"]["abs_rel"] for r in runs.values() if r["final_eval"]
             ]

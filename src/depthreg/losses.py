@@ -147,8 +147,10 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
 
     # Gradient coefficient per (sample, pixel): d(term)/d(dist) toward the
     # sample, zero at dist = 0 and on inactive hinges.  Built in the hinge
-    # buffer as scale / dist, negated on positives and +0.0 off the active
-    # pixels: the bits of (scale / dist) * (active - positive).
+    # buffer as scale * (1 / dist), with 1 / dist read as 0 at dist = 0,
+    # negated on positives and +0.0 off the active pixels: the bits of
+    # (scale * (1 / dist)) * (active - positive).  The reciprocal comes
+    # first, so these are not the bits of scale / dist.
     coef = hinge
     coef.fill(np.inf)
     np.copyto(coef, dist, where=np.greater(dist, 0.0, out=mask))

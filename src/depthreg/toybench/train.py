@@ -10,6 +10,7 @@ a pure function of (config, seeds).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +52,37 @@ class TrainRecord:
     diverged_step: int | None = None
 
 
+@functools.lru_cache(maxsize=8)
+def _separation_pairs(p: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat pixel indices ``(i1, i2)`` of ``feature_separation``'s pairs.
+
+    The draw depends only on the map size and the seed, so it is made once
+    per (p, n_pairs, seed) and shared by every later evaluation.
+    """
+    idx = np.minimum((SeedRng(seed).uniforms(2 * n_pairs) * p).astype(np.int64), p - 1)
+    idx.setflags(write=False)
+    return idx[:n_pairs], idx[n_pairs:]
+
+
+def _pair_sq_distances(feats: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+    """The bits of ``np.sum((feats[i1] - feats[i2]) ** 2, axis=1)`` for (P, C) ``feats``.
+
+    Below 8 channels numpy sums each short row sequentially, so adding whole
+    columns one after another gives the same bits at full vector width.
+    From 8 on numpy keeps 8 partial sums per row, which the column loop
+    does not reproduce, so ``sum(axis=1)`` itself is kept.
+    """
+    sq = np.take(feats, i1, axis=0)
+    sq -= np.take(feats, i2, axis=0)
+    sq *= sq
+    if sq.shape[1] >= 8:
+        return np.sum(sq, axis=1)
+    out = sq[:, 0].copy()
+    for j in range(1, sq.shape[1]):
+        out += sq[:, j]
+    return out
+
+
 def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
                        n_pairs: int = 4096, seed: int = 2026) -> float:
     """Mean feature distance of far-depth pairs over that of near-depth pairs.
@@ -63,15 +95,13 @@ def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
     """
     h, w = features.height, features.width
     p = h * w
-    rng = SeedRng(seed)
-    idx = np.minimum((rng.uniforms(2 * n_pairs) * p).astype(np.int64), p - 1)
-    i1, i2 = idx[:n_pairs], idx[n_pairs:]
+    i1, i2 = _separation_pairs(p, n_pairs, seed)
     feats = features.data.reshape(p, -1)
     dvals = depth.values.reshape(p)
     dvalid = depth.valid.reshape(p)
     ok = dvalid[i1] & dvalid[i2]
     dd = np.abs(dvals[i1] - dvals[i2])[ok]
-    fd = np.sqrt(np.sum((feats[i1] - feats[i2]) ** 2, axis=1))[ok]
+    fd = np.sqrt(_pair_sq_distances(feats, i1, i2))[ok]
     near_fd = fd[dd < near]
     far_fd = fd[dd > far]
     if near_fd.size == 0:
@@ -216,9 +246,19 @@ def check_batch(reg_cfg: RegConfig, schedule: Schedule) -> None:
         raise InvalidConfig("cross-batch sampling needs batch_size >= 2")
 
 
+def _pool(pools: dict | None, *key) -> list[SyntheticScene]:
+    """``scene_pool(*key)``, taken from ``pools`` and stored there when it is a store."""
+    if pools is None:
+        return scene_pool(*key)
+    if key not in pools:
+        pools[key] = scene_pool(*key)
+    return pools[key]
+
+
 def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
               reg_cfg: RegConfig, depth_params: DepthLossParams, schedule: Schedule,
-              seed: int, separation: tuple[float, float]) -> TrainRecord:
+              seed: int, separation: tuple[float, float],
+              pools: dict | None = None) -> TrainRecord:
     """One seeded training run; bit-identical when repeated.
 
     The scene pools and model initialization derive from ``seed`` alone (not
@@ -226,6 +266,12 @@ def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
     same scenes, same initial weights, same held-out set.  A non-finite loss
     or a model overflow, in a step or in an evaluation, ends the run,
     recorded as diverged at that step.
+
+    ``pools``, if given, is a store of scene pools shared by the runs of one
+    ablation: each pool is keyed by its ``scene_pool`` arguments (pool seed,
+    count, h, w, d_min, d_max), generated on a miss and reused, unchanged,
+    by every later run that asks for it.  Scenes are frozen, so sharing
+    them changes no output.
     """
     check_batch(reg_cfg, schedule)
     h, w = scene_shape
@@ -237,8 +283,8 @@ def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
     eval_pool_rng = master.split()
     sample_rng = master.split()
 
-    train_pool = scene_pool(train_pool_rng.next_u64(), schedule.train_scenes, h, w, d_min, d_max)
-    eval_pool = scene_pool(eval_pool_rng.next_u64(), schedule.eval_scenes, h, w, d_min, d_max)
+    train_pool = _pool(pools, train_pool_rng.next_u64(), schedule.train_scenes, h, w, d_min, d_max)
+    eval_pool = _pool(pools, eval_pool_rng.next_u64(), schedule.eval_scenes, h, w, d_min, d_max)
     model = ToyModel.init(model_rng)
 
     record = TrainRecord()

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from depthreg import experiment
 from depthreg.cli import main
 from depthreg.experiment import (
     ablation_from_dict,
@@ -18,6 +19,7 @@ from depthreg.experiment import (
 from depthreg.errors import InvalidConfig
 from depthreg.grid import Grid1
 from depthreg.pfmio import write_pfm_g1
+from depthreg.toybench import train as train_module
 
 ROOT = Path(__file__).parents[1]
 
@@ -502,6 +504,50 @@ class TestAblateCommand:
         cfg["regularization"]["n_across"] = 0
         assert main(["ablate", "--config", write_config(tmp_path, cfg)]) == 0
         assert len(list(out.rglob("record.csv"))) == 3 + 2
+
+    @staticmethod
+    def spy(monkeypatch, module, name, record):
+        """Replace ``module.name`` by a wrapper that calls ``record`` with its arguments first."""
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            record(*args, **kwargs)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    def test_ablation_generates_each_pool_once_per_call(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        self.spy(monkeypatch, train_module, "scene_pool", lambda *key: calls.append(key))
+        path = write_config(tmp_path, self.ablate_config(tmp_path / "ablation"))
+        assert main(["ablate", "--config", path]) == 0
+        # 10 runs over seeds 5 and 6: one train and one held-out pool per seed
+        assert len(calls) == 2 * 2 and len(set(calls)) == 4
+        # the store lives for one call only: a second ablation generates them again
+        assert main(["ablate", "--config", path]) == 0
+        assert calls[4:] == calls[:4]
+
+    def test_train_generates_pools_per_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        self.spy(monkeypatch, train_module, "scene_pool", lambda *key: calls.append(key))
+        assert main(["train", "--config", write_config(tmp_path, tiny_config(tmp_path / "o"))]) == 0
+        assert len(calls) == 2 * 2
+
+    def test_runs_of_one_seed_share_scene_objects(self, tmp_path, capsys, monkeypatch):
+        runs = []  # (seed, training scenes, held-out scenes) per run, in training order
+        self.spy(monkeypatch, experiment, "train_run", lambda *a, **k: runs.append((a[5], [], [])))
+        self.spy(monkeypatch, train_module, "batch_objective",
+                 lambda model, scenes, *a: runs[-1][1].extend(scenes))
+        self.spy(monkeypatch, train_module, "evaluate_model",
+                 lambda model, scenes, *a: runs[-1][2].extend(scenes))
+        path = write_config(tmp_path, self.ablate_config(tmp_path / "ablation"))
+        assert main(["ablate", "--config", path]) == 0
+        seen = {}
+        for seed, train, held_out in runs:
+            seen.setdefault(seed, []).append(([id(s) for s in train], [id(s) for s in held_out]))
+        assert sorted(seen) == [5, 6] and [len(v) for v in seen.values()] == [5, 5]
+        for per_run in seen.values():
+            assert all(ids == per_run[0] for ids in per_run)
+        assert not set(seen[5][0][0]) & set(seen[6][0][0])
 
     def test_ablate_byte_identical_rerun(self, tmp_path, capsys):
         out = tmp_path / "ablation"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthreg.errors import InvalidConfig
-from depthreg.grid import Grid3, SeedRng
+from depthreg.grid import Grid1, Grid3, SeedRng
 from depthreg.identify import MultiRange, NegativeRange, RegConfig
 from depthreg.losses import DepthLossParams
 from depthreg.toybench import model as model_module
@@ -14,6 +14,8 @@ from depthreg.toybench.model import ToyModel, _column_sums, model_backward, mode
 from depthreg.toybench.scenes import gen_scene
 from depthreg.toybench.train import (
     Schedule,
+    _pair_sq_distances,
+    _separation_pairs,
     batch_objective,
     feature_separation,
     train_run,
@@ -140,6 +142,52 @@ def test_backward_bytes_equal_with_plain_column_sums(monkeypatch, hidden, c_feat
     assert got.tobytes() == model_backward(m, cache, d_feat, d_pred).tobytes()
 
 
+def separation_reference(features, depth, near, far, n_pairs=4096, seed=2026):
+    """``feature_separation`` as it was before its pair draw was cached:
+    a fresh draw per call and one ``sum(axis=1)`` over the squared differences."""
+    h, w = features.height, features.width
+    p = h * w
+    rng = SeedRng(seed)
+    idx = np.minimum((rng.uniforms(2 * n_pairs) * p).astype(np.int64), p - 1)
+    i1, i2 = idx[:n_pairs], idx[n_pairs:]
+    feats = features.data.reshape(p, -1)
+    dvals = depth.values.reshape(p)
+    dvalid = depth.valid.reshape(p)
+    ok = dvalid[i1] & dvalid[i2]
+    dd = np.abs(dvals[i1] - dvals[i2])[ok]
+    fd = np.sqrt(np.sum((feats[i1] - feats[i2]) ** 2, axis=1))[ok]
+    near_fd = fd[dd < near]
+    far_fd = fd[dd > far]
+    if near_fd.size == 0:
+        return math.inf
+    if far_fd.size == 0:
+        return math.nan
+    mean_near = float(near_fd.mean())
+    mean_far = float(far_fd.mean())
+    if mean_near == 0.0:
+        return 1.0 if mean_far == 0.0 else math.inf
+    return mean_far / mean_near
+
+
+def separation_case(h, w, c, seed, features, levels, valid):
+    """Features and depth for a separation test.
+
+    ``features`` is "random" (normals times one power of ten from 1e-3 to
+    1e3), "constant" or "zero"; depth takes ``levels`` values 0.3 m apart, so one
+    level leaves no far pair; ``valid`` is "all", "part" or "none", with NaN
+    written on the invalid pixels.
+    """
+    rng = np.random.default_rng(seed)
+    if features == "random":
+        data = rng.standard_normal((h, w, c)) * 10.0 ** rng.integers(-3, 4)
+    else:
+        data = np.full((h, w, c), 0.0 if features == "zero" else rng.normal())
+    values = 1.0 + 0.3 * rng.integers(0, levels, (h, w))
+    mask = {"all": np.ones((h, w), bool), "none": np.zeros((h, w), bool),
+            "part": rng.random((h, w)) < 0.5}[valid]
+    return Grid3(data), Grid1(np.where(mask, values, np.nan), mask)
+
+
 class TestFeatureSeparation:
     def test_constant_features_give_one(self):
         feats = Grid3(np.ones((8, 8, 3)))
@@ -150,6 +198,48 @@ class TestFeatureSeparation:
         depth = gen_scene(2, 16, 16, 0.5, 10.0).depth
         feats = Grid3(np.repeat(depth.values[:, :, None], 3, axis=2))
         assert feature_separation(feats, depth, *SEP) > 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(2, 40), w=st.integers(2, 40), c=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1),
+           features=st.sampled_from(["random", "random", "constant", "zero"]),
+           levels=st.integers(1, 4), valid=st.sampled_from(["all", "part", "none"]))
+    def test_equals_the_uncached_sum_bit_for_bit(self, h, w, c, seed, features, levels, valid):
+        # columns summed one by one below 8 channels, sum(axis=1) from 8 on
+        feats, depth = separation_case(h, w, c, seed, features, levels, valid)
+        got = feature_separation(feats, depth, *SEP)
+        assert repr(got) == repr(separation_reference(feats, depth, *SEP))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(1, 300), c=st.integers(1, 12), n_pairs=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1), decades=st.integers(0, 12))
+    def test_pair_distances_equal_numpy_row_sums(self, p, c, n_pairs, seed, decades):
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((p, c)) * 10.0 ** rng.uniform(-decades, decades, (p, c))
+        i1, i2 = rng.integers(0, p, (2, n_pairs))
+        want = np.sum((feats[i1] - feats[i2]) ** 2, axis=1)
+        assert _pair_sq_distances(feats, i1, i2).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("features, levels, valid, want", [
+        ("constant", 4, "all", "1.0"),
+        ("zero", 4, "part", "1.0"),
+        ("random", 1, "all", "nan"),   # near pairs but no far pair
+        ("random", 4, "none", "inf"),  # no near pair
+        ("zero", 1, "all", "nan"),
+    ])
+    def test_special_returns(self, features, levels, valid, want):
+        for c in (3, 9):
+            feats, depth = separation_case(24, 24, c, 7, features, levels, valid)
+            assert repr(feature_separation(feats, depth, *SEP)) == want
+            assert repr(separation_reference(feats, depth, *SEP)) == want
+
+    def test_pairs_are_drawn_once_and_read_only(self):
+        i1, i2 = _separation_pairs(64 * 64, 4096, 2026)
+        assert _separation_pairs(64 * 64, 4096, 2026)[0] is i1
+        for idx in (i1, i2):
+            assert idx.shape == (4096,) and not idx.flags.writeable
+            with pytest.raises(ValueError):
+                idx[0] = 0
 
 
 class TestTraining:
