@@ -8,37 +8,4 @@ per-pixel depth benchmark, analytic-gradient verification suites, and an
 ablation CLI sit on top.
 """
 
-from .errors import (
-    DepthRegError,
-    DomainError,
-    EmptyEvaluation,
-    InsufficientBatch,
-    InvalidConfig,
-    InvalidDimension,
-    InvalidShift,
-    ShapeError,
-)
-from .grid import Grid1, Grid3, SeedRng, gen_shift_seed, shift2d_g1, shift2d_g3
-from .identify import (
-    IGNORED,
-    POSITIVE,
-    IdentMap,
-    MultiRange,
-    NegativeRange,
-    RegConfig,
-    Uniform,
-    differential_map,
-    identify,
-    identify_multirange,
-    identify_uniform,
-)
-from .losses import (
-    DepthLossParams,
-    LossResult,
-    reg_loss,
-    si_loss,
-)
-from .metrics import MetricReport, compute_metrics
-from .sampling import Batch, SamplePair, build_sample_set, collect_across, collect_within
-
 __version__ = "0.1.0"

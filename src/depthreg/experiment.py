@@ -36,7 +36,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import InvalidConfig
-from .identify import MultiRange, NegativeRange, RegConfig, Uniform
+from .identify import MultiRange, NegativeRange, RegConfig
 from .losses import DepthLossParams
 from .metrics import CSV_HEADER
 from .toybench.scenes import check_scene
@@ -84,9 +84,9 @@ class Sweep:
 
 @dataclass(frozen=True)
 class Ablation:
-    strategies: dict[str, Uniform | MultiRange | None]
+    strategies: dict[str, MultiRange | None]
     sweep: Sweep = Sweep()
-    sweep_strategy: Uniform | MultiRange | None = MultiRange((NegativeRange(0.5, 1.0, 2.0),))
+    sweep_strategy: MultiRange | None = MultiRange((NegativeRange(0.5, 1.0, 2.0),))
 
 
 CONFIG_KEYS = ("scene", "regularization", "depth_loss", "schedule", "separation",
@@ -179,8 +179,10 @@ def strategy_from_dict(d, where: str):
     if kind not in ("disabled", "uniform", "multi_range"):
         raise InvalidConfig(f"unknown strategy kind {kind!r} in {where}")
     rest = {k: v for k, v in d.items() if k != "kind"}
-    if kind == "uniform":
-        return from_section(Uniform, rest, where)
+    if kind == "uniform":  # the one range (r_n, inf) with margin m_u
+        check_keys(rest, where, ("r_n", "m_u"))
+        r_n, m_u = (_converted(_float, rest[k], f"{where}.{k}") for k in ("r_n", "m_u"))
+        return MultiRange((NegativeRange(r_n, math.inf, m_u),))
     if kind == "multi_range":
         return from_section(MultiRange, rest, where, ranges=lambda rows: tuple(
             NegativeRange(*map(_float, row)) for row in rows))
@@ -189,10 +191,11 @@ def strategy_from_dict(d, where: str):
 
 
 def strategy_to_dict(s) -> dict:
+    """``s`` in config form; a config's bounds are finite, so an infinite one is uniform's."""
     if s is None:
         return {"kind": "disabled"}
-    if isinstance(s, Uniform):
-        return {"kind": "uniform", **asdict(s)}
+    if len(s.ranges) == 1 and s.ranges[0].high == math.inf:
+        return {"kind": "uniform", "r_n": s.ranges[0].low, "m_u": s.ranges[0].margin}
     return {"kind": "multi_range", "ranges": [list(astuple(r)) for r in s.ranges]}
 
 

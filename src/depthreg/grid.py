@@ -140,7 +140,7 @@ def _view(cls, **arrays: np.ndarray):
     Checks sit only where arithmetic can break an invariant: grid
     construction, the model's output and the anchor gradient.  ``_view``
     wraps what follows from checked grids: windows and rolls of them, the
-    jointly valid ``|d_a - d_s|``, the sample gradients, ``exp(z)``.
+    jointly valid ``|d_a - d_s|``, ``exp(z)``.
     """
     obj = object.__new__(cls)
     for name, arr in arrays.items():

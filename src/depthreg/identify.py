@@ -24,21 +24,6 @@ IGNORED = -1
 
 
 @dataclass(frozen=True)
-class Uniform:
-    """Single negative group: differential > r_n, one margin m_u.
-
-    The one-range case of ``MultiRange``: ``ranges`` is the band (r_n, inf).
-    """
-
-    r_n: float
-    m_u: float
-
-    @property
-    def ranges(self) -> tuple[NegativeRange, ...]:
-        return (NegativeRange(self.r_n, np.inf, self.m_u),)
-
-
-@dataclass(frozen=True)
 class NegativeRange:
     low: float
     high: float
@@ -47,7 +32,11 @@ class NegativeRange:
 
 @dataclass(frozen=True)
 class MultiRange:
-    """Negatives split into subgroups by differential range, one margin each."""
+    """Negatives split into subgroups by differential range, one margin each.
+
+    The uniform strategy (one negative group above ``r_n`` with margin
+    ``m_u``) is the one range ``(r_n, inf, m_u)``.
+    """
 
     ranges: tuple[NegativeRange, ...]
 
@@ -67,7 +56,7 @@ class RegConfig:
     """
 
     r_p: float
-    strategy: Uniform | MultiRange | None
+    strategy: MultiRange | None
     n_within: int = 10
     n_across: int = 4
     loss_reduction: str = "mean_contributing"
@@ -85,7 +74,7 @@ class RegConfig:
         s = self.strategy
         if s is None:
             return
-        if not isinstance(s, (Uniform, MultiRange)):
+        if not isinstance(s, MultiRange):
             raise InvalidConfig(f"unknown strategy type {type(s).__name__}")
         if not s.ranges:
             raise InvalidConfig("multi-range strategy needs at least one range")
@@ -162,16 +151,12 @@ def identify_uniform(d_r: Grid1, r_p: float, r_n: float) -> IdentMap:
     return IdentMap(_classify(d_r, r_p, [(r_n, np.inf)]))
 
 
-def identify_multirange(d_r: Grid1, config: RegConfig) -> IdentMap:
-    """Positive below r_p, negative group j inside its open range (r_l, r_h)."""
-    if not isinstance(config.strategy, MultiRange):
-        raise InvalidConfig("config does not carry a multi-range strategy")
-    return identify(d_r, config)
-
-
 def identify(d_r: Grid1, config: RegConfig) -> IdentMap:
     """Positive below r_p, negative group j inside the j-th configured range."""
     if not config.enabled:
         raise InvalidConfig("regularization disabled; nothing to identify")
     bounds = [(r.low, r.high) for r in config.strategy.ranges]
     return IdentMap(_classify(d_r, config.r_p, bounds))
+
+
+identify_multirange = identify  # every strategy is a MultiRange

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, ShapeError
-from .grid import Grid1, Grid3, Scratch, _view, take
+from .grid import Grid1, Grid3, Scratch, _check_finite, _view, take
 from .identify import RegConfig, identify
 from .sampling import SamplePair
 
@@ -28,14 +28,16 @@ class LossResult:
     ``breakdown`` keys are ``"positive"`` and ``"negative_<j>"``; the values
     carry the configured reduction, so they sum to ``total``.
     ``contributing_count`` is the number of non-ignored (sample, pixel)
-    pairs, including inactive hinges.
+    pairs, including inactive hinges.  The gradients are read-only and
+    channel-planar: ``grad_anchor`` is (C, H, W) and ``grad_samples``
+    (N, C, H, W), one sample per row.
     """
 
     total: float
     breakdown: dict[str, float]
     contributing_count: int
-    grad_anchor: Grid3
-    grad_samples: tuple[Grid3, ...]
+    grad_anchor: np.ndarray
+    grad_samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,10 @@ class DepthLossParams:
 
 
 def _zero_result(f_a: Grid3, n_samples: int) -> LossResult:
-    zero = _view(Grid3, data=np.zeros_like(f_a.data))
-    return LossResult(0.0, {}, 0, grad_anchor=zero, grad_samples=(zero,) * n_samples)
+    h, w, c = f_a.data.shape
+    zero = np.zeros((n_samples + 1, c, h, w))
+    zero.setflags(write=False)
+    return LossResult(0.0, {}, 0, grad_anchor=zero[0], grad_samples=zero[1:])
 
 
 def _squared_distance(diff: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -164,15 +168,13 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
     # Each entry is ``scale`` times a feature difference over its norm (so at
     # most about ``scale``) or NaN where the difference overflowed: the anchor
     # gradient, minus their sum, is finite exactly when all are.  Its check
-    # covers the sample gradients.  Both are handed out as read-only
-    # (H, W, C) views of frozen channel-planar buffers.
-    per_sample = np.multiply(diff, coef[:, None], out=diff)  # gradient wrt each f_s
-    per_sample.setflags(write=False)
-    grad_samples = tuple(_view(Grid3, data=g.transpose(1, 2, 0)) for g in per_sample)
-    grad_anchor = np.sum(per_sample, axis=0, out=take(scratch, "grad_anchor", (c, h, w)))
+    # covers the sample gradients.  Both buffers are handed out frozen.
+    grad_samples = np.multiply(diff, coef[:, None], out=diff)  # gradient wrt each f_s
+    grad_samples.setflags(write=False)
+    grad_anchor = np.sum(grad_samples, axis=0, out=take(scratch, "grad_anchor", (c, h, w)))
     np.negative(grad_anchor, out=grad_anchor)
+    _check_finite(grad_anchor)
     grad_anchor.setflags(write=False)
-    grad_anchor = Grid3._owned(grad_anchor.transpose(1, 2, 0))
 
     return LossResult(
         total=total,

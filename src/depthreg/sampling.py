@@ -65,61 +65,6 @@ def _wrap_tile(a: np.ndarray, scratch: Scratch | None, key: str) -> np.ndarray:
     return t
 
 
-def collect_within(f_a: Grid3, d_a: Grid1, n_within: int, rng: SeedRng,
-                   scratch: Scratch | None = None) -> tuple[SamplePair, ...]:
-    """n_within circular-shift samples of the anchor pair, fresh seeds each.
-
-    Vertical seed is drawn before the horizontal one on every iteration.
-    Each sample is a read-only window into one 2x2 wrap tile of the anchor:
-    ``tile[h - s_h : 2h - s_h, w - s_w : 2w - s_w]`` equals
-    ``shift2d_*(anchor, s_h, s_w)`` without copying it.  The feature tile is
-    channel-planar, (C, 2H, 2W), and each feature window an (H, W, C) view
-    of it, so a sample's channels are contiguous row blocks whatever the
-    anchor's storage order.  The tiles are copies of the checked anchor, so
-    the windows are wrapped unchecked.  With a ``scratch`` the tiles are its
-    buffers, valid until the next call with that arena.
-    """
-    h, w = f_a.height, f_a.width
-    if h < 2 or w < 2:
-        raise InvalidDimension("shift sampling needs height and width >= 2")
-    if (d_a.height, d_a.width) != (h, w):
-        raise ShapeError("anchor feature and depth shapes disagree")
-    if n_within == 0:
-        return ()
-    ft, dt, mt = (_wrap_tile(a, scratch, key) for a, key in
-                  ((f_a.data.transpose(2, 0, 1), "tile_f"), (d_a.values, "tile_d"),
-                   (d_a.valid, "tile_m")))
-    pairs = []
-    for _ in range(n_within):
-        s_h = gen_shift_seed(rng, h)
-        s_w = gen_shift_seed(rng, w)
-        rows, cols = slice(h - s_h, 2 * h - s_h), slice(w - s_w, 2 * w - s_w)
-        pairs.append(SamplePair(_view(Grid3, data=ft[:, rows, cols].transpose(1, 2, 0)),
-                                _view(Grid1, values=dt[rows, cols], valid=mt[rows, cols]),
-                                0, s_h, s_w))
-    return tuple(pairs)
-
-
-def collect_across(batch: Batch, anchor_index: int, n_across: int,
-                   rng: SeedRng) -> tuple[SamplePair, ...]:
-    """n_across whole, unshifted pairs from other batch items.
-
-    The drawn value acts as an offset in [1, K-1] from the anchor index, so a
-    sample can never alias the anchor itself.
-    """
-    k = len(batch)
-    if not 0 <= anchor_index < k:
-        raise InvalidDimension(f"anchor index {anchor_index} outside batch of {k}")
-    if n_across > 0 and k < 2:
-        raise InsufficientBatch("cross-batch sampling needs at least two items")
-    pairs = []
-    for _ in range(n_across):
-        s_k = gen_shift_seed(rng, k)
-        f, d = batch.items[(anchor_index + s_k) % k]
-        pairs.append(SamplePair(f, d, s_k, 0, 0))
-    return tuple(pairs)
-
-
 def build_sample_set(
     f_a: Grid3,
     d_a: Grid1,
@@ -130,6 +75,47 @@ def build_sample_set(
     rng: SeedRng,
     scratch: Scratch | None = None,
 ) -> tuple[SamplePair, ...]:
-    """Concatenate both collecting means, within-samples first."""
-    within = collect_within(f_a, d_a, n_within, rng, scratch)
-    return within + collect_across(batch, anchor_index, n_across, rng)
+    """n_within circular shifts of the anchor pair, then n_across other batch items.
+
+    Each within-sample draws its vertical seed, then its horizontal one, and
+    is a read-only window into one 2x2 wrap tile of the anchor:
+    ``tile[h - s_h : 2h - s_h, w - s_w : 2w - s_w]`` equals
+    ``shift2d_*(anchor, s_h, s_w)`` without copying it.  The feature tile is
+    channel-planar, (C, 2H, 2W), and each feature window an (H, W, C) view
+    of it, so a sample's channels are contiguous row blocks whatever the
+    anchor's storage order.  The tiles are copies of the checked anchor, so
+    the windows are wrapped unchecked.  With a ``scratch`` the tiles are its
+    buffers, valid until the next call with that arena.
+
+    Each across-sample is a whole, unshifted pair of the batch: the drawn
+    value acts as an offset in [1, K-1] from the anchor index, so a sample
+    can never alias the anchor itself.
+    """
+    pairs = []
+    if n_within > 0:
+        h, w = f_a.height, f_a.width
+        if h < 2 or w < 2:
+            raise InvalidDimension("shift sampling needs height and width >= 2")
+        if (d_a.height, d_a.width) != (h, w):
+            raise ShapeError("anchor feature and depth shapes disagree")
+        ft, dt, mt = (_wrap_tile(a, scratch, key) for a, key in
+                      ((f_a.data.transpose(2, 0, 1), "tile_f"), (d_a.values, "tile_d"),
+                       (d_a.valid, "tile_m")))
+        for _ in range(n_within):
+            s_h = gen_shift_seed(rng, h)
+            s_w = gen_shift_seed(rng, w)
+            rows, cols = slice(h - s_h, 2 * h - s_h), slice(w - s_w, 2 * w - s_w)
+            pairs.append(SamplePair(_view(Grid3, data=ft[:, rows, cols].transpose(1, 2, 0)),
+                                    _view(Grid1, values=dt[rows, cols], valid=mt[rows, cols]),
+                                    0, s_h, s_w))
+
+    k = len(batch)
+    if not 0 <= anchor_index < k:
+        raise InvalidDimension(f"anchor index {anchor_index} outside batch of {k}")
+    if n_across > 0 and k < 2:
+        raise InsufficientBatch("cross-batch sampling needs at least two items")
+    for _ in range(n_across):
+        s_k = gen_shift_seed(rng, k)
+        f, d = batch.items[(anchor_index + s_k) % k]
+        pairs.append(SamplePair(f, d, s_k, 0, 0))
+    return tuple(pairs)

@@ -194,10 +194,9 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
             contributing += res.contributing_count
             for key, val in res.breakdown.items():
                 breakdown[key] = breakdown.get(key, 0.0) + val / k
-            d_feat[a] += res.grad_anchor.data.transpose(2, 0, 1)
+            d_feat[a] += res.grad_anchor
             for p, g in zip(ss, res.grad_samples):
-                add_unshifted(d_feat[(a + p.s_k) % k], g.data.transpose(2, 0, 1), p.s_h, p.s_w,
-                              _ARENA)
+                add_unshifted(d_feat[(a + p.s_k) % k], g, p.s_h, p.s_w, _ARENA)
         for a in range(k):
             d_feat[a] *= 1.0 / k
 
@@ -291,39 +290,43 @@ def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
     params = model.param_vector()
     k = schedule.batch_size
 
-    for step in range(schedule.steps):
-        scenes = [train_pool[(step * k + i) % len(train_pool)] for i in range(k)]
-        sample_seed = sample_rng.next_u64()
-        try:
-            l_re, l_depth, l_final, contributing, grad, breakdown = batch_objective(
-                model, scenes, reg_cfg, depth_params, sample_seed
-            )
-        except DomainError:
-            record.diverged = True
-            record.diverged_step = step
-            break
-        if not math.isfinite(l_final):
-            record.diverged = True
-            record.diverged_step = step
-            break
-        slots = k * (reg_cfg.n_within + reg_cfg.n_across) * h * w
-        ignored = 1.0 - contributing / slots if (reg_cfg.enabled and slots) else 1.0
-        record.steps.append(
-            StepStats(step, l_re, l_depth, l_final, contributing, ignored)
-        )
-        record.final_breakdown = breakdown
-        params = params - schedule.learning_rate * grad
-        model = model.with_params(params)
-
-        last = step == schedule.steps - 1
-        if (step + 1) % schedule.eval_every == 0 or last:
+    # A diverging run overflows in the model, the losses or the metrics; it
+    # is recorded as diverged, or its metric as null with a reason, so
+    # numpy's warnings would only repeat that on stderr.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(schedule.steps):
+            scenes = [train_pool[(step * k + i) % len(train_pool)] for i in range(k)]
+            sample_seed = sample_rng.next_u64()
             try:
-                report, sep = evaluate_model(model, eval_pool, separation)
-            except (DomainError, EmptyEvaluation):
+                l_re, l_depth, l_final, contributing, grad, breakdown = batch_objective(
+                    model, scenes, reg_cfg, depth_params, sample_seed
+                )
+            except DomainError:
                 record.diverged = True
                 record.diverged_step = step
                 break
-            record.evals.append(EvalStats(step, report, sep))
+            if not math.isfinite(l_final):
+                record.diverged = True
+                record.diverged_step = step
+                break
+            slots = k * (reg_cfg.n_within + reg_cfg.n_across) * h * w
+            ignored = 1.0 - contributing / slots if (reg_cfg.enabled and slots) else 1.0
+            record.steps.append(
+                StepStats(step, l_re, l_depth, l_final, contributing, ignored)
+            )
+            record.final_breakdown = breakdown
+            params = params - schedule.learning_rate * grad
+            model = model.with_params(params)
+
+            last = step == schedule.steps - 1
+            if (step + 1) % schedule.eval_every == 0 or last:
+                try:
+                    report, sep = evaluate_model(model, eval_pool, separation)
+                except (DomainError, EmptyEvaluation):
+                    record.diverged = True
+                    record.diverged_step = step
+                    break
+                record.evals.append(EvalStats(step, report, sep))
     return record
 
 

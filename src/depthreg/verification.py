@@ -3,8 +3,7 @@
 The reference implementations here deliberately avoid every vectorized code
 path they verify: classification is re-derived pixel by pixel with scalar
 comparisons, distances with explicit channel loops, accumulation with
-``math.fsum``.  The mutation flags corrupt one side on purpose so the test
-suite can prove these checks would catch a real bug.
+``math.fsum``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import Grid1, Grid3, SeedRng
-from .identify import MultiRange, NegativeRange, RegConfig, Uniform
+from .identify import MultiRange, NegativeRange, RegConfig
 from .losses import DepthLossParams, reg_loss, si_loss
 from .metrics import MetricReport, compute_metrics
 from .sampling import SamplePair
@@ -34,34 +33,24 @@ DENOM_SCALE = 1e-5
 # Reference (oracle) implementations
 # ---------------------------------------------------------------------------
 
-def _oracle_label(diff: float, valid: bool, config: RegConfig,
-                  r_p_override=None) -> tuple[int, float]:
+def _oracle_label(diff: float, valid: bool, config: RegConfig) -> tuple[int, float]:
     """Scalar reclassification of one pixel: (label, margin of negative group j).
 
     Label -1 is ignored, 0 positive, j negative; non-negatives get margin 0.0.
     """
     if not valid:
         return -1, 0.0
-    r_p = config.r_p if r_p_override is None else r_p_override
-    if diff < r_p:
+    if diff < config.r_p:
         return 0, 0.0
-    s = config.strategy
-    if isinstance(s, Uniform):
-        return (1, s.m_u) if diff > s.r_n else (-1, 0.0)
-    for j, r in enumerate(s.ranges, start=1):
+    for j, r in enumerate(config.strategy.ranges, start=1):
         if r.low < diff < r.high:
             return j, r.margin
     return -1, 0.0
 
 
-def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: RegConfig,
-                    mutate_classifier: bool = False) -> tuple[float, int]:
-    """Triple loop over (sample, pixel, channel); returns (total, contributing).
-
-    ``mutate_classifier`` perturbs the positive threshold by 10% to emulate a
-    classification bug, for canary tests only.
-    """
-    r_p = config.r_p * 1.1 if mutate_classifier else None
+def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
+                    config: RegConfig) -> tuple[float, int]:
+    """Triple loop over (sample, pixel, channel); returns (total, contributing)."""
     terms = []
     contributing = 0
     for n, pair in enumerate(samples):
@@ -69,7 +58,7 @@ def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], con
             for j in range(f_a.width):
                 valid = bool(d_a.valid[i, j]) and bool(pair.depth.valid[i, j])
                 diff = abs(float(d_a.values[i, j]) - float(pair.depth.values[i, j]))
-                label, margin = _oracle_label(diff, valid, config, r_p)
+                label, margin = _oracle_label(diff, valid, config)
                 if label < 0:
                     continue
                 contributing += 1
@@ -131,7 +120,7 @@ GENERIC_GAP = 2e-2  # instance generator keeps contributing pixels this far from
 
 def random_instance(rng: SeedRng, max_h: int = 4, max_w: int = 4, max_c: int = 5,
                     max_samples: int = 3):
-    """Seeded (f_a, d_a, samples, config); alternates the two strategies.
+    """Seeded (f_a, d_a, samples, config); alternates uniform and two-range strategies.
 
     Contributing pixels whose feature distance lands degenerately close to a
     kink (zero distance or a hinge margin) are redrawn: central differences
@@ -144,7 +133,7 @@ def random_instance(rng: SeedRng, max_h: int = 4, max_w: int = 4, max_c: int = 5
     h, w, c, n = min(h, max_h), min(w, max_w), min(c, max_c), min(n, max_samples)
 
     if rng.uniforms(1)[0] < 0.5:
-        strategy = Uniform(r_n=0.5, m_u=2.0)
+        strategy = MultiRange((NegativeRange(0.5, math.inf, 2.0),))
     else:
         strategy = MultiRange(
             (NegativeRange(0.5, 1.0, 1.5), NegativeRange(1.0, 2.0, 3.0))
@@ -224,25 +213,14 @@ def _kink_free_mask(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
 
 
 def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
-                            config: RegConfig, mutate_hinge_sign: bool = False) -> float:
+                            config: RegConfig) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
     The gradient is checked jointly over the anchor and all sample feature
-    maps; coordinates of kink-adjacent pixels are excluded.  With
-    ``mutate_hinge_sign`` the negative-pair gradient contributions are
-    sign-flipped first (canary: the check must then fail).
+    maps; coordinates of kink-adjacent pixels are excluded.
     """
     res = reg_loss(f_a, d_a, samples, config)
-    grads = [res.grad_anchor.data] + [g.data for g in res.grad_samples]
-    if mutate_hinge_sign:
-        # Positive-only gradients via hinge margins too small to activate;
-        # classification is untouched, so the reduction scale is identical.
-        pos_strategy = MultiRange(
-            tuple(NegativeRange(r.low, r.high, 1e-300) for r in config.strategy.ranges)
-        )
-        res_pos = reg_loss(f_a, d_a, samples, replace(config, strategy=pos_strategy))
-        pos_grads = [res_pos.grad_anchor.data] + [g.data for g in res_pos.grad_samples]
-        grads = [2.0 * p - g for p, g in zip(pos_grads, grads)]
+    grads = [res.grad_anchor, *res.grad_samples]  # channel-planar (C, H, W) each
 
     good = _kink_free_mask(f_a, d_a, samples, config)
     anchor_good = good.all(axis=0)
@@ -267,11 +245,11 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, .
         if block == 0:
             if not anchor_good[i, j]:
                 continue
-            analytic = grads[0][i, j, c]
+            analytic = grads[0][c, i, j]
         else:
             if not good[block - 1, i, j]:
                 continue
-            analytic = grads[block][i, j, c]
+            analytic = grads[block][c, i, j]
         fd = central_difference(total_of, x0, flat)
         worst = max(worst, rel_error(analytic, fd, floor))
     return worst
@@ -320,14 +298,12 @@ class SuiteResult:
                 f"tolerance={self.tolerance:.1e} trials={self.trials}")
 
 
-def run_regloss_gradcheck(trials: int, tolerance: float, seed: int = 20260801,
-                          mutate_hinge_sign: bool = False) -> SuiteResult:
+def run_regloss_gradcheck(trials: int, tolerance: float, seed: int = 20260801) -> SuiteResult:
     rng = SeedRng(seed)
     worst = 0.0
     for _ in range(trials):
         f_a, d_a, samples, config = random_instance(rng)
-        worst = max(worst, check_reg_loss_gradient(
-            f_a, d_a, samples, config, mutate_hinge_sign=mutate_hinge_sign))
+        worst = max(worst, check_reg_loss_gradient(f_a, d_a, samples, config))
     return SuiteResult("reg-loss gradient vs central differences", trials, worst, tolerance)
 
 
@@ -372,16 +348,14 @@ def run_model_gradcheck(tolerance: float, seed: int = 20260803) -> SuiteResult:
                        1, worst, tolerance)
 
 
-def run_regloss_oracle(trials: int, seed: int = 20260804,
-                       mutate_classifier: bool = False) -> SuiteResult:
+def run_regloss_oracle(trials: int, seed: int = 20260804) -> SuiteResult:
     rng = SeedRng(seed)
     worst = 0.0
     for _ in range(trials):
         f_a, d_a, samples, config = random_instance(rng, max_h=8, max_w=8, max_samples=4)
         config = RegConfig(config.r_p, config.strategy, loss_reduction="sum")
         got = reg_loss(f_a, d_a, samples, config).total
-        want, _ = oracle_reg_loss(f_a, d_a, samples, config,
-                                  mutate_classifier=mutate_classifier)
+        want, _ = oracle_reg_loss(f_a, d_a, samples, config)
         worst = max(worst, rel_error(got, want))
     return SuiteResult("reg-loss vs triple-loop reference", trials, worst, 1e-12)
 

@@ -1,6 +1,6 @@
 """Session set-up shared by every test module.
 
-The ``slow`` criteria take about 15 minutes on a 2-core host; collected in
+The ``slow`` criteria take about 6 minutes on a 2-core host; collected in
 file order they would run before almost the whole fast suite. Moving them to
 the end of the session (stable, so the order is otherwise unchanged) lets a
 plain ``pytest`` report every fast result first. Nothing is deselected.

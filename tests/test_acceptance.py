@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from depthreg.cli import main
-from depthreg.experiment import config_from_dict, load_config_file, run_ablation
+from depthreg.experiment import (
+    config_from_dict,
+    load_config_file,
+    run_ablation,
+    strategy_from_dict,
+)
 from depthreg.grid import Grid1, Grid3, SeedRng
 from depthreg.identify import (
     IGNORED,
@@ -22,7 +27,6 @@ from depthreg.identify import (
     MultiRange,
     NegativeRange,
     RegConfig,
-    Uniform,
     identify_multirange,
     identify_uniform,
 )
@@ -77,20 +81,17 @@ def test_criterion_2_oracle_suite():
 
 def test_criterion_3_subsumption():
     rng = SeedRng(30303)
+    uniform = strategy_from_dict({"kind": "uniform", "r_n": 0.5, "m_u": 2.0}, "strategy")
     worst = 0.0
     for _ in range(50):
         f_a, d_a, samples, base_cfg = random_instance(rng, max_h=5, max_w=5)
-        uni = RegConfig(r_p=0.2, strategy=Uniform(r_n=0.5, m_u=2.0),
-                        loss_reduction=base_cfg.loss_reduction)
+        uni = RegConfig(r_p=0.2, strategy=uniform, loss_reduction=base_cfg.loss_reduction)
         multi = RegConfig(r_p=0.2, strategy=MultiRange((NegativeRange(0.5, 1e12, 2.0),)),
                           loss_reduction=base_cfg.loss_reduction)
         a = reg_loss(f_a, d_a, samples, uni)
         b = reg_loss(f_a, d_a, samples, multi)
         worst = max(worst, rel_error(a.total, b.total, 1e-300))
-        for ga, gb in zip(
-            [a.grad_anchor.data] + [g.data for g in a.grad_samples],
-            [b.grad_anchor.data] + [g.data for g in b.grad_samples],
-        ):
+        for ga, gb in zip([a.grad_anchor, *a.grad_samples], [b.grad_anchor, *b.grad_samples]):
             if ga.size:
                 num = float(np.max(np.abs(ga - gb)))
                 den = max(float(np.max(np.abs(ga))), float(np.max(np.abs(gb))), 1e-300)

@@ -119,7 +119,7 @@ def test_calls_without_scratch_share_nothing_with_the_arena():
     fresh = [f.data for f in feats] + [p.values for p in preds] + [p.valid for p in preds]
     fresh += [a for c in caches for a in (c["h1"], c["h2"], c["f"], c["pred"])]
     fresh += [a for p in ss[:3] for a in (p.feature.data, p.depth.values, p.depth.valid)]
-    fresh += [res.grad_anchor.data] + [g.data for g in res.grad_samples]
+    fresh += [res.grad_anchor, res.grad_samples]
     for a in fresh:
         assert not any(np.shares_memory(a, buf) for buf in buffers)
 

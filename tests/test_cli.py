@@ -17,9 +17,12 @@ from depthreg.experiment import (
     run_ablation,
 )
 from depthreg.errors import InvalidConfig
-from depthreg.grid import Grid1
+from depthreg.grid import Grid1, SeedRng
+from depthreg.losses import DepthLossParams
 from depthreg.pfmio import write_pfm_g1
 from depthreg.toybench import train as train_module
+from depthreg.toybench.model import ToyModel
+from depthreg.toybench.scenes import scene_pool
 
 ROOT = Path(__file__).parents[1]
 
@@ -195,6 +198,33 @@ class TestConfig:
                    if not callable(getattr(importlib.import_module(module), attr, None))]
         assert missing == []
 
+    # The benchmark's Recorder counts samples, their bytes and the pixel pairs
+    # from what build_sample_set and reg_loss take and return: batch.items,
+    # each pair's feature.data, depth.values and depth.valid, len(samples)
+    # and contributing_count.  A step run under its wrappers must feed it.
+    def test_benchmark_recorder_reads_a_training_step(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        tracing = importlib.import_module("tracing")
+        recorder = importlib.import_module("workload").Recorder(False, tracing.Tracer())
+        reg_cfg = experiment.reg_config_from_dict(tiny_config("")["regularization"])
+        k, h, w, c = 3, 8, 9, 6
+        absent, undo = tracing.install({"sampling.collect": recorder.sample_set,
+                                        "losses.reg": recorder.reg})
+        try:
+            train_module.batch_objective(ToyModel.init(SeedRng(7)),
+                                         scene_pool(606, k, h, w, 0.5, 10.0), reg_cfg,
+                                         DepthLossParams(), 2026)
+        finally:
+            tracing.uninstall(undo)
+        assert absent == []
+        n = reg_cfg.n_within + reg_cfg.n_across
+        assert recorder.samples == k * n
+        assert recorder.pairs == k * n * h * w
+        assert 0 < recorder.contributing <= recorder.pairs
+        # within-samples are windows of their own; across-samples are batch items
+        assert recorder.sample_bytes == k * reg_cfg.n_within * h * w * (8 * c + 8 + 1)
+
     # The benchmark's self-test recomputes classification, losses and
     # gradients independently of the package and checks its hooks; a change
     # that breaks either fails here, not first in a benchmark run.  It writes
@@ -254,6 +284,15 @@ class TestTrainCommand:
             summary = json.loads((run / "summary.json").read_text())
             assert summary["seed"] == seed
             assert summary["final_eval"]["abs_rel"] > 0
+
+    def test_uniform_strategy_is_echoed_as_uniform(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        cfg = tiny_config(out)
+        cfg["regularization"]["strategy"] = {"kind": "uniform", "r_n": 0.5, "m_u": 4.0}
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--seed", "5"]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        assert list(echo["regularization"]["strategy"].items()) == [
+            ("kind", "uniform"), ("m_u", 4.0), ("r_n", 0.5)]
 
     def test_single_seed_override(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -609,7 +648,6 @@ class TestNonFiniteOutputs:
         [point] = summary["sweep_n_across"]
         assert point["mean_abs_rel_n"] == 2 and point["n_diverged"] == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_ablate_counts_diverged_seeds(self, tmp_path, capsys):
         # lr 0.1 overflows the depth head before the only evaluation, at the
         # last step, in every run but one uniform seed
@@ -630,7 +668,6 @@ class TestNonFiniteOutputs:
         assert uniform["mean_abs_rel"] == finite
         assert (out / "sweep_n_within.dat").read_text().splitlines()[0] == "1 nan"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_at_evaluation_is_recorded(self, tmp_path, capsys):
         # lr 0.3 overflows the depth head's prediction in the only
         # evaluation, after the last step of seed 5
@@ -645,7 +682,6 @@ class TestNonFiniteOutputs:
         assert summary["diverged"] and summary["diverged_step"] == 3
         assert summary["steps_completed"] == 4 and summary["final_eval"] is None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ablate_counts_divergence_at_evaluation(self, tmp_path, capsys):
         # lr 0.05 makes the model overflow in the baseline's seed-5 evaluation
         out = tmp_path / "ablation"

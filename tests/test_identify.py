@@ -11,7 +11,6 @@ from depthreg.identify import (
     MultiRange,
     NegativeRange,
     RegConfig,
-    Uniform,
     differential_map,
     identify,
     identify_multirange,

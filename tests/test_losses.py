@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from depthreg.errors import DomainError, ShapeError
 from depthreg.grid import Grid1, Grid3, SeedRng, _check_depth, _view
-from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform, differential_map
+from depthreg.experiment import strategy_from_dict
+from depthreg.identify import MultiRange, NegativeRange, RegConfig, differential_map
 from depthreg.losses import DepthLossParams, _squared_distance, reg_loss, si_loss
 from depthreg.sampling import Batch, SamplePair, build_sample_set
 from depthreg.verification import oracle_reg_loss, random_instance
 
-UNIFORM_NYU = RegConfig(r_p=0.1, strategy=Uniform(r_n=0.5, m_u=4.0))
+UNIFORM_NYU = RegConfig(r_p=0.1, strategy=MultiRange((NegativeRange(0.5, np.inf, 4.0),)))
 MULTI_NYU = RegConfig(
     r_p=0.1,
     strategy=MultiRange((NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 2.0, 6.0))),
@@ -36,8 +37,8 @@ class TestRegLoss:
         assert res.total == 0.0
         assert res.breakdown == {}
         assert res.contributing_count == 0
-        assert (res.grad_anchor.data == 0).all()
-        assert res.grad_samples == ()
+        assert res.grad_anchor.shape == (3, 2, 2) and (res.grad_anchor == 0).all()
+        assert res.grad_samples.shape == (0, 3, 2, 2)
 
     def test_identical_positive_pair_is_zero(self):
         f_a, d_a, ss = single_pixel_instance([1.0, 2.0], [1.0, 2.0], 3.0, 3.0)
@@ -50,8 +51,8 @@ class TestRegLoss:
         res = reg_loss(f_a, d_a, ss, UNIFORM_NYU)
         assert res.total == pytest.approx(5.0)
         # d dist / d f_a = (f_a - f_s) / dist
-        assert res.grad_anchor.data[0, 0].tolist() == pytest.approx([0.6, 0.8])
-        assert res.grad_samples[0].data[0, 0].tolist() == pytest.approx([-0.6, -0.8])
+        assert res.grad_anchor[:, 0, 0].tolist() == pytest.approx([0.6, 0.8])
+        assert res.grad_samples[0, :, 0, 0].tolist() == pytest.approx([-0.6, -0.8])
 
     @pytest.mark.parametrize("config, sample_depth, total, group", [
         (UNIFORM_NYU, 2.0, 3.0, "negative_1"),  # max(0, 4 - 1)
@@ -63,8 +64,8 @@ class TestRegLoss:
         res = reg_loss(f_a, d_a, ss, config)
         assert res.total == pytest.approx(total)
         assert res.breakdown[group] == pytest.approx(total)
-        assert res.grad_anchor.data[0, 0].tolist() == pytest.approx([-1.0, 0.0])
-        assert res.grad_samples[0].data[0, 0].tolist() == pytest.approx([1.0, 0.0])
+        assert res.grad_anchor[:, 0, 0].tolist() == pytest.approx([-1.0, 0.0])
+        assert res.grad_samples[0, :, 0, 0].tolist() == pytest.approx([1.0, 0.0])
 
     @pytest.mark.parametrize("config, sample_depth, dist", [
         (UNIFORM_NYU, 2.0, 9.0),
@@ -76,7 +77,7 @@ class TestRegLoss:
         res = reg_loss(f_a, d_a, ss, config)
         assert res.total == 0.0
         assert res.contributing_count == 1
-        assert (res.grad_anchor.data == 0).all()
+        assert (res.grad_anchor == 0).all()
 
     @pytest.mark.parametrize("config", [UNIFORM_NYU, MULTI_NYU])
     def test_overflowing_feature_difference_raises(self, config):
@@ -131,7 +132,7 @@ class TestRegLoss:
     def test_matches_oracle_2x2_indoor_uniform(self):
         # 2x2 random features, two samples, the indoor-style uniform config
         rng = SeedRng(2468)
-        cfg = RegConfig(r_p=0.1, strategy=Uniform(r_n=0.5, m_u=4.0), loss_reduction="sum")
+        cfg = replace(UNIFORM_NYU, loss_reduction="sum")
         f_a = Grid3(rng.normals(2 * 2 * 3).reshape(2, 2, 3))
         d_a = Grid1(rng.uniforms(4).reshape(2, 2) * 2.0)
         samples = tuple(
@@ -259,9 +260,8 @@ def test_anchor_gradient_check_covers_every_sample_gradient(data, seed, n, c, co
             res = reg_loss(f_a, d_a, samples, replace(config, loss_reduction=reduction))
         except DomainError:
             return
-    assert np.isfinite(res.grad_anchor.data).all()
-    for g in res.grad_samples:
-        assert np.isfinite(g.data).all()
+    assert np.isfinite(res.grad_anchor).all()
+    assert np.isfinite(res.grad_samples).all()
 
 
 # reg_loss works on channel-planar (N, C, H, W) copies of the samples, and
@@ -316,20 +316,19 @@ def test_reg_loss_is_independent_of_feature_storage_order(seed, h, w, c, k, n_wi
     hwc, planar = results
     assert (planar.total, planar.breakdown, planar.contributing_count) == (
         hwc.total, hwc.breakdown, hwc.contributing_count)
-    assert planar.grad_anchor.data.tobytes() == hwc.grad_anchor.data.tobytes()
+    assert planar.grad_anchor.tobytes() == hwc.grad_anchor.tobytes()
     assert len(planar.grad_samples) == len(hwc.grad_samples) == n_within + n_across
-    for a, b in zip(planar.grad_samples, hwc.grad_samples):
-        assert a.data.tobytes() == b.data.tobytes()
+    assert planar.grad_samples.tobytes() == hwc.grad_samples.tobytes()
 
 
 class TestSubsumption:
     def test_single_covering_range_equals_uniform(self):
         rng = SeedRng(909)
+        uniform = strategy_from_dict({"kind": "uniform", "r_n": 0.5, "m_u": 2.0}, "strategy")
         for _ in range(50):
             f_a, d_a, samples, _ = random_instance(rng, max_h=5, max_w=5)
             for reduction in ("sum", "mean_contributing"):
-                uni = RegConfig(r_p=0.2, strategy=Uniform(r_n=0.5, m_u=2.0),
-                                loss_reduction=reduction)
+                uni = RegConfig(r_p=0.2, strategy=uniform, loss_reduction=reduction)
                 multi = RegConfig(
                     r_p=0.2,
                     strategy=MultiRange((NegativeRange(0.5, 1e9, 2.0),)),
@@ -340,10 +339,11 @@ class TestSubsumption:
                 assert b.total == pytest.approx(a.total, rel=1e-12, abs=1e-15)
                 assert b.contributing_count == a.contributing_count
                 np.testing.assert_allclose(
-                    b.grad_anchor.data, a.grad_anchor.data, rtol=1e-12, atol=1e-15
+                    b.grad_anchor, a.grad_anchor, rtol=1e-12, atol=1e-15
                 )
-                for ga, gb in zip(a.grad_samples, b.grad_samples):
-                    np.testing.assert_allclose(gb.data, ga.data, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(
+                    b.grad_samples, a.grad_samples, rtol=1e-12, atol=1e-15
+                )
 
 
 class TestSiLoss:

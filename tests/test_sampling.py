@@ -6,16 +6,12 @@ from hypothesis import strategies as st
 from depthreg import sampling
 from depthreg.errors import InsufficientBatch, InvalidDimension
 from depthreg.grid import Grid1, Grid3, SeedRng, _view, gen_shift_seed, shift2d_g1, shift2d_g3
-from depthreg.identify import MultiRange, NegativeRange, RegConfig, Uniform
+from depthreg.identify import MultiRange, NegativeRange, RegConfig
 from depthreg.losses import reg_loss
-from depthreg.sampling import (
-    Batch,
-    SamplePair,
-    build_sample_set,
-    collect_across,
-    collect_within,
-)
+from depthreg.sampling import Batch, SamplePair, build_sample_set
 from depthreg.verification import oracle_reg_loss
+
+UNIFORM = MultiRange((NegativeRange(0.5, np.inf, 2.0),))
 
 
 def make_pair(seed, h=4, w=5, c=3):
@@ -25,14 +21,25 @@ def make_pair(seed, h=4, w=5, c=3):
     return f, d
 
 
+def within_samples(f_a, d_a, n_within, rng):
+    """The within-samples of ``build_sample_set`` alone, on a batch of the anchor."""
+    return sampling.build_sample_set(f_a, d_a, Batch(((f_a, d_a),)), 0, n_within, 0, rng)
+
+
+def across_samples(batch, anchor_index, n_across, rng):
+    """The across-samples of ``build_sample_set`` alone."""
+    f_a, d_a = batch.items[anchor_index]
+    return sampling.build_sample_set(f_a, d_a, batch, anchor_index, 0, n_across, rng)
+
+
 def test_within_zero_is_empty():
     f, d = make_pair(1)
-    assert len(collect_within(f, d, 0, SeedRng(0))) == 0
+    assert len(within_samples(f, d, 0, SeedRng(0))) == 0
 
 
 def test_within_count_and_provenance():
     f, d = make_pair(2)
-    ss = collect_within(f, d, 10, SeedRng(3))
+    ss = within_samples(f, d, 10, SeedRng(3))
     assert len(ss) == 10
     for p in ss:
         assert p.s_k == 0
@@ -42,7 +49,7 @@ def test_within_count_and_provenance():
 
 def test_within_unshift_recovers_anchor_depth():
     f, d = make_pair(4)
-    for p in collect_within(f, d, 6, SeedRng(5)):
+    for p in within_samples(f, d, 6, SeedRng(5)):
         h, w = d.height, d.width
         back = shift2d_g1(p.depth, (h - p.s_h) % h, (w - p.s_w) % w)
         assert np.array_equal(back.values, d.values)
@@ -53,7 +60,7 @@ def test_within_locational_consistency():
     # sample depth at i equals anchor depth at the pre-shift source of i,
     # because feature and depth moved with the same seeds
     f, d = make_pair(6)
-    for p in collect_within(f, d, 5, SeedRng(7)):
+    for p in within_samples(f, d, 5, SeedRng(7)):
         s_h, s_w = p.s_h, p.s_w
         for i in range(d.height):
             for j in range(d.width):
@@ -67,13 +74,13 @@ def test_within_needs_2x2():
     f = Grid3(rng.normals(3).reshape(1, 1, 3))
     d = Grid1(np.ones((1, 1)))
     with pytest.raises(InvalidDimension):
-        collect_within(f, d, 1, SeedRng(1))
+        within_samples(f, d, 1, SeedRng(1))
 
 
 def test_within_determinism():
     f, d = make_pair(8)
-    a = collect_within(f, d, 8, SeedRng(99))
-    b = collect_within(f, d, 8, SeedRng(99))
+    a = within_samples(f, d, 8, SeedRng(99))
+    b = within_samples(f, d, 8, SeedRng(99))
     for pa, pb in zip(a, b):
         assert (pa.s_k, pa.s_h, pa.s_w) == (pb.s_k, pb.s_h, pb.s_w)
         assert np.array_equal(pa.feature.data, pb.feature.data)
@@ -85,7 +92,7 @@ class TestAcross:
 
     def test_k2_always_the_other(self):
         batch = self.make_batch(2)
-        ss = collect_across(batch, 0, 5, SeedRng(1))
+        ss = across_samples(batch, 0, 5, SeedRng(1))
         for p in ss:
             assert (p.s_k, p.s_h, p.s_w) == (1, 0, 0)
             assert p.feature is batch.items[1][0]
@@ -93,17 +100,24 @@ class TestAcross:
     def test_never_aliases_anchor(self):
         batch = self.make_batch(8)
         for anchor in range(8):
-            for p in collect_across(batch, anchor, 20, SeedRng(anchor)):
+            for p in across_samples(batch, anchor, 20, SeedRng(anchor)):
                 assert p.feature is not batch.items[anchor][0]
 
     def test_insufficient_batch(self):
         batch = self.make_batch(1)
         with pytest.raises(InsufficientBatch):
-            collect_across(batch, 0, 2, SeedRng(0))
+            across_samples(batch, 0, 2, SeedRng(0))
 
     def test_zero_from_single_item_batch_ok(self):
         batch = self.make_batch(1)
-        assert len(collect_across(batch, 0, 0, SeedRng(0))) == 0
+        assert len(across_samples(batch, 0, 0, SeedRng(0))) == 0
+
+    def test_maps_without_a_shift_take_across_samples_only(self):
+        """Shift dimensions are checked only when within-samples are drawn."""
+        batch = Batch(tuple(make_pair(seed, h=1, w=3) for seed in (1, 2)))
+        assert [p.s_k for p in across_samples(batch, 0, 3, SeedRng(4))] == [1, 1, 1]
+        with pytest.raises(InvalidDimension):
+            build_sample_set(*batch.items[0], batch, 0, 1, 3, SeedRng(4))
 
 
 def test_build_sample_set_order_and_counts():
@@ -144,7 +158,7 @@ def test_build_sample_set_deterministic():
 # ---------------------------------------------------------------------------
 
 CONFIGS = [
-    RegConfig(r_p=0.2, strategy=Uniform(r_n=0.5, m_u=2.0), loss_reduction=reduction)
+    RegConfig(r_p=0.2, strategy=UNIFORM, loss_reduction=reduction)
     for reduction in ("sum", "mean_contributing")
 ] + [
     RegConfig(r_p=0.2, strategy=MultiRange((NegativeRange(0.5, 1.0, 1.5),
@@ -168,7 +182,7 @@ def masked_pair(seed, h, w, c, invalid):
 
 
 def windows_one_row_off(f_a, d_a, n_within, rng):
-    """``collect_within`` with every window one row too low: the canary's mutant."""
+    """``within_samples`` with every window one row too low: the canary's mutant."""
     h, w = f_a.height, f_a.width
     ft, dt, mt = (sampling._wrap_tile(a, None, "")
                   for a in (f_a.data.transpose(2, 0, 1), d_a.values, d_a.valid))
@@ -206,9 +220,8 @@ def check_within_against_oracle(collect, seed, h, w, c, n_within, invalid, confi
     # windows and rolled copies are the same inputs: same bits out
     copies = reg_loss(f, d, tuple(rolled), config)
     assert copies.total == got.total
-    assert np.array_equal(copies.grad_anchor.data, got.grad_anchor.data)
-    for a, b in zip(copies.grad_samples, got.grad_samples):
-        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(copies.grad_anchor, got.grad_anchor)
+    assert np.array_equal(copies.grad_samples, got.grad_samples)
 
 
 WITHIN_CASES = dict(
@@ -222,7 +235,7 @@ WITHIN_CASES = dict(
 @given(**WITHIN_CASES)
 def test_within_windows_equal_shifts_and_match_oracle(seed, h, w, c, n_within, invalid,
                                                       config):
-    check_within_against_oracle(collect_within, seed, h, w, c, n_within, invalid, config)
+    check_within_against_oracle(within_samples, seed, h, w, c, n_within, invalid, config)
 
 
 @pytest.mark.parametrize("h, w, c", [(2, 2, 1), (3, 5, 2), (8, 8, 6)])
@@ -234,7 +247,7 @@ def test_within_window_one_row_off_is_caught(h, w, c):
 
 def test_within_windows_share_one_tile():
     f, d = make_pair(9)
-    ss = collect_within(f, d, 6, SeedRng(1))
+    ss = within_samples(f, d, 6, SeedRng(1))
     for p in ss:
         assert np.shares_memory(p.feature.data, ss[0].feature.data)
         assert not np.shares_memory(p.feature.data, f.data)
@@ -250,11 +263,10 @@ def test_reg_loss_leaves_inputs_unchanged_and_gradients_read_only():
     res = reg_loss(f, d, ss, CONFIGS[3])
     assert res.contributing_count > 0
     assert [a.tobytes() for a in arrays] == before
-    grads = (res.grad_anchor,) + res.grad_samples
-    assert len(grads) == 1 + len(ss)
-    assert all(read_only(g.data) for g in grads)
+    assert res.grad_anchor.shape == (3, 6, 7) and res.grad_samples.shape == (len(ss), 3, 6, 7)
+    assert read_only(res.grad_anchor) and read_only(res.grad_samples)
     with pytest.raises(ValueError):
-        res.grad_samples[0].data[0, 0, 0] = 1.0
+        res.grad_samples[0, 0, 0, 0] = 1.0
 
 
 # The wrap tiles are copies of the checked anchor and their windows are
@@ -279,4 +291,4 @@ def test_bad_entry_written_into_a_wrap_tile_is_caught(monkeypatch, key, bad):
 
     monkeypatch.setattr(sampling, "_wrap_tile", spoiled)
     with pytest.raises(AssertionError):
-        check_within_against_oracle(collect_within, 13, 5, 6, 2, 3, "none", CONFIGS[2])
+        check_within_against_oracle(within_samples, 13, 5, 6, 2, 3, "none", CONFIGS[2])

@@ -1,5 +1,7 @@
-"""The checking machinery itself: suites pass on the real code and catch
-deliberately corrupted variants."""
+"""The checking machinery itself: suites pass on the real code.
+
+tests/test_canaries.py shows that they catch deliberately corrupted variants.
+"""
 
 from depthreg.verification import (
     run_metrics_oracle,
@@ -28,14 +30,6 @@ def test_regloss_oracle_passes():
 
 def test_metrics_oracle_passes():
     assert run_metrics_oracle(30).passed
-
-
-def test_hinge_sign_mutation_is_caught():
-    assert not run_regloss_gradcheck(10, 1e-5, mutate_hinge_sign=True).passed
-
-
-def test_classifier_mutation_is_caught():
-    assert not run_regloss_oracle(10, mutate_classifier=True).passed
 
 
 def test_zero_trials_pass_vacuously():
