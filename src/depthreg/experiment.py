@@ -251,7 +251,10 @@ def ablation_runs(cfg: ExperimentConfig, d: dict) -> tuple[dict, dict]:
     each built from ``cfg.reg``; a strategy ``cfg.reg`` rejects (ranges
     starting below ``r_p``, say), or one ``cfg.schedule`` cannot train
     (cross-batch samples with ``batch_size`` 1), raises ``InvalidConfig``
-    naming ``ablation.strategies.<name>`` before any run trains.
+    naming ``ablation.strategies.<name>`` before any run trains.  So does a
+    name that is not one path component other than ``.`` and ``..``, or that
+    equals another top-level path the ablation writes: its run directory
+    would escape the output directory or be overwritten.
     """
     ab = ablation_from_dict(d)
     reg = cfg.reg
@@ -273,6 +276,13 @@ def ablation_runs(cfg: ExperimentConfig, d: dict) -> tuple[dict, dict]:
                           n_within=0, n_across=0)
             sweeps[axis] = [(count, build(f"ablation.sweep.{axis}", swept, **{axis: count}))
                             for count in counts]
+    taken = {"", ".", "..", "config.json", "ablation_summary.json"}
+    for axis, sweep in sweeps.items():
+        taken |= {f"sweep_{axis}.dat", *(f"sweep_{axis}_{count}" for count, _ in sweep)}
+    for name in strategies:
+        if name in taken or "/" in name or "\0" in name:
+            raise InvalidConfig(f"ablation.strategies.{name}: a run directory name must be one "
+                                "path component, not '.', '..' or another output's name")
     return strategies, sweeps
 
 

@@ -5,8 +5,9 @@ Conventions pinned here so every golden file and test stays reproducible:
 * Storage is row-major float64; grids are immutable after construction.
 * A ``Scratch`` arena lends the training step its large work arrays; a
   function taking ``scratch=None`` allocates them fresh instead.
-* ``shift2d_*`` rolls content DOWN by ``s_h`` and RIGHT by ``s_w``:
-  ``out[i, j] = in[(i - s_h) mod H, (j - s_w) mod W]``.
+* A shift rolls content DOWN by ``s_h`` and RIGHT by ``s_w``:
+  ``out[i, j] = in[(i - s_h) mod H, (j - s_w) mod W]``, as ``roll_into``
+  and ``shift2d_g1`` do.
 * ``SeedRng`` is SplitMix64 (Steele/Lea/Flood 2014): state advances by the
   additive constant 0x9E3779B97F4A7C15 and each output is the mix
   ``z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27; z *= 0x94D049BB133111EB;
@@ -139,8 +140,8 @@ def _view(cls, **arrays: np.ndarray):
 
     Checks sit only where arithmetic can break an invariant: grid
     construction, the model's output and the anchor gradient.  ``_view``
-    wraps what follows from checked grids: windows and rolls of them, the
-    jointly valid ``|d_a - d_s|``, ``exp(z)``.
+    wraps what follows from checked grids: rolls of them, the jointly valid
+    ``|d_a - d_s|``, ``exp(z)``.
     """
     obj = object.__new__(cls)
     for name, arr in arrays.items():
@@ -239,21 +240,27 @@ def take(scratch: Scratch | None, key, shape: tuple[int, ...], dtype=np.float64)
     return scratch.take(key, shape, dtype)
 
 
-def _check_shift(h: int, w: int, s_h: int, s_w: int) -> None:
-    if not (0 <= s_h < h):
-        raise InvalidShift(f"s_h={s_h} outside [0, {h})")
-    if not (0 <= s_w < w):
-        raise InvalidShift(f"s_w={s_w} outside [0, {w})")
+def roll_into(src: np.ndarray, s_h: int, s_w: int, out: np.ndarray) -> np.ndarray:
+    """``out[...] = np.roll(src, (s_h, s_w), axis=(-2, -1))`` by four quadrant copies.
 
-
-def shift2d_g3(m: Grid3, s_h: int, s_w: int) -> Grid3:
-    """Circular roll: content moves down by s_h rows and right by s_w columns."""
-    _check_shift(m.height, m.width, s_h, s_w)
-    return _view(Grid3, data=np.roll(m.data, (s_h, s_w), axis=(0, 1)))
+    Shifts are taken modulo the map size (``-s_h, -s_w`` rolls back); ``out``
+    has ``src``'s shape and does not overlap it.
+    """
+    h, w = src.shape[-2:]
+    s_h, s_w = s_h % h, s_w % w
+    for dst_h, src_h in ((slice(s_h, None), slice(None, h - s_h)),
+                         (slice(None, s_h), slice(h - s_h, None))):
+        for dst_w, src_w in ((slice(s_w, None), slice(None, w - s_w)),
+                             (slice(None, s_w), slice(w - s_w, None))):
+            out[..., dst_h, dst_w] = src[..., src_h, src_w]
+    return out
 
 
 def shift2d_g1(m: Grid1, s_h: int, s_w: int) -> Grid1:
-    """Same roll as shift2d_g3, applied jointly to values and validity mask."""
-    _check_shift(m.height, m.width, s_h, s_w)
+    """Circular roll of values and validity mask together: down s_h rows, right s_w columns."""
+    if not 0 <= s_h < m.height:
+        raise InvalidShift(f"s_h={s_h} outside [0, {m.height})")
+    if not 0 <= s_w < m.width:
+        raise InvalidShift(f"s_w={s_w} outside [0, {m.width})")
     return _view(Grid1, values=np.roll(m.values, (s_h, s_w), axis=(0, 1)),
                  valid=np.roll(m.valid, (s_h, s_w), axis=(0, 1)))

@@ -99,14 +99,6 @@ class IdentMap:
 
     labels: np.ndarray
 
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
 
 def differential_map(d_a: Grid1, d_s: Grid1) -> Grid1:
     """|d_a - d_s| per pixel; valid only where both inputs are valid."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, ShapeError
-from .grid import Grid1, Grid3, Scratch, _check_finite, _view, take
+from .grid import Grid1, Grid3, Scratch, _check_finite, _view, roll_into, take
 from .identify import RegConfig, identify
 from .sampling import SamplePair
 
@@ -81,8 +81,10 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
 
     Every sample pixel is classified from the depth-differential map of the
     anchor depth against that sample's depth, then accumulated per the pair
-    term.  Reduction follows ``config.loss_reduction``.  Per-sample partials
-    are reduced in sample order, so results are reproducible bit-for-bit.
+    term.  A sample's maps are its grids rolled by its ``(s_h, s_w)``, and
+    its gradient row is in that rolled frame.  Reduction follows
+    ``config.loss_reduction``.  Per-sample partials are reduced in sample
+    order, so results are reproducible bit-for-bit.
     A sample whose feature or depth map differs in shape from the anchor's
     raises ``ShapeError``.  With a ``scratch`` the work arrays, and the
     gradients returned, are its buffers, valid until the next call with
@@ -101,24 +103,27 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
     # One classification pass over every (sample, pixel): the differentials
     # form an (N*H, W) map, classified through the public identify path (it
     # is purely per-pixel, so the reshape is transparent).  The buffers are
-    # filled sample by sample, channel-planar: each sample is copied into
-    # its slot and the anchor subtracted there in place, so every ufunc of
-    # the pass runs on contiguous operands (on row-strided windows or an
-    # inner axis of length C it runs several times slower).  Each sample's
-    # shape is checked before its slot is written: np.copyto would
-    # broadcast a (1, W) depth map silently.
+    # filled sample by sample, channel-planar: a shifted sample is rolled
+    # into its slot and the anchor subtracted there in place, an unshifted
+    # one subtracted straight from its source, so every ufunc of the pass
+    # runs on contiguous operands when the features view planar storage (on
+    # row-strided blocks or an inner axis of length C it runs several times
+    # slower).  Each sample's shape is checked before its slot is written:
+    # a ufunc's ``out=`` would broadcast a (1, W) depth map silently.
     diff = take(scratch, "diff", (n, c, h, w))  # f_a - f_s; becomes the f_s gradient
     dd = take(scratch, "dd", nhw)  # |d_a - d_s|; becomes the per-pixel margin
     mask = take(scratch, "mask", nhw, bool)  # joint validity; then one label group at a time
     for i, p in enumerate(samples):
         if p.feature.data.shape != (h, w, c) or p.depth.values.shape != (h, w):
             raise ShapeError(f"sample {i} disagrees in shape with the anchor")
-        np.copyto(diff[i], p.feature.data.transpose(2, 0, 1))
-        np.subtract(fa, diff[i], out=diff[i])
-        np.copyto(dd[i], p.depth.values)
-        np.subtract(d_a.values, dd[i], out=dd[i])
-        np.copyto(mask[i], p.depth.valid)
-        np.logical_and(d_a.valid, mask[i], out=mask[i])
+        f_s, d_s, v_s = p.feature.data.transpose(2, 0, 1), p.depth.values, p.depth.valid
+        if p.s_h or p.s_w:
+            f_s = roll_into(f_s, p.s_h, p.s_w, diff[i])
+            d_s = roll_into(d_s, p.s_h, p.s_w, dd[i])
+            v_s = roll_into(v_s, p.s_h, p.s_w, mask[i])
+        np.subtract(fa, f_s, out=diff[i])
+        np.subtract(d_a.values, d_s, out=dd[i])
+        np.logical_and(d_a.valid, v_s, out=mask[i])
     # |d_a - d_s| of two checked depth maps: finite and >= 0 where both are valid
     dr = _view(Grid1, values=np.abs(dd, out=dd).reshape(n * h, w), valid=mask.reshape(n * h, w))
     labels = identify(dr, config).labels.reshape(nhw)

@@ -14,6 +14,7 @@ PGM dumps of label maps use binary P5 with maxval 255.
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +48,10 @@ def _read_plane(fh):
         raise ShapeError(f"PFM scale must be a nonzero finite number, got {scale_line!r}")
     channels = 3 if magic == b"PF" else 1
     count = h * w * channels
+    # checked before reading: a huge claimed size would overflow or exhaust memory
+    if 4 * count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ShapeError(f"truncated PFM payload: {w}x{h}x{channels} floats claimed")
     raw = fh.read(4 * count)
-    if len(raw) != 4 * count:
-        raise ShapeError("truncated PFM payload")
     dt = "<f4" if scale < 0 else ">f4"
     arr = np.frombuffer(raw, dtype=dt).astype(np.float64)
     arr = arr.reshape(h, w, channels) if channels == 3 else arr.reshape(h, w)

@@ -1,14 +1,1 @@
-from .scenes import SyntheticScene, gen_scene
-from .model import ToyModel, model_forward
-from .train import TrainRecord, batch_objective, feature_separation, train_run
-
-__all__ = [
-    "SyntheticScene",
-    "gen_scene",
-    "ToyModel",
-    "model_forward",
-    "TrainRecord",
-    "batch_objective",
-    "feature_separation",
-    "train_run",
-]
+"""Synthetic toy benchmark: seeded scenes, a per-pixel model and its trainer, as submodules."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DomainError, EmptyEvaluation, InvalidConfig
-from ..grid import Grid1, Grid3, Scratch, SeedRng, _view, take
+from ..grid import Grid1, Grid3, Scratch, SeedRng, _view, roll_into, take
 from ..identify import RegConfig
 from ..losses import DepthLossParams, reg_loss, si_loss
 from ..metrics import MetricReport, compute_metrics, mean_report
@@ -126,22 +126,15 @@ def add_unshifted(acc: np.ndarray, g: np.ndarray, s_h: int, s_w: int,
     """``acc += np.roll(g, (-s_h, -s_w), axis=(-2, -1))``, bit for bit.
 
     Routes a sample's channel-planar (C, H, W) gradient back to the pixels
-    it came from: four quadrant copies unshift it into one work buffer, then
-    one contiguous add.  Adding the quadrants in place instead would run
-    four ufuncs on row-strided blocks, several times slower per element than
+    it came from: ``roll_into`` unshifts it into one work buffer, then one
+    contiguous add.  Adding the quadrants in place instead would run four
+    ufuncs on row-strided blocks, several times slower per element than
     copying them.  A zero shift (an across-sample) is added directly.
     """
     if s_h == s_w == 0:
         acc += g
         return
-    h, w = g.shape[-2:]
-    unshifted = take(scratch, "unshifted", g.shape)
-    for dst_h, src_h in ((slice(None, h - s_h), slice(s_h, None)),
-                         (slice(h - s_h, None), slice(None, s_h))):
-        for dst_w, src_w in ((slice(None, w - s_w), slice(s_w, None)),
-                             (slice(w - s_w, None), slice(None, s_w))):
-            unshifted[..., dst_h, dst_w] = g[..., src_h, src_w]
-    acc += unshifted
+    acc += roll_into(g, -s_h, -s_w, take(scratch, "unshifted", g.shape))
 
 
 def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegConfig,
@@ -187,7 +180,7 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
         batch = Batch(tuple(zip(planar, depths)))
         for a in range(k):
             ss = build_sample_set(
-                planar[a], depths[a], batch, a, reg_cfg.n_within, reg_cfg.n_across, rng, _ARENA
+                planar[a], depths[a], batch, a, reg_cfg.n_within, reg_cfg.n_across, rng
             )
             res = reg_loss(planar[a], depths[a], ss, reg_cfg, _ARENA)
             l_re += res.total / k

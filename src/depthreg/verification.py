@@ -48,33 +48,38 @@ def _oracle_label(diff: float, valid: bool, config: RegConfig) -> tuple[int, flo
     return -1, 0.0
 
 
+def _oracle_pixels(f_a: Grid3, d_a: Grid1, pair: SamplePair, config: RegConfig):
+    """``(i, j, label, margin, distance)`` of each non-ignored pixel of ``pair``'s sample map.
+
+    The map shows ``pair``'s grid pixel ``((i - s_h) % H, (j - s_w) % W)``
+    at (i, j); it is read by scalar index, the distance by a channel loop.
+    """
+    h, w = d_a.height, d_a.width
+    for i in range(h):
+        for j in range(w):
+            src = (i - pair.s_h) % h, (j - pair.s_w) % w
+            valid = bool(d_a.valid[i, j]) and bool(pair.depth.valid[src])
+            diff = abs(float(d_a.values[i, j]) - float(pair.depth.values[src]))
+            label, margin = _oracle_label(diff, valid, config)
+            if label < 0:
+                continue
+            acc = 0.0
+            for c in range(f_a.channels):
+                delta = float(f_a.data[i, j, c]) - float(pair.feature.data[src + (c,)])
+                acc += delta * delta
+            yield i, j, label, margin, math.sqrt(acc)
+
+
 def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
                     config: RegConfig) -> tuple[float, int]:
     """Triple loop over (sample, pixel, channel); returns (total, contributing)."""
-    terms = []
-    contributing = 0
-    for n, pair in enumerate(samples):
-        for i in range(f_a.height):
-            for j in range(f_a.width):
-                valid = bool(d_a.valid[i, j]) and bool(pair.depth.valid[i, j])
-                diff = abs(float(d_a.values[i, j]) - float(pair.depth.values[i, j]))
-                label, margin = _oracle_label(diff, valid, config)
-                if label < 0:
-                    continue
-                contributing += 1
-                acc = 0.0
-                for c in range(f_a.channels):
-                    delta = float(f_a.data[i, j, c]) - float(pair.feature.data[i, j, c])
-                    acc += delta * delta
-                dist = math.sqrt(acc)
-                if label == 0:
-                    terms.append(dist)
-                else:
-                    terms.append(max(0.0, margin - dist))
+    terms = [dist if label == 0 else max(0.0, margin - dist)
+             for pair in samples
+             for _, _, label, margin, dist in _oracle_pixels(f_a, d_a, pair, config)]
     total = math.fsum(terms)
     if config.loss_reduction == "mean_contributing":
-        total = total / contributing if contributing else 0.0
-    return total, contributing
+        total = total / len(terms) if terms else 0.0
+    return total, len(terms)
 
 
 def oracle_metrics(pred: Grid1, gt: Grid1) -> MetricReport:
@@ -191,24 +196,12 @@ def noise_floor(loss_scale: float) -> float:
 
 def _kink_free_mask(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
                     config: RegConfig):
-    """Per-(sample, pixel) flag: True when safely away from kinks."""
-    n = len(samples)
-    good = np.ones((n, f_a.height, f_a.width), dtype=bool)
+    """Per-(sample, pixel) flag, in the sample maps' frame: True when safely away from kinks."""
+    good = np.ones((len(samples), f_a.height, f_a.width), dtype=bool)
     for s_idx, pair in enumerate(samples):
-        for i in range(f_a.height):
-            for j in range(f_a.width):
-                valid = bool(d_a.valid[i, j]) and bool(pair.depth.valid[i, j])
-                diff = abs(float(d_a.values[i, j]) - float(pair.depth.values[i, j]))
-                label, margin = _oracle_label(diff, valid, config)
-                if label < 0:
-                    continue
-                dist = math.sqrt(
-                    float(np.sum((f_a.data[i, j] - pair.feature.data[i, j]) ** 2))
-                )
-                if dist < KINK_MARGIN:
-                    good[s_idx, i, j] = False
-                elif label > 0 and abs(dist - margin) < KINK_MARGIN:
-                    good[s_idx, i, j] = False
+        for i, j, label, margin, dist in _oracle_pixels(f_a, d_a, pair, config):
+            if dist < KINK_MARGIN or (label > 0 and abs(dist - margin) < KINK_MARGIN):
+                good[s_idx, i, j] = False
     return good
 
 
@@ -217,7 +210,10 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, .
     """Max relative error of analytic vs central-difference gradients.
 
     The gradient is checked jointly over the anchor and all sample feature
-    maps; coordinates of kink-adjacent pixels are excluded.
+    maps, each sample's grid as its own variable; coordinates of
+    kink-adjacent pixels are excluded.  A sample's gradient row is in its
+    rolled frame, so its grid's pixel (i, j) is read at
+    ``(i + s_h, j + s_w)``.
     """
     res = reg_loss(f_a, d_a, samples, config)
     grads = [res.grad_anchor, *res.grad_samples]  # channel-planar (C, H, W) each
@@ -247,6 +243,8 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, .
                 continue
             analytic = grads[0][c, i, j]
         else:
+            p = samples[block - 1]
+            i, j = (i + p.s_h) % shape[0], (j + p.s_w) % shape[1]
             if not good[block - 1, i, j]:
                 continue
             analytic = grads[block][c, i, j]

@@ -168,10 +168,11 @@ def test_steady_state_step_allocates_under_2_mib():
 def test_steady_state_step_allocates_no_step_sized_temporary():
     """Nor does a step make one new array the size of its gradient buffer.
 
-    The finiteness checks of the wrap tiles and of the (N, H, W, C) sample
-    gradients write into arena buffers.  The peak, 0.25 MiB, is the label
-    map and the two masks ``identify`` allocates per call; one fresh 344 KB
-    bool temporary for the gradient check lifts it to 0.46 MiB, past this
-    bound (3/8 MiB).
+    Shifted samples are rolled into arena buffers, unshifted ones read in
+    place, and the anchor gradient's finiteness check covers the sample
+    gradients without a temporary of their size.  The peak, 0.25 MiB, is
+    the label map and the two masks ``identify`` allocates per call; one
+    fresh 344 KB bool temporary for the gradient check lifts it to 0.46 MiB,
+    past this bound (3/8 MiB).
     """
     assert steady_state_step_peak() <= 3 * 2**17

@@ -8,19 +8,27 @@ the mutant is patched in.  Code under check looks its target up in that
 module at call time, so the patch reaches it.
 """
 
+import tempfile
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import test_cli
+import test_grid
+import test_identify
 import test_losses
 import test_sampling
+import test_step_digest
+import test_toybench
 import test_verification
-from depthreg import losses, sampling, verification
-from depthreg.grid import Grid1, Grid3, _view
-from depthreg.identify import MultiRange
-from depthreg.toybench import train
+from depthreg import grid, identify, losses, verification
+from depthreg.errors import InvalidConfig
+from depthreg.grid import Grid1
+from depthreg.identify import MultiRange, NegativeRange, RegConfig
+from depthreg.toybench import model, train
 
 
 def classifier_threshold_high(oracle_reg_loss):
@@ -54,34 +62,79 @@ def shift_sign_flipped(add_unshifted):
     return mutant
 
 
-def windows_one_row_low(build_sample_set):
-    """Sampling whose within-sample windows start one tile row too low."""
-    def roll(a):
-        return np.roll(a, -1, axis=0)
+def fill_one_row_off(roll_into):
+    """The fill in ``reg_loss`` rolling shifted samples one row short; routing stays right."""
+    return test_sampling.fill_one_row_off
 
-    def mutant(*args, **kwargs):
-        return tuple(p if p.s_k else replace(
-            p, feature=_view(Grid3, data=roll(p.feature.data)),
-            depth=_view(Grid1, values=roll(p.depth.values), valid=roll(p.depth.valid)))
-            for p in build_sample_set(*args, **kwargs))
+
+def quadrant_from_wrong_block(roll_into):
+    """``roll_into`` whose largest quadrant copies the source's unshifted block instead."""
+    def mutant(src, s_h, s_w, out):
+        roll_into(src, s_h, s_w, out)
+        h, w = src.shape[-2:]
+        out[..., s_h % h:, s_w % w:] = src[..., s_h % h:, s_w % w:]
+        return out
     return mutant
 
 
-def depth_tile_spoiled(wrap_tile):
-    """Wrap tiles whose depth tile holds a negative depth at (h, w), a pixel every window reads."""
-    def mutant(a, scratch, key):
-        t = wrap_tile(a, scratch, key)
-        if key == "tile_d":
-            t = t.copy()
-            t[t.shape[0] // 2, t.shape[1] // 2] = -1.0
-            t.setflags(write=False)
-        return t
+def blas_column_sums(column_sums):
+    """Bias gradients summed by a BLAS matrix-vector product, in another order."""
+    return lambda a: np.ones(a.shape[0]) @ a
+
+
+def column_loop_always(pair_sq_distances):
+    """``_pair_sq_distances`` adding columns one by one at every channel count."""
+    def mutant(feats, i1, i2):
+        sq = (feats[i1] - feats[i2]) ** 2
+        out = sq[:, 0].copy()
+        for j in range(1, sq.shape[1]):
+            out += sq[:, j]
+        return out
+    return mutant
+
+
+def depth_check_excludes_zero(check_depth):
+    """``_check_depth`` asking ``v > 0`` where ``v >= 0`` is meant."""
+    return lambda values, valid: check_depth(np.where(values == 0.0, -1.0, values), valid)
+
+
+def ranges_closed_above(classify):
+    """``_classify`` with each negative range closed above (``<= high``)."""
+    def mutant(d_r, r_p, bounds):
+        return classify(d_r, r_p, [(low, np.nextafter(high, np.inf)) for low, high in bounds])
+    return mutant
+
+
+def batch_check_ignores_enabled(check_batch):
+    """``check_batch`` asking two items of a disabled regularizer too."""
+    def mutant(reg_cfg, schedule):
+        if reg_cfg.n_across > 0 and schedule.batch_size < 2:
+            raise InvalidConfig("cross-batch sampling needs batch_size >= 2")
     return mutant
 
 
 def does_nothing(check):
     return lambda *args: None
 
+
+def in_a_fresh_directory(test):
+    """A guard running ``test(tmp_path, capsys)``, a test that writes files but reads no output."""
+    def guard():
+        with tempfile.TemporaryDirectory() as tmp:
+            test(Path(tmp), None)
+    return guard
+
+
+# Hypothesis guards, fed the falsifying inputs recorded for their mutants.
+PAIR_DISTANCES = partial(
+    test_toybench.TestFeatureSeparation.test_pair_distances_equal_numpy_row_sums.hypothesis
+    .inner_test, test_toybench.TestFeatureSeparation(), p=10, c=8, n_pairs=10, seed=0, decades=0)
+VALID_ZERO_DEPTH = partial(test_grid.check_depth_against_where_check, np.array([[0.0]]),
+                           np.array([[True]]))
+PIXEL_AT_A_BOUND = partial(
+    test_identify.test_labels_match_brute_force_on_thresholds_and_bad_invalid_pixels.hypothesis
+    .inner_test, (RegConfig(r_p=0.1, strategy=MultiRange((NegativeRange(0.5, 1.0, 1.0),))),
+                  Grid1(np.array([[1.0]]))))
 
 CANARIES = [
     pytest.param((verification, "oracle_reg_loss"), classifier_threshold_high,
@@ -90,14 +143,28 @@ CANARIES = [
                  test_verification.test_regloss_gradcheck_passes, id="hinge-sign"),
     pytest.param((train, "add_unshifted"), shift_sign_flipped,
                  test_verification.test_model_gradcheck_passes, id="routing-shift-sign"),
-    pytest.param((train, "build_sample_set"), windows_one_row_low,
+    pytest.param((losses, "roll_into"), fill_one_row_off,
                  test_verification.test_model_gradcheck_passes, id="window-one-row-off"),
-    pytest.param((sampling, "_wrap_tile"), depth_tile_spoiled,
-                 partial(test_sampling.check_within_against_oracle, test_sampling.within_samples,
-                         13, 5, 6, 2, 3, "none", test_sampling.CONFIGS[2]), id="spoiled-tile"),
+    pytest.param((losses, "roll_into"), quadrant_from_wrong_block,
+                 partial(test_sampling.check_within_against_oracle, 13, 5, 6, 2, 3, "none",
+                         test_sampling.CONFIGS[2]), id="roll-quadrant-from-wrong-block"),
     pytest.param((losses, "_check_finite"), does_nothing,
                  partial(test_losses.TestRegLoss().test_overflowing_feature_difference_raises,
                          test_losses.MULTI_NYU), id="anchor-gradient-finiteness"),
+    pytest.param((model, "_column_sums"), blas_column_sums,
+                 partial(test_step_digest.test_step_matches_golden_digest,
+                         ("multi_range", 12, 9)),
+                 marks=test_step_digest.pytestmark, id="bias-sums-by-blas"),
+    pytest.param((train, "_pair_sq_distances"), column_loop_always, PAIR_DISTANCES,
+                 id="pair-distance-column-loop"),
+    pytest.param((grid, "_check_depth"), depth_check_excludes_zero, VALID_ZERO_DEPTH,
+                 id="depth-check-excludes-zero"),
+    pytest.param((identify, "_classify"), ranges_closed_above, PIXEL_AT_A_BOUND,
+                 id="classify-closed-above"),
+    pytest.param((train, "check_batch"), batch_check_ignores_enabled,
+                 in_a_fresh_directory(
+                     test_cli.TestTrainCommand().test_disabled_strategy_with_batch_of_one_trains),
+                 id="batch-check-ignores-enabled"),
 ]
 
 

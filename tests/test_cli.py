@@ -208,7 +208,7 @@ class TestConfig:
         tracing = importlib.import_module("tracing")
         recorder = importlib.import_module("workload").Recorder(False, tracing.Tracer())
         reg_cfg = experiment.reg_config_from_dict(tiny_config("")["regularization"])
-        k, h, w, c = 3, 8, 9, 6
+        k, h, w = 3, 8, 9
         absent, undo = tracing.install({"sampling.collect": recorder.sample_set,
                                         "losses.reg": recorder.reg})
         try:
@@ -222,8 +222,8 @@ class TestConfig:
         assert recorder.samples == k * n
         assert recorder.pairs == k * n * h * w
         assert 0 < recorder.contributing <= recorder.pairs
-        # within-samples are windows of their own; across-samples are batch items
-        assert recorder.sample_bytes == k * reg_cfg.n_within * h * w * (8 * c + 8 + 1)
+        # samples are plan entries over the batch items' own grids: they own no memory
+        assert recorder.sample_bytes == 0
 
     # The benchmark's self-test recomputes classification, losses and
     # gradients independently of the package and checks its hooks; a change
@@ -387,6 +387,15 @@ class TestEvalAndScenes:
         assert main(["eval", "--pred", str(bad), "--gt", str(bad)]) == 2
         assert "positive integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [b"99999999999 99999999999", b"300000 300000"])
+    def test_eval_rejects_pfm_size_beyond_its_file(self, tmp_path, capsys, size):
+        bad = tmp_path / "bad.pfm"
+        bad.write_bytes(b"Pf\n" + size + b"\n-1.0\n" + bytes(12))
+        assert main(["eval", "--pred", str(bad), "--gt", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "truncated PFM payload" in err
+        assert "Traceback" not in err
+
     def test_gen_scenes_deterministic(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         a, b = tmp_path / "a", tmp_path / "b"
@@ -507,6 +516,11 @@ class TestAblateCommand:
          "ablation.strategies.low"),
         (lambda ab: ab.update(sweep_strategy={"kind": "uniform", "r_n": 0.05, "m_u": 4.0}),
          "ablation.sweep_strategy"),
+        # run directories must stay inside --out and apart from every other output
+        *((lambda ab, name=name: ab["strategies"].update({name: {"kind": "disabled"}}),
+           f"ablation.strategies.{name}")
+          for name in ("../escape", "a/b", ".", "..", "", "sweep_n_within_2", "sweep_n_within.dat",
+                       "config.json", "ablation_summary.json")),
     ])
     def test_bad_ablation_section_exits_2(self, tmp_path, capsys, edit, name):
         out = tmp_path / "ablation"

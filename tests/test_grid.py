@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthreg import grid
 from depthreg.errors import DomainError, InvalidDimension, InvalidShift
-from depthreg.grid import (Grid1, Grid3, SeedRng, _check_depth, gen_shift_seed, shift2d_g1,
-                           shift2d_g3)
+from depthreg.grid import Grid1, Grid3, SeedRng, gen_shift_seed, roll_into, shift2d_g1
 
 
 class TestSeedRng:
@@ -94,6 +94,22 @@ def where_check_rejects(values, valid):
 DEPTH_ENTRIES = [0.0, -0.0, 5e-324, 1.5, 1e308, -5e-324, -1.0, -1e308, np.nan, np.inf, -np.inf]
 
 
+def check_depth_against_where_check(values, valid):
+    """``_check_depth`` and ``Grid1`` reject ``values`` exactly when the where-check does."""
+    if where_check_rejects(values, valid):
+        with pytest.raises(DomainError):
+            grid._check_depth(values, valid)
+        with pytest.raises(DomainError):
+            Grid1(values, valid)
+        return
+    try:
+        grid._check_depth(values, valid)
+        kept = Grid1(values, valid).values
+    except DomainError as exc:
+        pytest.fail(f"good depth entries rejected: {exc}")
+    assert np.array_equal(kept, values, equal_nan=True)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), h=st.integers(1, 5), w=st.integers(1, 5))
 def test_depth_check_rejects_exactly_what_the_where_check_rejects(data, h, w):
@@ -101,46 +117,44 @@ def test_depth_check_rejects_exactly_what_the_where_check_rejects(data, h, w):
                                          max_size=h * w))).reshape(h, w)
     valid = np.array(data.draw(st.lists(st.booleans(), min_size=h * w,
                                         max_size=h * w))).reshape(h, w)
-    if where_check_rejects(values, valid):
-        with pytest.raises(DomainError):
-            _check_depth(values, valid)
-        with pytest.raises(DomainError):
-            Grid1(values, valid)
-    else:
-        _check_depth(values, valid)
-        assert np.array_equal(Grid1(values, valid).values, values, equal_nan=True)
+    check_depth_against_where_check(values, valid)
+
+
+def roll(a: np.ndarray, s_h: int, s_w: int) -> np.ndarray:
+    """``roll_into`` ``a`` into a fresh buffer."""
+    return roll_into(a, s_h, s_w, np.empty_like(a))
 
 
 class TestShift:
     def test_2x2_example(self):
         # [[a,b],[c,d]] rolled by (1,1) becomes [[d,c],[b,a]]
-        m = Grid3(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
-        out = shift2d_g3(m, 1, 1)
-        assert out.data[:, :, 0].tolist() == [[4.0, 3.0], [2.0, 1.0]]
+        out = roll(np.array([[1.0, 2.0], [3.0, 4.0]]), 1, 1)
+        assert out.tolist() == [[4.0, 3.0], [2.0, 1.0]]
 
     def test_roll_convention_down_right(self):
-        # content moves down by s_h and right by s_w
-        m = Grid3(np.arange(12, dtype=float).reshape(3, 4, 1))
-        out = shift2d_g3(m, 1, 0)
-        assert out.data[1, 0, 0] == m.data[0, 0, 0]
-        out = shift2d_g3(m, 0, 2)
-        assert out.data[0, 2, 0] == m.data[0, 0, 0]
+        # content moves down by s_h and right by s_w, on the last two axes
+        m = np.arange(12, dtype=float).reshape(1, 3, 4)
+        out = roll(m, 1, 0)
+        assert out[0, 1, 0] == m[0, 0, 0]
+        out = roll(m, 0, 2)
+        assert out[0, 0, 2] == m[0, 0, 0]
 
     def test_left2_up1_is_sh_hm1_sw_wm2(self):
         # a map shifted 2 left and 1 up equals a roll with
-        # s_h = H-1, s_w = W-2 under the down/right convention
+        # s_h = H-1, s_w = W-2 under the down/right convention, or -1, -2
         h, w = 5, 7
-        m = np.arange(h * w, dtype=float).reshape(h, w, 1)
-        shifted = shift2d_g3(Grid3(m), h - 1, w - 2).data
+        m = np.arange(h * w, dtype=float).reshape(h, w)
+        shifted = roll(m, h - 1, w - 2)
+        assert np.array_equal(roll(m, -1, -2), shifted)
         for i in range(h):
             for j in range(w):
-                assert shifted[i, j, 0] == m[(i + 1) % h, (j + 2) % w, 0]
+                assert shifted[i, j] == m[(i + 1) % h, (j + 2) % w]
 
     def test_out_of_range_shift(self):
-        m = Grid3(np.zeros((2, 3, 1)))
+        m = Grid1(np.zeros((2, 3)))
         for s_h, s_w in ((2, 0), (0, 3), (-1, 0), (0, -1)):
             with pytest.raises(InvalidShift):
-                shift2d_g3(m, s_h, s_w)
+                shift2d_g1(m, s_h, s_w)
 
     def test_g1_mask_moves_with_values(self):
         vals = np.ones((3, 3))
@@ -149,6 +163,7 @@ class TestShift:
         out = shift2d_g1(Grid1(vals, valid), 1, 0)
         assert not out.valid[1, 0]
         assert out.valid.sum() == 8
+        assert np.array_equal(roll(valid, 1, 0), out.valid)
 
     def test_constant_map_unchanged(self):
         g = Grid1(np.full((4, 5), 2.5))
@@ -160,23 +175,35 @@ class TestShift:
     @settings(max_examples=50, deadline=None)
     def test_shift_composition_adds_modulo(self, a, b, c, d, seed):
         h, w = 5, 6
-        rng = SeedRng(seed)
-        m = Grid3(rng.normals(h * w * 2).reshape(h, w, 2))
-        two = shift2d_g3(shift2d_g3(m, a, b), c, d)
-        one = shift2d_g3(m, (a + c) % h, (b + d) % w)
-        assert np.array_equal(two.data, one.data)
+        m = SeedRng(seed).normals(2 * h * w).reshape(2, h, w)
+        two = roll(roll(m, a, b), c, d)
+        assert np.array_equal(two, roll(m, (a + c) % h, (b + d) % w))
+        assert np.array_equal(two, np.roll(m, (a + c, b + d), axis=(-2, -1)))
 
     @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32))
     @settings(max_examples=30, deadline=None)
     def test_double_shift_identity(self, s_h, s_w, seed):
         h, w = 5, 6
-        rng = SeedRng(seed)
-        m = Grid3(rng.normals(h * w * 3).reshape(h, w, 3))
-        back = shift2d_g3(shift2d_g3(m, s_h, s_w), (h - s_h) % h, (w - s_w) % w)
-        assert np.array_equal(back.data, m.data)
+        m = SeedRng(seed).normals(3 * h * w).reshape(3, h, w)
+        assert np.array_equal(roll(roll(m, s_h, s_w), (h - s_h) % h, (w - s_w) % w), m)
+        assert np.array_equal(roll(roll(m, s_h, s_w), -s_h, -s_w), m)
 
     def test_shift_preserves_value_multiset(self):
-        rng = SeedRng(9)
-        m = Grid3(rng.normals(24).reshape(4, 3, 2))
-        out = shift2d_g3(m, 2, 1)
-        assert sorted(m.data.ravel()) == sorted(out.data.ravel())
+        m = SeedRng(9).normals(24).reshape(2, 4, 3)
+        out = roll(m, 2, 1)
+        assert sorted(m.ravel()) == sorted(out.ravel())
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (3,), (2, 2)]), h=st.integers(1, 7), w=st.integers(1, 7),
+       s_h=st.integers(-9, 9), s_w=st.integers(-9, 9), mask=st.booleans(),
+       seed=st.integers(0, 2**32))
+def test_roll_into_equals_np_roll(lead, h, w, s_h, s_w, mask, seed):
+    """Any shift, either sign or past the map size, on any leading axes and on masks."""
+    shape = lead + (h, w)
+    m = SeedRng(seed).normals(int(np.prod(shape))).reshape(shape)
+    if mask:
+        m = m > 0.3
+    out = np.empty_like(m)
+    assert roll_into(m, s_h, s_w, out) is out
+    assert out.tobytes() == np.roll(m, (s_h, s_w), axis=(-2, -1)).tobytes()

@@ -80,6 +80,9 @@ def test_pgm_label_dump(tmp_path):
     b"Pf\n2 2\nnan\n",
     b"Pf\n2 2\n-inf\n",
     b"Pf\n2 2\noops\n",
+    # sizes far beyond the file: once an OverflowError, once a MemoryError
+    b"Pf\n99999999999 99999999999\n-1.0\n",
+    b"Pf\n300000 300000\n-1.0\n",
 ])
 def test_bad_header_rejected(tmp_path, header):
     path = tmp_path / "bad.pfm"

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthreg import sampling
+from depthreg import losses, sampling
 from depthreg.errors import InsufficientBatch, InvalidDimension
-from depthreg.grid import Grid1, Grid3, SeedRng, _view, gen_shift_seed, shift2d_g1, shift2d_g3
+from depthreg.grid import Grid1, Grid3, SeedRng, roll_into, shift2d_g1
 from depthreg.identify import MultiRange, NegativeRange, RegConfig
 from depthreg.losses import reg_loss
 from depthreg.sampling import Batch, SamplePair, build_sample_set
@@ -47,26 +47,34 @@ def test_within_count_and_provenance():
         assert 1 <= p.s_w < f.width
 
 
+def filled(p):
+    """A plan entry's (C, H, W) feature, depth and mask maps as ``reg_loss`` fills them."""
+    return tuple(roll_into(a, p.s_h, p.s_w, np.empty_like(a))
+                 for a in (p.feature.data.transpose(2, 0, 1), p.depth.values, p.depth.valid))
+
+
 def test_within_unshift_recovers_anchor_depth():
     f, d = make_pair(4)
     for p in within_samples(f, d, 6, SeedRng(5)):
         h, w = d.height, d.width
-        back = shift2d_g1(p.depth, (h - p.s_h) % h, (w - p.s_w) % w)
+        _, values, valid = filled(p)
+        back = shift2d_g1(Grid1(values, valid), (h - p.s_h) % h, (w - p.s_w) % w)
         assert np.array_equal(back.values, d.values)
         assert np.array_equal(back.valid, d.valid)
 
 
 def test_within_locational_consistency():
     # sample depth at i equals anchor depth at the pre-shift source of i,
-    # because feature and depth moved with the same seeds
+    # because feature and depth move with the same seeds
     f, d = make_pair(6)
     for p in within_samples(f, d, 5, SeedRng(7)):
         s_h, s_w = p.s_h, p.s_w
+        feature, values, _ = filled(p)
         for i in range(d.height):
             for j in range(d.width):
                 src = ((i - s_h) % d.height, (j - s_w) % d.width)
-                assert p.depth.values[i, j] == d.values[src]
-                assert np.array_equal(p.feature.data[i, j], f.data[src])
+                assert values[i, j] == d.values[src]
+                assert np.array_equal(feature[:, i, j], f.data[src])
 
 
 def test_within_needs_2x2():
@@ -154,7 +162,9 @@ def test_build_sample_set_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Within-samples are windows into a wrap tile: oracle equivalence
+# Within-samples are plan entries: the anchor's grids plus a shift, each a
+# window onto the anchor's periodic extension that ``reg_loss`` rolls into
+# its buffers.  Oracle and rolled-copy equivalence.
 # ---------------------------------------------------------------------------
 
 CONFIGS = [
@@ -181,45 +191,35 @@ def masked_pair(seed, h, w, c, invalid):
     return f, Grid1(np.where(valid, vals, np.nan), valid)
 
 
-def windows_one_row_off(f_a, d_a, n_within, rng):
-    """``within_samples`` with every window one row too low: the canary's mutant."""
-    h, w = f_a.height, f_a.width
-    ft, dt, mt = (sampling._wrap_tile(a, None, "")
-                  for a in (f_a.data.transpose(2, 0, 1), d_a.values, d_a.valid))
-    pairs = []
-    for _ in range(n_within):
-        s_h, s_w = gen_shift_seed(rng, h), gen_shift_seed(rng, w)
-        rows, cols = slice(h - s_h + 1, 2 * h - s_h + 1), slice(w - s_w, 2 * w - s_w)
-        pairs.append(SamplePair(_view(Grid3, data=ft[:, rows, cols].transpose(1, 2, 0)),
-                                _view(Grid1, values=dt[rows, cols], valid=mt[rows, cols]),
-                                0, s_h, s_w))
-    return tuple(pairs)
+def fill_one_row_off(src, s_h, s_w, out):
+    """``roll_into`` one row short: the mutant of the fill in ``reg_loss``."""
+    return roll_into(src, s_h - 1, s_w, out)
 
 
 def read_only(a):
     return not a.flags.writeable and (a.base is None or not a.base.flags.writeable)
 
 
-def check_within_against_oracle(collect, seed, h, w, c, n_within, invalid, config):
+def rolled_copy(p):
+    """``p`` as a zero-shift pair of ``np.roll``ed copies of its grids."""
+    def roll(a):
+        return np.roll(a, (p.s_h, p.s_w), axis=(0, 1))
+    return SamplePair(Grid3(roll(p.feature.data)),
+                      Grid1(roll(p.depth.values), roll(p.depth.valid)), p.s_k, 0, 0)
+
+
+def check_within_against_oracle(seed, h, w, c, n_within, invalid, config):
     f, d = masked_pair(seed, h, w, c, invalid)
-    ss = collect(f, d, n_within, SeedRng(seed + 1))
+    ss = within_samples(f, d, n_within, SeedRng(seed + 1))
     assert len(ss) == n_within
-    rolled = []
-    for p in ss:
-        s_h, s_w = p.s_h, p.s_w
-        want_f, want_d = shift2d_g3(f, s_h, s_w), shift2d_g1(d, s_h, s_w)
-        assert np.array_equal(p.feature.data, want_f.data)
-        assert np.array_equal(p.depth.values, want_d.values, equal_nan=True)
-        assert np.array_equal(p.depth.valid, want_d.valid)
-        assert all(read_only(a) for a in (p.feature.data, p.depth.values, p.depth.valid))
-        rolled.append(SamplePair(want_f, want_d, p.s_k, s_h, s_w))
     got = reg_loss(f, d, ss, config)
     want, want_count = oracle_reg_loss(f, d, ss, config)
     assert got.total == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert got.contributing_count == want_count
-    # windows and rolled copies are the same inputs: same bits out
-    copies = reg_loss(f, d, tuple(rolled), config)
+    # plan entries and rolled copies are the same inputs: same bits out
+    copies = reg_loss(f, d, tuple(rolled_copy(p) for p in ss), config)
     assert copies.total == got.total
+    assert copies.contributing_count == got.contributing_count
     assert np.array_equal(copies.grad_anchor, got.grad_anchor)
     assert np.array_equal(copies.grad_samples, got.grad_samples)
 
@@ -235,22 +235,20 @@ WITHIN_CASES = dict(
 @given(**WITHIN_CASES)
 def test_within_windows_equal_shifts_and_match_oracle(seed, h, w, c, n_within, invalid,
                                                       config):
-    check_within_against_oracle(within_samples, seed, h, w, c, n_within, invalid, config)
+    check_within_against_oracle(seed, h, w, c, n_within, invalid, config)
 
 
 @pytest.mark.parametrize("h, w, c", [(2, 2, 1), (3, 5, 2), (8, 8, 6)])
-def test_within_window_one_row_off_is_caught(h, w, c):
+def test_within_window_one_row_off_is_caught(monkeypatch, h, w, c):
+    monkeypatch.setattr(losses, "roll_into", fill_one_row_off)
     with pytest.raises(AssertionError):
-        check_within_against_oracle(windows_one_row_off, 11, h, w, c, 3, "partial",
-                                    CONFIGS[2])
+        check_within_against_oracle(11, h, w, c, 3, "partial", CONFIGS[2])
 
 
-def test_within_windows_share_one_tile():
+def test_within_samples_are_the_anchor_grids():
     f, d = make_pair(9)
-    ss = within_samples(f, d, 6, SeedRng(1))
-    for p in ss:
-        assert np.shares_memory(p.feature.data, ss[0].feature.data)
-        assert not np.shares_memory(p.feature.data, f.data)
+    for p in within_samples(f, d, 6, SeedRng(1)):
+        assert p.feature is f and p.depth is d
 
 
 def test_reg_loss_leaves_inputs_unchanged_and_gradients_read_only():
@@ -267,28 +265,3 @@ def test_reg_loss_leaves_inputs_unchanged_and_gradients_read_only():
     assert read_only(res.grad_anchor) and read_only(res.grad_samples)
     with pytest.raises(ValueError):
         res.grad_samples[0, 0, 0, 0] = 1.0
-
-
-# The wrap tiles are copies of the checked anchor and their windows are
-# wrapped unchecked, so a tile that is not an exact copy is caught only by
-# comparing the windows with rolled copies.  The mutant writes a bad entry
-# into the tile at (h, w), a pixel every window reads, on an all-valid anchor
-# (channel 0 of the (C, 2H, 2W) feature tile).
-@pytest.mark.parametrize("key, bad", [("tile_f", np.nan), ("tile_f", -np.inf),
-                                      ("tile_d", np.nan), ("tile_d", -1.0),
-                                      ("tile_d", np.inf)])
-def test_bad_entry_written_into_a_wrap_tile_is_caught(monkeypatch, key, bad):
-    wrap = sampling._wrap_tile
-
-    def spoiled(a, scratch, tile_key):
-        t = wrap(a, scratch, tile_key)
-        if tile_key == key:
-            t = t.copy()
-            h, w = t.shape[-2] // 2, t.shape[-1] // 2
-            t[(0,) * (t.ndim - 2) + (h, w)] = bad
-            t.setflags(write=False)
-        return t
-
-    monkeypatch.setattr(sampling, "_wrap_tile", spoiled)
-    with pytest.raises(AssertionError):
-        check_within_against_oracle(within_samples, 13, 5, 6, 2, 3, "none", CONFIGS[2])

@@ -3,7 +3,8 @@
 ``batch_objective``'s outputs (losses, contributing count, the flat
 gradient and the breakdown) for multi-range, uniform and across-only
 regularizers on 64x64 and 12x9 scenes must hash to the digests below,
-recorded before within-samples became windows into a wrap tile.  A model
+recorded when within-samples were still rolled copies and unchanged since
+(through wrap-tile windows and plan entries).  A model
 with ``hidden=(1, 1)`` and ``c_feat=1``, whose bias gradients each sum one
 column, has its own multi-range 12x9 digest, recorded before those sums
 became einsums.  Float results depend on numpy's kernels, so the digests

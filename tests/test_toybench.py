@@ -10,11 +10,11 @@ from depthreg.grid import Grid1, Grid3, SeedRng
 from depthreg.identify import MultiRange, NegativeRange, RegConfig
 from depthreg.losses import DepthLossParams
 from depthreg.toybench import model as model_module
+from depthreg.toybench import train as train_module
 from depthreg.toybench.model import ToyModel, _column_sums, model_backward, model_forward
 from depthreg.toybench.scenes import gen_scene
 from depthreg.toybench.train import (
     Schedule,
-    _pair_sq_distances,
     _separation_pairs,
     batch_objective,
     feature_separation,
@@ -218,7 +218,8 @@ class TestFeatureSeparation:
         feats = rng.standard_normal((p, c)) * 10.0 ** rng.uniform(-decades, decades, (p, c))
         i1, i2 = rng.integers(0, p, (2, n_pairs))
         want = np.sum((feats[i1] - feats[i2]) ** 2, axis=1)
-        assert _pair_sq_distances(feats, i1, i2).tobytes() == want.tobytes()
+        got = train_module._pair_sq_distances(feats, i1, i2)  # patchable by a canary
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("features, levels, valid, want", [
         ("constant", 4, "all", "1.0"),
