@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 from dataclasses import replace
@@ -19,6 +18,7 @@ from .errors import DepthRegError
 from .experiment import (
     CONFIG_KEYS,
     SceneParams,
+    _dump_json,
     ablation_runs,
     check_keys,
     config_from_dict,
@@ -29,7 +29,7 @@ from .experiment import (
     run_ablation,
     run_experiment,
 )
-from .grid import SeedRng, shift2d_g1
+from .grid import Grid1, SeedRng, roll_into
 from .identify import differential_map, identify
 from .metrics import CSV_HEADER, compute_metrics
 from .pfmio import read_pfm_g1, write_pfm_g1, write_pfm_g3, write_pgm_labels
@@ -76,10 +76,7 @@ def cmd_oracle(args) -> int:
 
 def _write_config_echo(out: Path, cfg) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    _dump_json(out / "config.json", config_to_dict(cfg))
 
 
 def _fmt(value: float | None, spec: str) -> str:
@@ -165,18 +162,11 @@ def cmd_gen_scenes(args) -> int:
         if reg_cfg is not None and reg_cfg.enabled:
             # inspection aid: sample-type map of the scene against its own
             # depth rolled by one pixel (sharp bands at discontinuities)
-            d_r = differential_map(sc.depth, shift2d_g1(sc.depth, 1, 1))
-            labels = identify(d_r, reg_cfg).labels
+            rolled = (roll_into(a, 1, 1, a.copy()) for a in (sc.depth.values, sc.depth.valid))
+            labels = identify(differential_map(sc.depth, Grid1(*rolled)), reg_cfg).labels
             write_pgm_labels(out / f"scene_{i:04d}.selfdiff.pgm", labels)
-    manifest = {
-        "base_seed": args.seed,
-        "count": args.count,
-        "scene": raw["scene"],
-        "scene_seeds": seeds,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _dump_json(out / "manifest.json", {"base_seed": args.seed, "count": args.count,
+                                       "scene": raw["scene"], "scene_seeds": seeds})
     print(f"wrote {args.count} scenes to {out}")
     return 0
 

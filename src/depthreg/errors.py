@@ -9,10 +9,6 @@ class InvalidDimension(DepthRegError):
     """A grid or seed-range dimension is too small to operate on."""
 
 
-class InvalidShift(DepthRegError):
-    """Shift amount outside [0, extent) for the targeted axis."""
-
-
 class ShapeError(DepthRegError):
     """Operands disagree in height/width/channels."""
 

@@ -17,7 +17,8 @@ A missing or unknown key, or a value that is not of its field's type,
 raises ``InvalidConfig`` naming ``section.key``; nothing is coerced (an
 integer field rejects 2.7, "12" and true, a number field strings, bools,
 NaN and the infinities, a string field anything but a string, null
-included); a top-level key is named ``config.<key>``.  An ablation runs
+included); a top-level key is named ``config.<key>``.  The seed list and
+each sweep list take no repeated entry.  An ablation runs
 every (strategy, seed) pair of its "strategies" map, then, for each count
 in the "sweep" lists, the "sweep_strategy" with that count on its axis
 ("n_within" or "n_across") and 0 on the other; every run's regularizer
@@ -170,7 +171,11 @@ def from_section(cls, d, where: str, **convert):
 
 
 def _ints(xs) -> tuple[int, ...]:
-    return tuple(_int(x) for x in xs)
+    """Distinct JSON integers: a repeated seed or sweep count would train one run twice."""
+    out = tuple(_int(x) for x in xs)
+    if len(set(out)) < len(out):
+        raise ValueError(f"repeated entry in {list(out)}")
+    return out
 
 
 def strategy_from_dict(d, where: str):

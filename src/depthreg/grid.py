@@ -7,7 +7,7 @@ Conventions pinned here so every golden file and test stays reproducible:
   function taking ``scratch=None`` allocates them fresh instead.
 * A shift rolls content DOWN by ``s_h`` and RIGHT by ``s_w``:
   ``out[i, j] = in[(i - s_h) mod H, (j - s_w) mod W]``, as ``roll_into``
-  and ``shift2d_g1`` do.
+  does.
 * ``SeedRng`` is SplitMix64 (Steele/Lea/Flood 2014): state advances by the
   additive constant 0x9E3779B97F4A7C15 and each output is the mix
   ``z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27; z *= 0x94D049BB133111EB;
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidDimension, InvalidShift, ShapeError
+from .errors import DomainError, InvalidDimension, ShapeError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -115,12 +115,6 @@ class Grid3:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def _owned(cls, arr: np.ndarray) -> "Grid3":
-        """No-copy wrap of a fresh float64 array that may have overflowed; finiteness is checked."""
-        _check_finite(arr)
-        return _view(cls, data=arr)
 
     @property
     def height(self) -> int:
@@ -254,13 +248,3 @@ def roll_into(src: np.ndarray, s_h: int, s_w: int, out: np.ndarray) -> np.ndarra
                              (slice(None, s_w), slice(w - s_w, None))):
             out[..., dst_h, dst_w] = src[..., src_h, src_w]
     return out
-
-
-def shift2d_g1(m: Grid1, s_h: int, s_w: int) -> Grid1:
-    """Circular roll of values and validity mask together: down s_h rows, right s_w columns."""
-    if not 0 <= s_h < m.height:
-        raise InvalidShift(f"s_h={s_h} outside [0, {m.height})")
-    if not 0 <= s_w < m.width:
-        raise InvalidShift(f"s_w={s_w} outside [0, {m.width})")
-    return _view(Grid1, values=np.roll(m.values, (s_h, s_w), axis=(0, 1)),
-                 valid=np.roll(m.valid, (s_h, s_w), axis=(0, 1)))

@@ -6,7 +6,7 @@ pred > 0.  Threshold accuracies use strict '<' against 1.25**j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -29,19 +29,7 @@ class MetricReport:
     pixel_count: int
 
     def csv_row(self) -> str:
-        return ",".join(
-            repr(v)
-            for v in (
-                self.abs_rel,
-                self.sq_rel,
-                self.rmse,
-                self.rmse_log,
-                self.log10,
-                self.delta1,
-                self.delta2,
-                self.delta3,
-            )
-        ) + f",{self.pixel_count}"
+        return ",".join(map(repr, astuple(self)))
 
 
 def compute_metrics(pred: Grid1, gt: Grid1) -> MetricReport:
@@ -77,14 +65,7 @@ def mean_report(reports: list[MetricReport]) -> MetricReport:
     if not reports:
         raise EmptyEvaluation("no reports to average")
     k = len(reports)
-    return MetricReport(
-        abs_rel=sum(r.abs_rel for r in reports) / k,
-        sq_rel=sum(r.sq_rel for r in reports) / k,
-        rmse=sum(r.rmse for r in reports) / k,
-        rmse_log=sum(r.rmse_log for r in reports) / k,
-        log10=sum(r.log10 for r in reports) / k,
-        delta1=sum(r.delta1 for r in reports) / k,
-        delta2=sum(r.delta2 for r in reports) / k,
-        delta3=sum(r.delta3 for r in reports) / k,
-        pixel_count=sum(r.pixel_count for r in reports),
-    )
+    sums = [sum(getattr(r, f.name) for r in reports) for f in fields(MetricReport)]
+    # each rate is averaged; the pixel count (the one int field) is summed
+    return MetricReport(*(s if f.type == "int" else s / k
+                          for f, s in zip(fields(MetricReport), sums)))

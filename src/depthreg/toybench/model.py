@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, ShapeError
-from ..grid import Grid1, Grid3, Scratch, SeedRng, _view, take
+from ..grid import Grid1, Grid3, Scratch, SeedRng, _check_finite, _view, take
 
 
 @dataclass
@@ -117,7 +117,8 @@ def model_forward(model: ToyModel, image: Grid3, scratch: Scratch | None = None)
     valid = take(scratch, "valid", (h, w), bool)
     valid.fill(True)
     cache = {"x": x, "h1": h1, "h2": h2, "f": f, "pred": pred}
-    features = Grid3._owned(f.reshape(h, w, model.c_feat))
+    _check_finite(f)
+    features = _view(Grid3, data=f.reshape(h, w, model.c_feat))
     prediction = _view(Grid1, values=pred.reshape(h, w), valid=valid)  # exp: finite, >= 0
     return features, prediction, cache
 
@@ -126,9 +127,8 @@ def model_backward(model: ToyModel, cache, d_feat: np.ndarray, d_pred: np.ndarra
                    scratch: Scratch | None = None) -> np.ndarray:
     """Parameter gradient (flat, param_vector order) from upstream gradients.
 
-    ``d_feat`` is (H, W, C) against the feature map, of any strides (an
-    (H, W, C) view of channel-planar storage reads fastest), ``d_pred``
-    (H, W) against the prediction.  The returned vector is freshly
+    ``d_feat`` is channel-planar (C, H, W) against the feature map,
+    ``d_pred`` (H, W) against the prediction.  The returned vector is freshly
     allocated; a ``scratch`` lends only the per-pixel work arrays.  Each
     bias gradient sums its ``(P, C)`` upstream array over pixels in row
     order, the order of ``sum(axis=0)`` (see ``_column_sums``).
@@ -139,12 +139,10 @@ def model_backward(model: ToyModel, cache, d_feat: np.ndarray, d_pred: np.ndarra
     # df = d_feat + dz * w4, formed channel-planar, where each ufunc's inner
     # loop runs over pixels instead of the C channels, then transposed in
     # one copy into the (P, C) buffer the matmuls read.
-    h, w, c = d_feat.shape
-    wz = take(scratch, "wz", (c, h, w))
-    np.multiply(model.w4[:, None], dz, out=wz.reshape(c, p))
-    np.add(wz, d_feat.transpose(2, 0, 1), out=wz)
+    wz = np.multiply(model.w4[:, None], dz, out=take(scratch, "wz", (model.c_feat, p)))
+    wz += d_feat.reshape(wz.shape)
     df = take(scratch, "df", f.shape)
-    np.copyto(df.reshape(h, w, c), wz.transpose(1, 2, 0))
+    np.copyto(df, wz.T)
 
     dw4 = f.T @ dz
     db4 = float(np.sum(dz))

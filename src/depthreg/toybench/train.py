@@ -48,8 +48,11 @@ class TrainRecord:
     steps: list[StepStats] = field(default_factory=list)
     evals: list[EvalStats] = field(default_factory=list)
     final_breakdown: dict = field(default_factory=dict)
-    diverged: bool = False
     diverged_step: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_step is not None
 
 
 @functools.lru_cache(maxsize=8)
@@ -202,7 +205,7 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
     l_final = l_re + reg_cfg.depth_loss_weight * l_depth
     grad = np.zeros(model.param_count)
     for a in range(k):
-        grad += model_backward(model, caches[a], d_feat[a].transpose(1, 2, 0), d_pred[a], _ARENA)
+        grad += model_backward(model, caches[a], d_feat[a], d_pred[a], _ARENA)
     return l_re, l_depth, l_final, contributing, grad, breakdown
 
 
@@ -294,32 +297,22 @@ def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
                 l_re, l_depth, l_final, contributing, grad, breakdown = batch_objective(
                     model, scenes, reg_cfg, depth_params, sample_seed
                 )
-            except DomainError:
-                record.diverged = True
-                record.diverged_step = step
-                break
-            if not math.isfinite(l_final):
-                record.diverged = True
-                record.diverged_step = step
-                break
-            slots = k * (reg_cfg.n_within + reg_cfg.n_across) * h * w
-            ignored = 1.0 - contributing / slots if (reg_cfg.enabled and slots) else 1.0
-            record.steps.append(
-                StepStats(step, l_re, l_depth, l_final, contributing, ignored)
-            )
-            record.final_breakdown = breakdown
-            params = params - schedule.learning_rate * grad
-            model = model.with_params(params)
-
-            last = step == schedule.steps - 1
-            if (step + 1) % schedule.eval_every == 0 or last:
-                try:
+                if not math.isfinite(l_final):
+                    raise DomainError("non-finite loss")
+                slots = k * (reg_cfg.n_within + reg_cfg.n_across) * h * w
+                ignored = 1.0 - contributing / slots if (reg_cfg.enabled and slots) else 1.0
+                record.steps.append(
+                    StepStats(step, l_re, l_depth, l_final, contributing, ignored)
+                )
+                record.final_breakdown = breakdown
+                params = params - schedule.learning_rate * grad
+                model = model.with_params(params)
+                if (step + 1) % schedule.eval_every == 0 or step == schedule.steps - 1:
                     report, sep = evaluate_model(model, eval_pool, separation)
-                except (DomainError, EmptyEvaluation):
-                    record.diverged = True
-                    record.diverged_step = step
-                    break
-                record.evals.append(EvalStats(step, report, sep))
+                    record.evals.append(EvalStats(step, report, sep))
+            except (DomainError, EmptyEvaluation):
+                record.diverged_step = step
+                break
     return record
 
 

@@ -24,7 +24,7 @@ import test_sampling
 import test_step_digest
 import test_toybench
 import test_verification
-from depthreg import grid, identify, losses, verification
+from depthreg import cli, grid, identify, losses, verification
 from depthreg.errors import InvalidConfig
 from depthreg.grid import Grid1
 from depthreg.identify import MultiRange, NegativeRange, RegConfig
@@ -80,6 +80,26 @@ def quadrant_from_wrong_block(roll_into):
 def blas_column_sums(column_sums):
     """Bias gradients summed by a BLAS matrix-vector product, in another order."""
     return lambda a: np.ones(a.shape[0]) @ a
+
+
+def einsum_for_one_column(column_sums):
+    """``_column_sums`` by ``einsum`` for one column too, where ``sum`` reduces pairwise."""
+    return lambda a: np.einsum("pc->c", a)
+
+
+def channels_in_sequence(squared_distance):
+    """``_squared_distance`` adding the channels one after another, not in two lanes."""
+    def mutant(diff, out, work):
+        np.square(diff[:, 0], out=out)
+        for j in range(1, diff.shape[1]):
+            out += np.square(diff[:, j], out=work)
+        return out
+    return mutant
+
+
+def roll_sign_flipped(roll_into):
+    """``roll_into`` rolling up and left where down and right is asked."""
+    return lambda src, s_h, s_w, out: roll_into(src, -s_h, -s_w, out)
 
 
 def column_loop_always(pair_sq_distances):
@@ -155,6 +175,17 @@ CANARIES = [
                  partial(test_step_digest.test_step_matches_golden_digest,
                          ("multi_range", 12, 9)),
                  marks=test_step_digest.pytestmark, id="bias-sums-by-blas"),
+    pytest.param((model, "_column_sums"), einsum_for_one_column,
+                 test_step_digest.test_one_column_step_matches_golden_digest,
+                 marks=test_step_digest.pytestmark, id="one-column-sum-by-einsum"),
+    pytest.param((losses, "_squared_distance"), channels_in_sequence,
+                 partial(test_step_digest.test_step_matches_golden_digest,
+                         ("multi_range", 64, 64)),
+                 marks=test_step_digest.pytestmark, id="squared-distance-channels-in-sequence"),
+    pytest.param((cli, "roll_into"), roll_sign_flipped,
+                 in_a_fresh_directory(
+                     test_cli.TestEvalAndScenes().test_selfdiff_labels_match_np_roll),
+                 id="selfdiff-roll-sign"),
     pytest.param((train, "_pair_sq_distances"), column_loop_always, PAIR_DISTANCES,
                  id="pair-distance-column-loop"),
     pytest.param((grid, "_check_depth"), depth_check_excludes_zero, VALID_ZERO_DEPTH,

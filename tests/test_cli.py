@@ -18,11 +18,12 @@ from depthreg.experiment import (
 )
 from depthreg.errors import InvalidConfig
 from depthreg.grid import Grid1, SeedRng
+from depthreg.identify import differential_map, identify
 from depthreg.losses import DepthLossParams
 from depthreg.pfmio import write_pfm_g1
 from depthreg.toybench import train as train_module
 from depthreg.toybench.model import ToyModel
-from depthreg.toybench.scenes import scene_pool
+from depthreg.toybench.scenes import gen_scene, scene_pool
 
 ROOT = Path(__file__).parents[1]
 
@@ -143,6 +144,8 @@ class TestConfig:
         ("schedule", "steps", 2.7, "schedule.steps"),
         ("schedule", "seeds", "12", "schedule.seeds"),
         ("schedule", "seeds", [5, 6.5], "schedule.seeds"),
+        # a repeated seed would train the same run twice
+        ("schedule", "seeds", [5, 5], "schedule.seeds"),
         ("schedule", "batch_size", True, "schedule.batch_size"),
         ("scene", "height", "16", "scene.height"),
         ("scene", "d_min", float("nan"), "scene.d_min"),
@@ -396,6 +399,24 @@ class TestEvalAndScenes:
         assert err.count("error:") == 1 and "truncated PFM payload" in err
         assert "Traceback" not in err
 
+    def test_selfdiff_labels_match_np_roll(self, tmp_path, capsys):
+        """Each scene's label map is its depth against itself rolled down 1 and right 1."""
+        cfg = tiny_config(tmp_path / "out")
+        scene_dir = tmp_path / "scenes"
+        assert main(["gen-scenes", "--config", write_config(tmp_path, cfg),
+                     "--out", str(scene_dir), "--count", "2", "--seed", "3"]) == 0
+        manifest = json.loads((scene_dir / "manifest.json").read_text())
+        reg = experiment.reg_config_from_dict(cfg["regularization"])
+        for i, seed in enumerate(manifest["scene_seeds"]):
+            d = gen_scene(seed, 16, 16, 0.5, 10.0).depth  # tiny_config's scene
+            rolled = Grid1(np.roll(d.values, (1, 1), axis=(0, 1)),
+                           np.roll(d.valid, (1, 1), axis=(0, 1)))
+            labels = identify(differential_map(d, rolled), reg).labels
+            want = np.where(labels < 0, 255, labels).astype(np.uint8)
+            assert len(np.unique(want)) > 2  # enough structure for a misplaced roll to show
+            pgm = (scene_dir / f"scene_{i:04d}.selfdiff.pgm").read_bytes()
+            assert pgm == b"P5\n16 16\n255\n" + want.tobytes()
+
     def test_gen_scenes_deterministic(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         a, b = tmp_path / "a", tmp_path / "b"
@@ -510,6 +531,9 @@ class TestAblateCommand:
         (lambda ab: ab.update(sweep_strategy={"kind": "uniform"}), "'r_n'"),
         (lambda ab: ab.update(sweep={"n_within": [1.5]}), "ablation.sweep.n_within"),
         (lambda ab: ab.update(sweep={"n_within": [1, -1]}), "ablation.sweep.n_within"),
+        # a repeated count would train the same runs twice
+        (lambda ab: ab.update(sweep={"n_within": [1, 2, 1]}), "ablation.sweep.n_within"),
+        (lambda ab: ab.update(sweep={"n_across": [1, 1]}), "ablation.sweep.n_across"),
         # ranges are checked against r_p (0.1) for every run before the first
         (lambda ab: ab["strategies"].update(low={"kind": "multi_range",
                                                  "ranges": [[0.05, 1.0, 3.0]]}),

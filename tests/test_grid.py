@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthreg import grid
-from depthreg.errors import DomainError, InvalidDimension, InvalidShift
-from depthreg.grid import Grid1, Grid3, SeedRng, gen_shift_seed, roll_into, shift2d_g1
+from depthreg.errors import DomainError, InvalidDimension
+from depthreg.grid import Grid1, Grid3, SeedRng, gen_shift_seed, roll_into
 
 
 class TestSeedRng:
@@ -150,25 +150,20 @@ class TestShift:
             for j in range(w):
                 assert shifted[i, j] == m[(i + 1) % h, (j + 2) % w]
 
-    def test_out_of_range_shift(self):
-        m = Grid1(np.zeros((2, 3)))
-        for s_h, s_w in ((2, 0), (0, 3), (-1, 0), (0, -1)):
-            with pytest.raises(InvalidShift):
-                shift2d_g1(m, s_h, s_w)
-
     def test_g1_mask_moves_with_values(self):
-        vals = np.ones((3, 3))
+        vals = np.arange(9, dtype=float).reshape(3, 3)
         valid = np.ones((3, 3), dtype=bool)
         valid[0, 0] = False
-        out = shift2d_g1(Grid1(vals, valid), 1, 0)
-        assert not out.valid[1, 0]
-        assert out.valid.sum() == 8
-        assert np.array_equal(roll(valid, 1, 0), out.valid)
+        out_vals, out_valid = roll(vals, 1, 0), roll(valid, 1, 0)
+        assert not out_valid[1, 0] and out_vals[1, 0] == vals[0, 0]
+        assert out_valid.sum() == 8
+        assert np.array_equal(out_valid, np.roll(valid, (1, 0), axis=(0, 1)))
+        assert np.array_equal(out_vals, np.roll(vals, (1, 0), axis=(0, 1)))
 
     def test_constant_map_unchanged(self):
-        g = Grid1(np.full((4, 5), 2.5))
-        out = shift2d_g1(g, 3, 2)
-        assert np.array_equal(out.values, g.values)
+        m = np.full((4, 5), 2.5)
+        assert np.array_equal(roll(m, 3, 2), m)
+        assert np.array_equal(roll(m, 3, 2), np.roll(m, (3, 2), axis=(0, 1)))
 
     @given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4), st.integers(0, 5),
            st.integers(0, 2**32))

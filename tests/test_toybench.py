@@ -97,14 +97,15 @@ class TestModel:
         m = ToyModel.init(rng)
         sc = gen_scene(5, 8, 8, 0.5, 10.0)
         f, p, cache = model_forward(m, sc.image)
-        d_feat = rng.normals(f.data.size).reshape(f.data.shape)
+        d_feat = rng.normals(f.data.size).reshape(f.data.transpose(2, 0, 1).shape)  # planar
         d_pred = rng.normals(p.values.size).reshape(p.values.shape)
         grad = model_backward(m, cache, d_feat, d_pred)
         direction = rng.normals(grad.size)
         eps = 1e-6
         def value(vec):
             f2, p2, _ = model_forward(m.with_params(vec), sc.image)
-            return float(np.sum(f2.data * d_feat) + np.sum(p2.values * d_pred))
+            return float(np.sum(f2.data.transpose(2, 0, 1) * d_feat)
+                         + np.sum(p2.values * d_pred))
         x0 = m.param_vector()
         fd = (value(x0 + eps * direction) - value(x0 - eps * direction)) / (2 * eps)
         assert fd == pytest.approx(float(grad @ direction), rel=1e-6)
@@ -135,7 +136,7 @@ def test_backward_bytes_equal_with_plain_column_sums(monkeypatch, hidden, c_feat
     m = m.with_params(m.param_vector() + 0.01 * rng.normals(m.param_count))
     sc = gen_scene(5, 64, 64, 0.5, 10.0)
     f, p, cache = model_forward(m, sc.image)
-    d_feat = rng.normals(f.data.size).reshape(f.data.shape)
+    d_feat = rng.normals(f.data.size).reshape(f.data.transpose(2, 0, 1).shape)  # planar
     d_pred = rng.normals(p.values.size).reshape(p.values.shape)
     got = model_backward(m, cache, d_feat, d_pred)
     monkeypatch.setattr(model_module, "_column_sums", lambda a: a.sum(axis=0))
