@@ -163,7 +163,7 @@ def cmd_gen_scenes(args) -> int:
             # inspection aid: sample-type map of the scene against its own
             # depth rolled by one pixel (sharp bands at discontinuities)
             rolled = (roll_into(a, 1, 1, a.copy()) for a in (sc.depth.values, sc.depth.valid))
-            labels = identify(differential_map(sc.depth, Grid1(*rolled)), reg_cfg).labels
+            labels = identify(differential_map(sc.depth, Grid1(*rolled)), reg_cfg)
             write_pgm_labels(out / f"scene_{i:04d}.selfdiff.pgm", labels)
     _dump_json(out / "manifest.json", {"base_seed": args.seed, "count": args.count,
                                        "scene": raw["scene"], "scene_seeds": seeds})

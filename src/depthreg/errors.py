@@ -17,10 +17,6 @@ class InvalidConfig(DepthRegError):
     """A threshold, range, margin or schedule value violates its constraints."""
 
 
-class InsufficientBatch(DepthRegError):
-    """Cross-batch sampling requested from a batch with fewer than two items."""
-
-
 class DomainError(DepthRegError):
     """A numeric input sits outside the mathematical domain of the operation."""
 

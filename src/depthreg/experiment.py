@@ -291,12 +291,22 @@ def ablation_runs(cfg: ExperimentConfig, d: dict) -> tuple[dict, dict]:
     return strategies, sweeps
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a repeated key would silently keep only its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidConfig(f"repeated config key: {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise InvalidConfig(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise InvalidConfig(
             f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}"

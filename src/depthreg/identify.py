@@ -6,8 +6,8 @@ negative range it belongs to that negative subgroup, anywhere else
 (threshold gaps, boundary equalities, invalid depth) it is ignored.
 All threshold comparisons are strict; equality never classifies.
 
-Label codes in ``IdentMap.labels``: 0 = positive, j >= 1 = negative
-subgroup j, -1 = ignored.
+Label codes in ``identify``'s (H, W) int16 array: 0 = positive, j >= 1
+= negative subgroup j, -1 = ignored.
 """
 
 from __future__ import annotations
@@ -93,13 +93,6 @@ class RegConfig:
         return self.strategy is not None
 
 
-@dataclass(frozen=True)
-class IdentMap:
-    """Per-pixel sample-type labels: a read-only (H, W) int16 map, one label per pixel."""
-
-    labels: np.ndarray
-
-
 def differential_map(d_a: Grid1, d_s: Grid1) -> Grid1:
     """|d_a - d_s| per pixel; valid only where both inputs are valid."""
     if (d_a.height, d_a.width) != (d_s.height, d_s.width):
@@ -115,8 +108,8 @@ def _classify(d_r: Grid1, r_p: float, bounds: list[tuple[float, float]]) -> np.n
     """Read-only (H, W) int16 labels, built by adding masks in two reused bool buffers.
 
     The groups (positive, then each negative range) are disjoint and
-    ascending: every bound pair and ``r_p`` below the first are checked by
-    the callers.  So a pixel of group j lies in the union "group k or a
+    ascending: ``RegConfig`` checks every bound pair and ``r_p`` below the
+    first.  So a pixel of group j lies in the union "group k or a
     later one" for exactly k = 0..j, and summing those j + 1 unions over
     the valid pixels, from ``IGNORED``, gives its label.
     """
@@ -136,19 +129,9 @@ def _classify(d_r: Grid1, r_p: float, bounds: list[tuple[float, float]]) -> np.n
     return labels
 
 
-def identify_uniform(d_r: Grid1, r_p: float, r_n: float) -> IdentMap:
-    """Positive below r_p, negative group 1 above r_n, ignored between."""
-    if r_p > r_n:
-        raise InvalidConfig(f"r_p={r_p} exceeds r_n={r_n}")
-    return IdentMap(_classify(d_r, r_p, [(r_n, np.inf)]))
-
-
-def identify(d_r: Grid1, config: RegConfig) -> IdentMap:
-    """Positive below r_p, negative group j inside the j-th configured range."""
+def identify(d_r: Grid1, config: RegConfig) -> np.ndarray:
+    """Read-only (H, W) int16 labels: positive below r_p, negative group j in the j-th range."""
     if not config.enabled:
         raise InvalidConfig("regularization disabled; nothing to identify")
     bounds = [(r.low, r.high) for r in config.strategy.ranges]
-    return IdentMap(_classify(d_r, config.r_p, bounds))
-
-
-identify_multirange = identify  # every strategy is a MultiRange
+    return _classify(d_r, config.r_p, bounds)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfig, ShapeError
 from .grid import Grid1, Grid3, Scratch, _check_finite, _view, roll_into, take
-from .identify import RegConfig, identify
+from .identify import POSITIVE, RegConfig, identify
 from .sampling import SamplePair
 
 
@@ -126,15 +126,15 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
         np.logical_and(d_a.valid, v_s, out=mask[i])
     # |d_a - d_s| of two checked depth maps: finite and >= 0 where both are valid
     dr = _view(Grid1, values=np.abs(dd, out=dd).reshape(n * h, w), valid=mask.reshape(n * h, w))
-    labels = identify(dr, config).labels.reshape(nhw)
+    labels = identify(dr, config).reshape(nhw)
 
     hinge = take(scratch, "hinge", nhw)  # holds the odd-channel partial sums first
     dist = _squared_distance(diff, take(scratch, "dist", nhw), hinge)
     np.sqrt(dist, out=dist)
 
     ranges = config.strategy.ranges
-    pos = np.equal(labels, 0, out=take(scratch, "pos", nhw, bool))
-    neg = np.greater(labels, 0, out=take(scratch, "neg", nhw, bool))
+    pos = np.equal(labels, POSITIVE, out=take(scratch, "pos", nhw, bool))
+    neg = np.greater(labels, POSITIVE, out=take(scratch, "neg", nhw, bool))
     m = dd
     m.fill(0.0)
     for j, r in enumerate(ranges, start=1):

@@ -80,7 +80,10 @@ def read_pfm_g1(path: str | Path) -> Grid1:
         raw = np.frombuffer(mask_path.read_bytes(), dtype=np.uint8)
         if raw.size != vals.size:
             raise ShapeError("mask sidecar length mismatch")
-        valid = (raw == ord("1")).reshape(vals.shape)
+        valid = raw == ord("1")
+        if not (valid | (raw == ord("0"))).all():
+            raise ShapeError("mask sidecar holds a byte other than '0' or '1'")
+        valid = valid.reshape(vals.shape)
     else:
         valid = None
     return Grid1(vals, valid)

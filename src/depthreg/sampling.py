@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsufficientBatch, InvalidDimension, ShapeError
 from .grid import Grid1, Grid3, SeedRng, gen_shift_seed
 
 
@@ -39,18 +38,6 @@ class Batch:
 
     items: tuple[tuple[Grid3, Grid1], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if len(self.items) < 1:
-            raise InvalidDimension("batch must contain at least one item")
-        shape = self.items[0][0].data.shape
-        for f, d in self.items:
-            if f.data.shape != shape or (d.height, d.width) != shape[:2]:
-                raise ShapeError("batch items disagree in shape")
-
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 def build_sample_set(
     f_a: Grid3,
@@ -70,25 +57,16 @@ def build_sample_set(
 
     Each across-sample is a whole, unshifted pair of the batch: the drawn
     value acts as an offset in [1, K-1] from the anchor index, so a sample
-    can never alias the anchor itself.
+    can never alias the anchor itself.  Nothing else is checked here: a
+    side or batch below 2 leaves ``gen_shift_seed`` an empty range, and
+    ``reg_loss`` checks every shape.
     """
     pairs = []
-    if n_within > 0:
-        h, w = f_a.height, f_a.width
-        if h < 2 or w < 2:
-            raise InvalidDimension("shift sampling needs height and width >= 2")
-        if (d_a.height, d_a.width) != (h, w):
-            raise ShapeError("anchor feature and depth shapes disagree")
-        for _ in range(n_within):
-            s_h = gen_shift_seed(rng, h)
-            s_w = gen_shift_seed(rng, w)
-            pairs.append(SamplePair(f_a, d_a, 0, s_h, s_w))
-
-    k = len(batch)
-    if not 0 <= anchor_index < k:
-        raise InvalidDimension(f"anchor index {anchor_index} outside batch of {k}")
-    if n_across > 0 and k < 2:
-        raise InsufficientBatch("cross-batch sampling needs at least two items")
+    for _ in range(n_within):
+        s_h = gen_shift_seed(rng, f_a.height)
+        s_w = gen_shift_seed(rng, f_a.width)
+        pairs.append(SamplePair(f_a, d_a, 0, s_h, s_w))
+    k = len(batch.items)
     for _ in range(n_across):
         s_k = gen_shift_seed(rng, k)
         f, d = batch.items[(anchor_index + s_k) % k]

@@ -27,8 +27,7 @@ from depthreg.identify import (
     MultiRange,
     NegativeRange,
     RegConfig,
-    identify_multirange,
-    identify_uniform,
+    identify,
 )
 from depthreg.losses import reg_loss
 from depthreg.metrics import compute_metrics
@@ -115,6 +114,8 @@ def test_criterion_4_identification_partition():
              NegativeRange(1.5, 2.0, 8.0))
         ),
     )
+    uniform = RegConfig(r_p=0.1, strategy=strategy_from_dict(
+        {"kind": "uniform", "r_n": 0.5, "m_u": 1.0}, "regularization.strategy"))
     mismatches = 0
     for _ in range(1000):
         vals = rng.uniforms(64).reshape(8, 8) * 2.4
@@ -123,8 +124,8 @@ def test_criterion_4_identification_partition():
         valid = rng.uniforms(64).reshape(8, 8) > 0.08
         d_r = Grid1(vals, valid)
 
-        got_u = identify_uniform(d_r, 0.1, 0.5).labels
-        got_m = identify_multirange(d_r, cfg).labels
+        got_u = identify(d_r, uniform)
+        got_m = identify(d_r, cfg)
         for i in range(8):
             for j in range(8):
                 v = vals[i, j]

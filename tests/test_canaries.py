@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import test_arena
 import test_cli
 import test_grid
 import test_identify
@@ -24,7 +25,7 @@ import test_sampling
 import test_step_digest
 import test_toybench
 import test_verification
-from depthreg import cli, grid, identify, losses, verification
+from depthreg import cli, grid, identify, losses, sampling, verification
 from depthreg.errors import InvalidConfig
 from depthreg.grid import Grid1
 from depthreg.identify import MultiRange, NegativeRange, RegConfig
@@ -133,6 +134,30 @@ def batch_check_ignores_enabled(check_batch):
     return mutant
 
 
+def empty_range_answers_one(gen_shift_seed):
+    """``gen_shift_seed`` answering 1 where its range [1, n-1] is empty (n < 2)."""
+    return lambda rng, n: 1 if n < 2 else gen_shift_seed(rng, n)
+
+
+def anchor_gradient_writable(loss_result):
+    """``LossResult`` holding a writable copy of the anchor gradient, as if left unfrozen."""
+    def mutant(*args, grad_anchor, **kwargs):
+        return loss_result(*args, grad_anchor=np.array(grad_anchor), **kwargs)
+    return mutant
+
+
+def planar_copy_on_every_path(model_forward):
+    """``model_forward`` also making the frozen channel-planar feature copy, on the off path too."""
+    def mutant(model, image, scratch=None):
+        f, pred, cache = model_forward(model, image, scratch)
+        h, w, c = f.data.shape
+        copy = scratch.take("planar", (c, h, w))
+        np.copyto(copy, f.data.transpose(2, 0, 1))
+        copy.setflags(write=False)
+        return f, pred, cache
+    return mutant
+
+
 def does_nothing(check):
     return lambda *args: None
 
@@ -142,6 +167,14 @@ def in_a_fresh_directory(test):
     def guard():
         with tempfile.TemporaryDirectory() as tmp:
             test(Path(tmp), None)
+    return guard
+
+
+def with_monkeypatch(test):
+    """A guard running ``test(monkeypatch)``, undoing its patches afterwards."""
+    def guard():
+        with pytest.MonkeyPatch.context() as mp:
+            test(mp)
     return guard
 
 
@@ -196,6 +229,18 @@ CANARIES = [
                  in_a_fresh_directory(
                      test_cli.TestTrainCommand().test_disabled_strategy_with_batch_of_one_trains),
                  id="batch-check-ignores-enabled"),
+    pytest.param((sampling, "gen_shift_seed"), empty_range_answers_one,
+                 test_sampling.test_within_needs_2x2, id="shift-seed-empty-range-within"),
+    pytest.param((sampling, "gen_shift_seed"), empty_range_answers_one,
+                 test_sampling.TestAcross().test_insufficient_batch,
+                 id="shift-seed-empty-range-across"),
+    pytest.param((losses, "LossResult"), anchor_gradient_writable,
+                 test_sampling.test_reg_loss_leaves_inputs_unchanged_and_gradients_read_only,
+                 id="anchor-gradient-writable"),
+    pytest.param((train, "model_forward"), planar_copy_on_every_path,
+                 with_monkeypatch(
+                     test_arena.test_disabled_regularizer_makes_no_planar_feature_copy),
+                 id="planar-copy-on-the-off-path"),
 ]
 
 

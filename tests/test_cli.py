@@ -340,6 +340,31 @@ def test_config_not_utf8_exits_2_without_outputs(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["train", "ablate", "gen-scenes"])
+@pytest.mark.parametrize("key, repeated", [
+    pytest.param("steps", '"steps": 1, "steps": 4', id="nested"),
+    pytest.param("scene", '"scene": {}, "scene": {"height": 16, "width": 16, "d_min": 0.5, '
+                 '"d_max": 10.0}', id="top-level"),
+])
+def test_repeated_config_key_exits_2_without_outputs(tmp_path, capsys, command, key, repeated):
+    """A JSON object repeating a key is rejected, not read as its last value."""
+    cfg = tiny_config(tmp_path / "out")
+    cfg["ablation"] = {"strategies": {"baseline": {"kind": "disabled"}}}
+    path = Path(write_config(tmp_path, cfg))
+    text = json.dumps(cfg)
+    once = repeated[repeated.rindex(f'"{key}"'):]
+    assert once in text
+    path.write_text(text.replace(once, repeated))
+    argv = [command, "--config", str(path)]
+    if command == "gen-scenes":
+        argv += ["--out", str(tmp_path / "scenes")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: repeated config key: '{key}'")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "gen-scenes"])
 @pytest.mark.parametrize("scene", [{"height": 4}, {"d_min": 5.0, "d_max": 1.0}],
                          ids=["height-4", "d_min-above-d_max"])
 def test_bad_scene_exits_2_without_outputs(tmp_path, capsys, command, scene):
@@ -399,6 +424,15 @@ class TestEvalAndScenes:
         assert err.count("error:") == 1 and "truncated PFM payload" in err
         assert "Traceback" not in err
 
+    def test_eval_rejects_mask_sidecar_byte_other_than_0_or_1(self, tmp_path, capsys):
+        gt = tmp_path / "gt.pfm"
+        write_pfm_g1(gt, Grid1(np.ones((4, 4))))
+        (tmp_path / "gt.pfm.mask").write_bytes(b"1" * 8 + b"x" * 8)
+        assert main(["eval", "--pred", str(gt), "--gt", str(gt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mask sidecar holds a byte other than '0' or '1'")
+        assert "Traceback" not in err
+
     def test_selfdiff_labels_match_np_roll(self, tmp_path, capsys):
         """Each scene's label map is its depth against itself rolled down 1 and right 1."""
         cfg = tiny_config(tmp_path / "out")
@@ -411,7 +445,7 @@ class TestEvalAndScenes:
             d = gen_scene(seed, 16, 16, 0.5, 10.0).depth  # tiny_config's scene
             rolled = Grid1(np.roll(d.values, (1, 1), axis=(0, 1)),
                            np.roll(d.valid, (1, 1), axis=(0, 1)))
-            labels = identify(differential_map(d, rolled), reg).labels
+            labels = identify(differential_map(d, rolled), reg)
             want = np.where(labels < 0, 255, labels).astype(np.uint8)
             assert len(np.unique(want)) > 2  # enough structure for a misplaced roll to show
             pgm = (scene_dir / f"scene_{i:04d}.selfdiff.pgm").read_bytes()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthreg.errors import InvalidConfig, ShapeError
+from depthreg.experiment import strategy_from_dict
 from depthreg.grid import Grid1, SeedRng
 from depthreg.identify import (
     IGNORED,
@@ -13,8 +14,6 @@ from depthreg.identify import (
     RegConfig,
     differential_map,
     identify,
-    identify_multirange,
-    identify_uniform,
 )
 
 NYU_RANGES = MultiRange(
@@ -24,6 +23,12 @@ NYU_RANGES = MultiRange(
 
 def grid(values, valid=None):
     return Grid1(np.asarray(values, dtype=float), valid)
+
+
+def uniform(r_p, r_n):
+    """The uniform strategy read from its config form: positive below r_p, negative above r_n."""
+    return RegConfig(r_p=r_p, strategy=strategy_from_dict(
+        {"kind": "uniform", "r_n": r_n, "m_u": 1.0}, "regularization.strategy"))
 
 
 class TestDifferentialMap:
@@ -58,28 +63,28 @@ class TestDifferentialMap:
 
 class TestUniform:
     def test_positive_below_rp(self):
-        m = identify_uniform(grid([[0.05]]), 0.1, 0.5)
-        assert m.labels[0, 0] == POSITIVE
+        m = identify(grid([[0.05]]), uniform(0.1, 0.5))
+        assert m[0, 0] == POSITIVE
 
     def test_between_thresholds_ignored(self):
-        m = identify_uniform(grid([[0.3]]), 0.1, 0.5)
-        assert m.labels[0, 0] == IGNORED
+        m = identify(grid([[0.3]]), uniform(0.1, 0.5))
+        assert m[0, 0] == IGNORED
 
     def test_negative_above_rn(self):
-        m = identify_uniform(grid([[0.7]]), 0.1, 0.5)
-        assert m.labels[0, 0] == 1
+        m = identify(grid([[0.7]]), uniform(0.1, 0.5))
+        assert m[0, 0] == 1
 
     def test_boundary_equalities_ignored(self):
-        m = identify_uniform(grid([[0.1, 0.5]]), 0.1, 0.5)
-        assert m.labels.tolist() == [[IGNORED, IGNORED]]
+        m = identify(grid([[0.1, 0.5]]), uniform(0.1, 0.5))
+        assert m.tolist() == [[IGNORED, IGNORED]]
 
     def test_invalid_pixels_ignored(self):
-        m = identify_uniform(Grid1(np.array([[0.05]]), np.array([[False]])), 0.1, 0.5)
-        assert m.labels[0, 0] == IGNORED
+        m = identify(Grid1(np.array([[0.05]]), np.array([[False]])), uniform(0.1, 0.5))
+        assert m[0, 0] == IGNORED
 
     def test_rp_above_rn_rejected(self):
         with pytest.raises(InvalidConfig):
-            identify_uniform(grid([[0.0]]), 0.6, 0.5)
+            uniform(0.6, 0.5)
 
 
 class TestMultiRange:
@@ -91,16 +96,16 @@ class TestMultiRange:
             r_p=0.1,
             strategy=MultiRange((NegativeRange(0.5, 1.0, 5.0), NegativeRange(1.0, 1.5, 9.0))),
         )
-        m = identify_multirange(grid([[0.8, 1.2, 1.8]]), cfg)
-        assert m.labels.tolist() == [[1, 2, IGNORED]]
+        m = identify(grid([[0.8, 1.2, 1.8]]), cfg)
+        assert m.tolist() == [[1, 2, IGNORED]]
 
     def test_gap_below_first_range_ignored(self):
-        m = identify_multirange(grid([[0.3]]), self.cfg())
-        assert m.labels[0, 0] == IGNORED
+        m = identify(grid([[0.3]]), self.cfg())
+        assert m[0, 0] == IGNORED
 
     def test_range_boundaries_ignored(self):
-        m = identify_multirange(grid([[0.5, 1.0, 1.5, 2.0]]), self.cfg())
-        assert m.labels.tolist() == [[IGNORED] * 4]
+        m = identify(grid([[0.5, 1.0, 1.5, 2.0]]), self.cfg())
+        assert m.tolist() == [[IGNORED] * 4]
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -168,7 +173,7 @@ def test_partition_matches_brute_force_uniform():
     rng = SeedRng(1001)
     for _ in range(200):
         d_r = random_differential_map(rng)
-        got = identify_uniform(d_r, 0.1, 0.5).labels
+        got = identify(d_r, uniform(0.1, 0.5))
         assert np.array_equal(got, brute_force_uniform(d_r, 0.1, 0.5))
 
 
@@ -177,7 +182,7 @@ def test_partition_matches_brute_force_multirange():
     cfg = RegConfig(r_p=0.1, strategy=NYU_RANGES)
     for _ in range(200):
         d_r = random_differential_map(rng)
-        got = identify_multirange(d_r, cfg).labels
+        got = identify(d_r, cfg)
         assert np.array_equal(got, brute_force_multirange(d_r, cfg))
 
 
@@ -209,9 +214,9 @@ def threshold_cases(draw):
 @given(case=threshold_cases())
 def test_labels_match_brute_force_on_thresholds_and_bad_invalid_pixels(case):
     cfg, d_r = case
-    assert np.array_equal(identify(d_r, cfg).labels, brute_force_multirange(d_r, cfg))
+    assert np.array_equal(identify(d_r, cfg), brute_force_multirange(d_r, cfg))
     r_n = cfg.strategy.ranges[0].low  # may equal r_p
-    assert np.array_equal(identify_uniform(d_r, cfg.r_p, r_n).labels,
+    assert np.array_equal(identify(d_r, uniform(cfg.r_p, r_n)),
                           brute_force_uniform(d_r, cfg.r_p, r_n))
 
 
@@ -219,8 +224,8 @@ def test_raising_rp_never_creates_negatives():
     rng = SeedRng(1003)
     for _ in range(50):
         d_r = random_differential_map(rng)
-        lo = identify_uniform(d_r, 0.1, 0.5).labels
-        hi = identify_uniform(d_r, 0.3, 0.5).labels
+        lo = identify(d_r, uniform(0.1, 0.5))
+        hi = identify(d_r, uniform(0.3, 0.5))
         was_positive = lo == POSITIVE
         assert not np.any(hi[was_positive] > 0)
         # negatives are untouched by r_p
@@ -233,7 +238,7 @@ def test_single_range_subsumes_uniform_classification():
     cfg = RegConfig(r_p=0.1, strategy=MultiRange((NegativeRange(0.5, bound, 1.0),)))
     for _ in range(50):
         d_r = random_differential_map(rng)
-        multi = identify_multirange(d_r, cfg).labels
-        uni = identify_uniform(d_r, 0.1, 0.5).labels
+        multi = identify(d_r, cfg)
+        uni = identify(d_r, uniform(0.1, 0.5))
         assert np.array_equal(multi, uni)
 

@@ -28,6 +28,15 @@ def test_g1_round_trip_with_mask(tmp_path):
     assert np.array_equal(back.valid, valid)
 
 
+@pytest.mark.parametrize("mask", [b"1" * 8 + b"x" * 8, b"x" * 16, b"0" * 15 + b"\x00"])
+def test_g1_sidecar_byte_other_than_0_or_1_rejected(tmp_path, mask):
+    path = tmp_path / "depth.pfm"
+    write_pfm_g1(path, Grid1(np.ones((4, 4))))
+    (tmp_path / "depth.pfm.mask").write_bytes(mask)
+    with pytest.raises(ShapeError, match="other than '0' or '1'"):
+        read_pfm_g1(path)
+
+
 def test_g1_without_sidecar_is_all_valid(tmp_path):
     path = tmp_path / "depth.pfm"
     write_pfm_g1(path, Grid1(np.ones((2, 2))))

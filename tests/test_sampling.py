@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthreg import losses, sampling
-from depthreg.errors import InsufficientBatch, InvalidDimension
+from depthreg.errors import InvalidDimension
 from depthreg.grid import Grid1, Grid3, SeedRng, roll_into
 from depthreg.identify import MultiRange, NegativeRange, RegConfig
 from depthreg.losses import reg_loss
@@ -111,7 +111,7 @@ class TestAcross:
 
     def test_insufficient_batch(self):
         batch = self.make_batch(1)
-        with pytest.raises(InsufficientBatch):
+        with pytest.raises(InvalidDimension):
             across_samples(batch, 0, 2, SeedRng(0))
 
     def test_zero_from_single_item_batch_ok(self):
