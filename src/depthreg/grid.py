@@ -235,16 +235,27 @@ def take(scratch: Scratch | None, key, shape: tuple[int, ...], dtype=np.float64)
 
 
 def roll_into(src: np.ndarray, s_h: int, s_w: int, out: np.ndarray) -> np.ndarray:
-    """``out[...] = np.roll(src, (s_h, s_w), axis=(-2, -1))`` by four quadrant copies.
+    """``out[...] = np.roll(src, (s_h, s_w), axis=(-2, -1))``: a flat roll, then wrapped columns.
 
+    Rolling each flattened (H*W) plane by ``s_h * W + s_w`` (two contiguous
+    copies) puts every column ``j >= s_w`` in place; the columns ``j < s_w``
+    come from one row too far up, and two narrow copies fix them.  Past
+    ``W / 2`` the plane is rolled one row less, which puts the left columns
+    in place and leaves the narrower right side to fix.
     Shifts are taken modulo the map size (``-s_h, -s_w`` rolls back); ``out``
-    has ``src``'s shape and does not overlap it.
+    is C-contiguous, has ``src``'s shape and does not overlap it.
     """
     h, w = src.shape[-2:]
     s_h, s_w = s_h % h, s_w % w
-    for dst_h, src_h in ((slice(s_h, None), slice(None, h - s_h)),
-                         (slice(None, s_h), slice(h - s_h, None))):
-        for dst_w, src_w in ((slice(s_w, None), slice(None, w - s_w)),
-                             (slice(None, s_w), slice(w - s_w, None))):
-            out[..., dst_h, dst_w] = src[..., src_h, src_w]
+    if 2 * s_w <= w:
+        k, fix, keep = s_h * w + s_w, slice(None, s_w), slice(w - s_w, None)
+    else:
+        k, fix, keep = (s_h - 1) * w + s_w, slice(s_w, None), slice(None, w - s_w)
+    n = h * w
+    k %= n
+    flat_src, flat_out = src.reshape(-1, n), out.reshape(-1, n)
+    flat_out[:, k:] = flat_src[:, :n - k]
+    flat_out[:, :k] = flat_src[:, n - k:]
+    out[..., s_h:, fix] = src[..., :h - s_h, keep]
+    out[..., :s_h, fix] = src[..., h - s_h:, keep]
     return out

@@ -75,6 +75,43 @@ def _squared_distance(diff: np.ndarray, out: np.ndarray, work: np.ndarray) -> np
     return np.add(out, work, out=out)
 
 
+def _nan_plane(d: Grid1, out: np.ndarray) -> np.ndarray:
+    """``d``'s values into ``out`` with NaN off its valid mask, whatever its holes hold."""
+    out.fill(np.nan)
+    np.copyto(out, d.values, where=d.valid)
+    return out
+
+
+def _margins(labels: np.ndarray, ranges, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-pixel margin into ``out``: ``ranges[j - 1].margin`` on negative group j, 0 elsewhere.
+
+    One lookup of the table ``[0, 0, m_1, ..., m_J]`` (ignored, positive,
+    then each group) at ``labels + 1``, held in the intp buffer ``index``.
+    ``mode="clip"`` writes straight into ``out``; ``"raise"`` would buffer it.
+    """
+    table = np.array([0.0, 0.0] + [r.margin for r in ranges])
+    return np.take(table, np.add(labels, 1, out=index, dtype=np.intp), out=out, mode="clip")
+
+
+def _coefficient(dist: np.ndarray, m: np.ndarray, pos: np.ndarray, scale: float,
+                 mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(scale * (1 / dist)) * ((dist < m) - pos)`` into ``out``, 1 / dist read as 0 at dist = 0.
+
+    The gradient coefficient d(term)/d(dist) toward the sample.  Only a
+    negative's margin lets ``dist < m`` hold (``m`` is 0 elsewhere), so the
+    sign is +1 on active hinges, -1 on positives and 0 on every other pixel;
+    it is cast into ``m``, which is overwritten.  ``1 / dist`` is finite
+    (a non-zero ``dist`` is a square root, at least 1e-162), so idle pixels
+    get +0.0 and a positive at dist = 0 gets -0.0.  The reciprocal comes
+    first, so these are not the bits of ``scale / dist``.
+    """
+    out.fill(0.0)
+    np.divide(1.0, dist, out=out, where=np.greater(dist, 0.0, out=mask))
+    np.multiply(scale, out, out=out)
+    sign = np.subtract(np.less(dist, m, out=mask), pos, out=m, dtype=np.float64)
+    return np.multiply(out, sign, out=out)
+
+
 def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: RegConfig,
              scratch: Scratch | None = None) -> LossResult:
     """Regularization loss of an anchor against its sample set, with gradients.
@@ -110,65 +147,62 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
     # row-strided blocks or an inner axis of length C it runs several times
     # slower).  Each sample's shape is checked before its slot is written:
     # a ufunc's ``out=`` would broadcast a (1, W) depth map silently.
+    # Depth enters as NaN-marked planes, one per distinct depth grid: the
+    # anchor's in ``hinge[0]``, the others in ``dist``'s slots, both free
+    # until the distances are summed.  A shifted sample rolls its plane.  NaN
+    # survives the subtraction and ``abs``, so a pixel is jointly valid
+    # exactly where its differential equals itself.
     diff = take(scratch, "diff", (n, c, h, w))  # f_a - f_s; becomes the f_s gradient
-    dd = take(scratch, "dd", nhw)  # |d_a - d_s|; becomes the per-pixel margin
-    mask = take(scratch, "mask", nhw, bool)  # joint validity; then one label group at a time
+    dd = take(scratch, "dd", nhw)  # |d_a - d_s|; then the margins; then the coefficient's sign
+    mask = take(scratch, "mask", nhw, bool)  # joint validity; then one pixel test at a time
+    hinge = take(scratch, "hinge", nhw)
+    dist = take(scratch, "dist", nhw)
+    a_plane = _nan_plane(d_a, hinge[0])
+    planes = {id(d_a): a_plane}  # id of a depth grid -> its plane
     for i, p in enumerate(samples):
         if p.feature.data.shape != (h, w, c) or p.depth.values.shape != (h, w):
             raise ShapeError(f"sample {i} disagrees in shape with the anchor")
-        f_s, d_s, v_s = p.feature.data.transpose(2, 0, 1), p.depth.values, p.depth.valid
+        f_s, d_s = p.feature.data.transpose(2, 0, 1), planes.get(id(p.depth))
+        if d_s is None:
+            d_s = planes[id(p.depth)] = _nan_plane(p.depth, dist[len(planes) - 1])
         if p.s_h or p.s_w:
             f_s = roll_into(f_s, p.s_h, p.s_w, diff[i])
             d_s = roll_into(d_s, p.s_h, p.s_w, dd[i])
-            v_s = roll_into(v_s, p.s_h, p.s_w, mask[i])
         np.subtract(fa, f_s, out=diff[i])
-        np.subtract(d_a.values, d_s, out=dd[i])
-        np.logical_and(d_a.valid, v_s, out=mask[i])
+        np.subtract(a_plane, d_s, out=dd[i])
+    np.abs(dd, out=dd)
     # |d_a - d_s| of two checked depth maps: finite and >= 0 where both are valid
-    dr = _view(Grid1, values=np.abs(dd, out=dd).reshape(n * h, w), valid=mask.reshape(n * h, w))
+    dr = _view(Grid1, values=dd.reshape(n * h, w),
+               valid=np.equal(dd, dd, out=mask).reshape(n * h, w))
     labels = identify(dr, config).reshape(nhw)
 
-    hinge = take(scratch, "hinge", nhw)  # holds the odd-channel partial sums first
-    dist = _squared_distance(diff, take(scratch, "dist", nhw), hinge)
+    dist = _squared_distance(diff, dist, hinge)  # hinge holds the odd-channel partial sums
     np.sqrt(dist, out=dist)
 
     ranges = config.strategy.ranges
-    pos = np.equal(labels, POSITIVE, out=take(scratch, "pos", nhw, bool))
-    neg = np.greater(labels, POSITIVE, out=take(scratch, "neg", nhw, bool))
-    m = dd
-    m.fill(0.0)
-    for j, r in enumerate(ranges, start=1):
-        np.copyto(m, r.margin, where=np.equal(labels, j, out=mask))
+    m = _margins(labels, ranges, hinge.view(np.intp), dd)
     np.subtract(m, dist, out=hinge)
     np.maximum(0.0, hinge, out=hinge)
 
-    contributing = int(np.count_nonzero(pos) + np.count_nonzero(neg))
+    pos = np.equal(labels, POSITIVE, out=take(scratch, "pos", nhw, bool))
+    contributing = int(np.count_nonzero(np.greater_equal(labels, POSITIVE, out=mask)))
     if config.loss_reduction == "mean_contributing":
         scale = 1.0 / contributing if contributing else 0.0
     else:
         scale = 1.0
 
+    # The masked sums fix the breakdown's bits.  numpy reduces each maximal
+    # run of True pixels by its pairwise sum and adds the runs left to right
+    # to 0.0 (an emulation of that order matches all four sums of a 64x64
+    # step).  The order follows where the runs fall, so no cheaper op (a
+    # multiply then a plain sum, a bincount) gives the same bits.
     breakdown: dict[str, float] = {"positive": scale * float(np.sum(dist, where=pos))}
     for j in range(1, len(ranges) + 1):
         np.equal(labels, j, out=mask)
         breakdown[f"negative_{j}"] = scale * float(np.sum(hinge, where=mask))
     total = math.fsum(breakdown.values())
 
-    # Gradient coefficient per (sample, pixel): d(term)/d(dist) toward the
-    # sample, zero at dist = 0 and on inactive hinges.  Built in the hinge
-    # buffer as scale * (1 / dist), with 1 / dist read as 0 at dist = 0,
-    # negated on positives and +0.0 off the active pixels: the bits of
-    # (scale * (1 / dist)) * (active - positive).  The reciprocal comes
-    # first, so these are not the bits of scale / dist.
-    coef = hinge
-    coef.fill(np.inf)
-    np.copyto(coef, dist, where=np.greater(dist, 0.0, out=mask))
-    np.divide(1.0, coef, out=coef)
-    np.multiply(scale, coef, out=coef)
-    active = np.logical_and(neg, np.less(dist, m, out=mask), out=mask)
-    np.negative(coef, out=coef, where=pos)
-    idle = np.logical_not(np.logical_or(active, pos, out=neg), out=neg)
-    np.copyto(coef, 0.0, where=idle)
+    coef = _coefficient(dist, m, pos, scale, mask, hinge)
 
     # Each entry is ``scale`` times a feature difference over its norm (so at
     # most about ``scale``) or NaN where the difference overflowed: the anchor

@@ -1,8 +1,8 @@
 """The training step's reused work arrays: routing, escape and allocation checks.
 
 ``batch_objective`` takes its large arrays from one module arena and routes
-channel-planar sample gradients back by four quadrant copies and one add
-(a plain add at zero shift).  These tests pin that the routing equals the
+channel-planar sample gradients back by one ``roll_into`` and one add (a
+plain add at zero shift).  These tests pin that the routing equals the
 ``np.roll`` it replaced bit for bit, that no arena buffer leaves a step or a
 call made without an arena, that only the regularizer makes planar feature
 copies, and that a steady-state step allocates little.
@@ -35,7 +35,7 @@ MULTI = RegConfig(
 
 
 # ---------------------------------------------------------------------------
-# Gradient routing: quadrant copies plus one add equal np.roll plus add
+# Gradient routing: roll_into plus one add equals np.roll plus add
 # ---------------------------------------------------------------------------
 
 def wrong_sign(acc, g, s_h, s_w):

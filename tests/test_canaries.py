@@ -78,6 +78,35 @@ def quadrant_from_wrong_block(roll_into):
     return mutant
 
 
+def wrapped_columns_from_neighbouring_row(roll_into):
+    """``roll_into`` stopping at its flat roll: the wrapped columns come from the row above."""
+    def mutant(src, s_h, s_w, out):
+        h, w = src.shape[-2:]
+        np.copyto(out.reshape(-1, h * w), np.roll(src.reshape(-1, h * w), s_h * w + s_w, axis=-1))
+        return out
+    return mutant
+
+
+def plane_without_mask(nan_plane):
+    """``_nan_plane`` copying every depth value, the holes' included, with no NaN marking."""
+    def mutant(d, out):
+        np.copyto(out, d.values)
+        return out
+    return mutant
+
+
+def margin_table_shifted(margins):
+    """``_margins`` reading the table one group on: a positive gets m_1, group j m_(j+1)."""
+    return lambda labels, ranges, index, out: margins(labels + 1, ranges, index, out)
+
+
+def sign_without_positive_term(coefficient):
+    """``_coefficient`` whose sign is ``dist < m`` alone, without its ``- pos`` term."""
+    def mutant(dist, m, pos, scale, mask, out):
+        return coefficient(dist, m, np.zeros_like(pos), scale, mask, out)
+    return mutant
+
+
 def blas_column_sums(column_sums):
     """Bias gradients summed by a BLAS matrix-vector product, in another order."""
     return lambda a: np.ones(a.shape[0]) @ a
@@ -201,6 +230,16 @@ CANARIES = [
     pytest.param((losses, "roll_into"), quadrant_from_wrong_block,
                  partial(test_sampling.check_within_against_oracle, 13, 5, 6, 2, 3, "none",
                          test_sampling.CONFIGS[2]), id="roll-quadrant-from-wrong-block"),
+    pytest.param((losses, "roll_into"), wrapped_columns_from_neighbouring_row,
+                 partial(test_sampling.check_within_against_oracle, 13, 5, 6, 2, 3, "none",
+                         test_sampling.CONFIGS[2]), id="roll-wrapped-columns-one-row-off"),
+    pytest.param((losses, "_nan_plane"), plane_without_mask,
+                 test_verification.test_regloss_oracle_passes, id="depth-plane-without-mask"),
+    pytest.param((losses, "_margins"), margin_table_shifted,
+                 test_verification.test_regloss_oracle_passes, id="margin-table-one-group-on"),
+    pytest.param((losses, "_coefficient"), sign_without_positive_term,
+                 test_verification.test_regloss_gradcheck_passes,
+                 id="coefficient-sign-without-positives"),
     pytest.param((losses, "_check_finite"), does_nothing,
                  partial(test_losses.TestRegLoss().test_overflowing_feature_difference_raises,
                          test_losses.MULTI_NYU), id="anchor-gradient-finiteness"),

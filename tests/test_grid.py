@@ -189,16 +189,27 @@ class TestShift:
         assert sorted(m.ravel()) == sorted(out.ravel())
 
 
-@settings(max_examples=200, deadline=None)
-@given(lead=st.sampled_from([(), (1,), (3,), (2, 2)]), h=st.integers(1, 7), w=st.integers(1, 7),
-       s_h=st.integers(-9, 9), s_w=st.integers(-9, 9), mask=st.booleans(),
-       seed=st.integers(0, 2**32))
-def test_roll_into_equals_np_roll(lead, h, w, s_h, s_w, mask, seed):
-    """Any shift, either sign or past the map size, on any leading axes and on masks."""
+@settings(max_examples=300, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (3,), (2, 2)]), h=st.integers(1, 9), w=st.integers(1, 9),
+       mask=st.booleans(), seed=st.integers(0, 2**32), data=st.data())
+def test_roll_into_equals_np_roll(lead, h, w, mask, seed, data):
+    """Any shift, either sign or past the map size, on any leading axes and on masks.
+
+    Each example rolls by one shift on each side of s_w = W / 2, where the
+    flat roll turns from fixing the left columns to fixing the right ones
+    (below W = 3 every shift is on the left), each moved by -1 to 2 whole
+    widths.
+    """
     shape = lead + (h, w)
     m = SeedRng(seed).normals(int(np.prod(shape))).reshape(shape)
     if mask:
         m = m > 0.3
-    out = np.empty_like(m)
-    assert roll_into(m, s_h, s_w, out) is out
-    assert out.tobytes() == np.roll(m, (s_h, s_w), axis=(-2, -1)).tobytes()
+    s_h = data.draw(st.integers(-2 * h, 2 * h))
+    wraps = data.draw(st.sampled_from([-1, 0, 1, 2]))
+    sides = [data.draw(st.integers(0, w // 2))]
+    if w >= 3:
+        sides.append(data.draw(st.integers(w // 2 + 1, w - 1)))
+    for s_w in sides:
+        out = np.empty_like(m)
+        assert roll_into(m, s_h, s_w + wraps * w, out) is out
+        assert out.tobytes() == np.roll(m, (s_h, s_w + wraps * w), axis=(-2, -1)).tobytes()

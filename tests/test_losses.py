@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from depthreg.errors import DomainError, ShapeError
 from depthreg.grid import Grid1, Grid3, SeedRng, _check_depth, _view
 from depthreg.experiment import strategy_from_dict
-from depthreg.identify import MultiRange, NegativeRange, RegConfig, differential_map
-from depthreg.losses import DepthLossParams, _squared_distance, reg_loss, si_loss
+from depthreg.identify import (POSITIVE, MultiRange, NegativeRange, RegConfig, differential_map,
+                               identify)
+from depthreg.losses import (DepthLossParams, _coefficient, _margins, _squared_distance, reg_loss,
+                             si_loss)
 from depthreg.sampling import Batch, SamplePair, build_sample_set
 from depthreg.verification import oracle_reg_loss, random_instance
 
@@ -208,12 +210,13 @@ class TestRegLoss:
 
 VALID_DEPTHS = st.one_of(st.floats(0.0, 1e308), st.sampled_from([-0.0, 5e-324, 1e308]))
 HOLES = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -1e308, 1e308])
+VALID_NEAR = st.sampled_from([0.0, 1.0, 1.05, 1.3, 1.8, 2.5, 4.0])  # every group of both configs
 
 
-def checked_depth_map(data, h, w):
-    """A ``Grid1`` with valid depths up to 1e308 and NaN, +-inf or negatives in its holes."""
+def checked_depth_map(data, h, w, depths=VALID_DEPTHS):
+    """A ``Grid1`` with valid ``depths`` (up to 1e308) and NaN, +-inf or negatives in its holes."""
     valid = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
-    values = [data.draw(VALID_DEPTHS if ok else HOLES) for ok in valid]
+    values = [data.draw(depths if ok else HOLES) for ok in valid]
     return Grid1(np.array(values).reshape(h, w), np.array(valid).reshape(h, w))
 
 
@@ -262,6 +265,110 @@ def test_anchor_gradient_check_covers_every_sample_gradient(data, seed, n, c, co
             return
     assert np.isfinite(res.grad_anchor).all()
     assert np.isfinite(res.grad_samples).all()
+
+
+# Holes in a depth map are NaN-marked before anything reads them, so no
+# value a hole holds is a depth, and no arithmetic on one warns (pyproject
+# turns warnings into errors).
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), h=st.integers(2, 4), w=st.integers(2, 4),
+       n_within=st.integers(0, 3), n_across=st.integers(0, 3),
+       config=st.sampled_from([UNIFORM_NYU, MULTI_NYU]))
+def test_depth_holes_of_any_value_are_ignored(data, seed, h, w, n_within, n_across, config):
+    """Holes of NaN, +-inf or negatives: the oracle's count, and the bits of zero-filled holes."""
+    rng = SeedRng(seed)
+    items = [(Grid3(rng.normals(h * w * 2).reshape(h, w, 2)),
+              checked_depth_map(data, h, w, VALID_NEAR)) for _ in range(3)]
+    plain = [(f, Grid1(np.where(d.valid, d.values, 0.0), d.valid)) for f, d in items]
+    runs = []
+    for pairs in (items, plain):
+        batch = Batch(tuple(pairs))
+        f_a, d_a = batch.items[0]
+        ss = build_sample_set(f_a, d_a, batch, 0, n_within, n_across, SeedRng(seed + 1))
+        runs.append((reg_loss(f_a, d_a, ss, config), oracle_reg_loss(f_a, d_a, ss, config)))
+    (got, (want, count)), (zero_filled, _) = runs
+    assert got.contributing_count == count == zero_filled.contributing_count
+    assert got.total == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert (got.total, got.breakdown) == (zero_filled.total, zero_filled.breakdown)
+    assert got.grad_anchor.tobytes() == zero_filled.grad_anchor.tobytes()
+    assert got.grad_samples.tobytes() == zero_filled.grad_samples.tobytes()
+
+
+# Margins and gradient coefficients: the formulations they replaced, kept
+# here as references.  Margins were written one range at a time; the
+# coefficient was built from an inf-filled reciprocal, negated on positives
+# and zeroed off the active pixels.
+
+def margins_by_copyto(labels, ranges):
+    m = np.zeros(labels.shape)
+    for j, r in enumerate(ranges, start=1):
+        np.copyto(m, r.margin, where=labels == j)
+    return m
+
+
+def coefficient_by_negation(labels, dist, m, scale):
+    pos, neg = labels == POSITIVE, labels > POSITIVE
+    coef = np.full(dist.shape, np.inf)
+    np.copyto(coef, dist, where=dist > 0.0)
+    np.divide(1.0, coef, out=coef)
+    np.multiply(scale, coef, out=coef)
+    active = neg & (dist < m)
+    np.negative(coef, out=coef, where=pos)
+    np.copyto(coef, 0.0, where=~(active | pos))
+    return coef
+
+
+MARGINS = st.sampled_from([0.5, 1.0, 3.0, 4.0, 1e-300, 1e300])
+
+
+@st.composite
+def multi_range_configs(draw):
+    """1-4 ranges from r_p = 0.1, each touching its predecessor or after a gap; maybe open-ended."""
+    bounds, low = [], 0.1
+    for _ in range(draw(st.integers(1, 4))):
+        low += draw(st.sampled_from([0.0, 0.25]))  # touching or gapped
+        high = low + draw(st.sampled_from([0.5, 1.0]))
+        bounds.append((low, high))
+        low = high
+    if draw(st.booleans()):
+        bounds[-1] = (bounds[-1][0], np.inf)
+    ranges = tuple(NegativeRange(lo, hi, draw(MARGINS)) for lo, hi in bounds)
+    return RegConfig(r_p=0.1, strategy=MultiRange(ranges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), config=multi_range_configs(),
+       reduction=st.sampled_from(["sum", "mean_contributing"]))
+def test_margin_lookup_and_coefficient_equal_the_per_range_passes(data, config, reduction):
+    """Bit for bit, on labels of every group, with dist = 0 and inf on each group."""
+    ranges = config.strategy.ranges
+    # one pixel per group and one hole at dist 0, the same at inf, then drawn
+    # pixels: group interiors, exact bounds, gaps, beyond the last range, holes
+    points = [0.05] + [(r.low + min(r.high, r.low + 1.0)) / 2 for r in ranges] + [np.nan]
+    edges = [0.1] + [b for r in ranges for b in (r.low, r.high) if b < np.inf]
+    diffs = 2 * points + data.draw(st.lists(
+        st.sampled_from(points + edges + [e + 0.1 for e in edges]), max_size=30))
+    kinks = [b for r in ranges for b in (np.nextafter(r.margin, 0.0), r.margin,
+                                         np.nextafter(r.margin, np.inf))]
+    smallest = np.sqrt(5e-324)  # the least non-zero square root reg_loss can take
+    dists = [0.0] * len(points) + [np.inf] * len(points) + data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, smallest, np.inf] + kinks), st.floats(smallest, 1e4)),
+        min_size=len(diffs) - 2 * len(points), max_size=len(diffs) - 2 * len(points)))
+    d = np.array(diffs).reshape(1, -1)
+    labels = identify(Grid1(np.nan_to_num(d), d == d), config).reshape(1, 1, -1)
+    dist = np.array(dists).reshape(labels.shape)
+    assert set(np.unique(labels)) == set(range(-1, len(ranges) + 1))
+    count = int(np.count_nonzero(labels >= POSITIVE))
+    scale = 1.0 if reduction == "sum" else 1.0 / count
+
+    want_m = margins_by_copyto(labels, ranges)
+    m = _margins(labels, ranges, np.empty(labels.shape, np.intp), np.empty(labels.shape))
+    assert m.tobytes() == want_m.tobytes()
+    want = coefficient_by_negation(labels, dist, want_m, scale)
+    coef = _coefficient(dist, m, labels == POSITIVE, scale, np.empty(labels.shape, bool),
+                        np.empty(labels.shape))
+    assert coef.tobytes() == want.tobytes()
 
 
 # reg_loss works on channel-planar (N, C, H, W) copies of the samples, and

@@ -48,7 +48,7 @@ def test_within_count_and_provenance():
 
 
 def filled(p):
-    """A plan entry's (C, H, W) feature, depth and mask maps as ``reg_loss`` fills them."""
+    """A plan entry's (C, H, W) feature, depth and mask maps, rolled by its shift."""
     return tuple(roll_into(a, p.s_h, p.s_w, np.empty_like(a))
                  for a in (p.feature.data.transpose(2, 0, 1), p.depth.values, p.depth.valid))
 
@@ -179,14 +179,17 @@ CONFIGS = [
 def masked_pair(seed, h, w, c, invalid):
     """Anchor pair whose depth is valid everywhere, on ~30% of pixels or nowhere.
 
-    Invalid entries hold NaN: nothing may read them as depths.
+    Invalid entries hold NaN or, on about half of them, a depth in range:
+    nothing may read them as depths, and a fill that ignored the mask would
+    classify the in-range ones.
     """
     rng = SeedRng(seed)
     f = Grid3(rng.normals(h * w * c).reshape(h, w, c))
     vals = rng.uniforms(h * w).reshape(h, w) * 2.2
     valid = {"none": np.ones((h, w), bool), "partial": rng.uniforms(h * w).reshape(h, w) > 0.3,
              "all": np.zeros((h, w), bool)}[invalid]
-    return f, Grid1(np.where(valid, vals, np.nan), valid)
+    holes = np.where(rng.uniforms(h * w).reshape(h, w) > 0.5, vals, np.nan)
+    return f, Grid1(np.where(valid, vals, holes), valid)
 
 
 def fill_one_row_off(src, s_h, s_w, out):
