@@ -11,6 +11,7 @@ zero (the most stable members of the subdifferential).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,21 +24,17 @@ from .sampling import SamplePair
 
 @dataclass(frozen=True)
 class LossResult:
-    """Regularization total with per-type breakdown and feature gradients.
+    """Regularization total with its per-type breakdown.
 
     ``breakdown`` keys are ``"positive"`` and ``"negative_<j>"``; the values
     carry the configured reduction, so they sum to ``total``.
     ``contributing_count`` is the number of non-ignored (sample, pixel)
-    pairs, including inactive hinges.  The gradients are read-only and
-    channel-planar: ``grad_anchor`` is (C, H, W) and ``grad_samples``
-    (N, C, H, W), one sample per row.
+    pairs, including inactive hinges.
     """
 
     total: float
     breakdown: dict[str, float]
     contributing_count: int
-    grad_anchor: np.ndarray
-    grad_samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,13 +49,6 @@ class DepthLossParams:
             raise InvalidConfig("variance_focus must lie in [0, 1]")
         if not self.output_scale > 0:
             raise InvalidConfig("output_scale must be > 0")
-
-
-def _zero_result(f_a: Grid3, n_samples: int) -> LossResult:
-    h, w, c = f_a.data.shape
-    zero = np.zeros((n_samples + 1, c, h, w))
-    zero.setflags(write=False)
-    return LossResult(0.0, {}, 0, grad_anchor=zero[0], grad_samples=zero[1:])
 
 
 def _squared_distance(diff: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -113,24 +103,27 @@ def _coefficient(dist: np.ndarray, m: np.ndarray, pos: np.ndarray, scale: float,
 
 
 def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: RegConfig,
+             grad_anchor: np.ndarray, grad_samples: Sequence[np.ndarray],
              scratch: Scratch | None = None) -> LossResult:
-    """Regularization loss of an anchor against its sample set, with gradients.
+    """Regularization loss of an anchor against its sample set; adds its gradients.
 
     Every sample pixel is classified from the depth-differential map of the
     anchor depth against that sample's depth, then accumulated per the pair
-    term.  A sample's maps are its grids rolled by its ``(s_h, s_w)``, and
-    its gradient row is in that rolled frame.  Reduction follows
-    ``config.loss_reduction``.  Per-sample partials are reduced in sample
-    order, so results are reproducible bit-for-bit.
-    A sample whose feature or depth map differs in shape from the anchor's
-    raises ``ShapeError``.  With a ``scratch`` the work arrays, and the
-    gradients returned, are its buffers, valid until the next call with
-    that arena.
+    term.  A sample's maps are its grids rolled by its ``(s_h, s_w)``.
+    Reduction follows ``config.loss_reduction``.  Per-sample partials are
+    reduced in sample order, so results are reproducible bit-for-bit.
+    The anchor's gradient is added into ``grad_anchor``, then each sample's,
+    in order, into its entry of ``grad_samples``, rolled back to its grid's
+    frame.  All are channel-planar (C, H, W); entries may be one array, or
+    ``grad_anchor``.  A call that raises adds nothing: a sample whose
+    feature or depth map differs in shape from the anchor's raises
+    ``ShapeError``, an overflowing gradient ``DomainError``.  With a
+    ``scratch`` the work arrays are its buffers.
     """
     if (d_a.height, d_a.width) != (f_a.height, f_a.width):
         raise ShapeError("anchor feature and depth shapes disagree")
     if len(samples) == 0 or not config.enabled:
-        return _zero_result(f_a, len(samples))
+        return LossResult(0.0, {}, 0)
 
     n = len(samples)
     h, w, c = f_a.data.shape
@@ -207,21 +200,18 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
     # Each entry is ``scale`` times a feature difference over its norm (so at
     # most about ``scale``) or NaN where the difference overflowed: the anchor
     # gradient, minus their sum, is finite exactly when all are.  Its check
-    # covers the sample gradients.  Both buffers are handed out frozen.
-    grad_samples = np.multiply(diff, coef[:, None], out=diff)  # gradient wrt each f_s
-    grad_samples.setflags(write=False)
-    grad_anchor = np.sum(grad_samples, axis=0, out=take(scratch, "grad_anchor", (c, h, w)))
-    np.negative(grad_anchor, out=grad_anchor)
-    _check_finite(grad_anchor)
-    grad_anchor.setflags(write=False)
+    # covers the sample gradients, before anything is added.
+    grad = np.multiply(diff, coef[:, None], out=diff)  # wrt each rolled sample map
+    anchor = np.sum(grad, axis=0, out=take(scratch, "grad_anchor", (c, h, w)))
+    np.negative(anchor, out=anchor)
+    _check_finite(anchor)
+    grad_anchor += anchor
+    for p, g, acc in zip(samples, grad, grad_samples):
+        if p.s_h or p.s_w:  # back to its grid's pixels, then one contiguous add
+            g = roll_into(g, -p.s_h, -p.s_w, take(scratch, "unshifted", (c, h, w)))
+        acc += g
 
-    return LossResult(
-        total=total,
-        breakdown=breakdown,
-        contributing_count=contributing,
-        grad_anchor=grad_anchor,
-        grad_samples=grad_samples,
-    )
+    return LossResult(total=total, breakdown=breakdown, contributing_count=contributing)
 
 
 def si_loss(pred: Grid1, gt: Grid1, params: DepthLossParams) -> tuple[float, np.ndarray]:

@@ -3,9 +3,9 @@
 One training step forwards a batch of K scenes, treats every item as the
 anchor of its own sample set, and descends the mean (over anchors) of the
 regularization total plus the weighted mean scale-invariant depth loss.
-Each sample's feature-space gradient is routed back, unshifted, to the batch
-item it came from before the shared parameters are updated.  Everything is
-a pure function of (config, seeds).
+``reg_loss`` adds each sample's feature-space gradient into the batch item
+it came from, in that item's own frame, before the shared parameters are
+updated.  Everything is a pure function of (config, seeds).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DomainError, EmptyEvaluation, InvalidConfig
-from ..grid import Grid1, Grid3, Scratch, SeedRng, _view, roll_into, take
+from ..grid import Grid1, Grid3, Scratch, SeedRng, _view
 from ..identify import RegConfig
 from ..losses import DepthLossParams, reg_loss, si_loss
 from ..metrics import MetricReport, compute_metrics, mean_report
@@ -124,22 +124,6 @@ def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
 _ARENA = Scratch()
 
 
-def add_unshifted(acc: np.ndarray, g: np.ndarray, s_h: int, s_w: int,
-                  scratch: Scratch | None = None) -> None:
-    """``acc += np.roll(g, (-s_h, -s_w), axis=(-2, -1))``, bit for bit.
-
-    Routes a sample's channel-planar (C, H, W) gradient back to the pixels
-    it came from: ``roll_into`` unshifts it into one work buffer, then one
-    contiguous add.  Adding the quadrants in place instead would run four
-    ufuncs on row-strided blocks, several times slower per element than
-    copying them.  A zero shift (an across-sample) is added directly.
-    """
-    if s_h == s_w == 0:
-        acc += g
-        return
-    acc += roll_into(g, -s_h, -s_w, take(scratch, "unshifted", g.shape))
-
-
 def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegConfig,
                     depth_params: DepthLossParams, sample_seed: int):
     """Loss and flat parameter gradient for one batch, sampling from a seed.
@@ -185,14 +169,12 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
             ss = build_sample_set(
                 planar[a], depths[a], batch, a, reg_cfg.n_within, reg_cfg.n_across, rng
             )
-            res = reg_loss(planar[a], depths[a], ss, reg_cfg, _ARENA)
+            res = reg_loss(planar[a], depths[a], ss, reg_cfg,
+                           d_feat[a], [d_feat[(a + p.s_k) % k] for p in ss], _ARENA)
             l_re += res.total / k
             contributing += res.contributing_count
             for key, val in res.breakdown.items():
                 breakdown[key] = breakdown.get(key, 0.0) + val / k
-            d_feat[a] += res.grad_anchor
-            for p, g in zip(ss, res.grad_samples):
-                add_unshifted(d_feat[(a + p.s_k) % k], g, p.s_h, p.s_w, _ARENA)
         for a in range(k):
             d_feat[a] *= 1.0 / k
 

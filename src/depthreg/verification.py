@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import Grid1, Grid3, SeedRng
 from .identify import MultiRange, NegativeRange, RegConfig
-from .losses import DepthLossParams, reg_loss, si_loss
+from .losses import DepthLossParams, LossResult, reg_loss, si_loss
 from .metrics import MetricReport, compute_metrics
 from .sampling import SamplePair
 
@@ -49,9 +49,9 @@ def _oracle_label(diff: float, valid: bool, config: RegConfig) -> tuple[int, flo
 
 
 def _oracle_pixels(f_a: Grid3, d_a: Grid1, pair: SamplePair, config: RegConfig):
-    """``(i, j, label, margin, distance)`` of each non-ignored pixel of ``pair``'s sample map.
+    """``((i, j), src, label, margin, distance)`` of each non-ignored pixel of ``pair``'s map.
 
-    The map shows ``pair``'s grid pixel ``((i - s_h) % H, (j - s_w) % W)``
+    The map shows ``pair``'s grid pixel ``src = ((i - s_h) % H, (j - s_w) % W)``
     at (i, j); it is read by scalar index, the distance by a channel loop.
     """
     h, w = d_a.height, d_a.width
@@ -67,7 +67,7 @@ def _oracle_pixels(f_a: Grid3, d_a: Grid1, pair: SamplePair, config: RegConfig):
             for c in range(f_a.channels):
                 delta = float(f_a.data[i, j, c]) - float(pair.feature.data[src + (c,)])
                 acc += delta * delta
-            yield i, j, label, margin, math.sqrt(acc)
+            yield (i, j), src, label, margin, math.sqrt(acc)
 
 
 def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
@@ -194,14 +194,29 @@ def noise_floor(loss_scale: float) -> float:
     return max(REL_FLOOR, DENOM_SCALE * max(1.0, abs(loss_scale)))
 
 
+def reg_loss_with_gradients(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
+                            config: RegConfig) -> tuple[LossResult, np.ndarray]:
+    """``reg_loss`` adding into fresh zeros: its result and the (N + 1, C, H, W) gradients.
+
+    Row 0 is the anchor's gradient, row s + 1 sample s's, in its grid's frame.
+    """
+    h, w, c = f_a.data.shape
+    grads = np.zeros((len(samples) + 1, c, h, w))
+    return reg_loss(f_a, d_a, samples, config, grads[0], grads[1:]), grads
+
+
 def _kink_free_mask(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
                     config: RegConfig):
-    """Per-(sample, pixel) flag, in the sample maps' frame: True when safely away from kinks."""
-    good = np.ones((len(samples), f_a.height, f_a.width), dtype=bool)
-    for s_idx, pair in enumerate(samples):
-        for i, j, label, margin, dist in _oracle_pixels(f_a, d_a, pair, config):
+    """(N + 1, H, W) flags, True where a grid pixel is safely away from kinks.
+
+    Row 0 flags the anchor's pixels, row s + 1 those of sample s's grid: a
+    kink at a pair flags the anchor pixel and the sample grid pixel it reads.
+    """
+    good = np.ones((len(samples) + 1, f_a.height, f_a.width), dtype=bool)
+    for s_idx, pair in enumerate(samples, start=1):
+        for at, src, label, margin, dist in _oracle_pixels(f_a, d_a, pair, config):
             if dist < KINK_MARGIN or (label > 0 and abs(dist - margin) < KINK_MARGIN):
-                good[s_idx, i, j] = False
+                good[0][at] = good[s_idx][src] = False
     return good
 
 
@@ -211,15 +226,10 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, .
 
     The gradient is checked jointly over the anchor and all sample feature
     maps, each sample's grid as its own variable; coordinates of
-    kink-adjacent pixels are excluded.  A sample's gradient row is in its
-    rolled frame, so its grid's pixel (i, j) is read at
-    ``(i + s_h, j + s_w)``.
+    kink-adjacent pixels are excluded.
     """
-    res = reg_loss(f_a, d_a, samples, config)
-    grads = [res.grad_anchor, *res.grad_samples]  # channel-planar (C, H, W) each
-
+    res, grads = reg_loss_with_gradients(f_a, d_a, samples, config)
     good = _kink_free_mask(f_a, d_a, samples, config)
-    anchor_good = good.all(axis=0)
 
     shape = f_a.data.shape
     size = f_a.data.size
@@ -230,7 +240,7 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, .
             replace(p, feature=Grid3(x[size * (i + 1) : size * (i + 2)].reshape(shape)))
             for i, p in enumerate(samples)
         )
-        return reg_loss(fa, d_a, new_pairs, config).total
+        return reg_loss_with_gradients(fa, d_a, new_pairs, config)[0].total
 
     x0 = np.concatenate([f_a.data.ravel()] + [p.feature.data.ravel() for p in samples])
     floor = noise_floor(res.total)
@@ -238,18 +248,10 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, .
     for flat in range(x0.size):
         block, offset = divmod(flat, size)
         i, j, c = np.unravel_index(offset, shape)
-        if block == 0:
-            if not anchor_good[i, j]:
-                continue
-            analytic = grads[0][c, i, j]
-        else:
-            p = samples[block - 1]
-            i, j = (i + p.s_h) % shape[0], (j + p.s_w) % shape[1]
-            if not good[block - 1, i, j]:
-                continue
-            analytic = grads[block][c, i, j]
+        if not good[block, i, j]:
+            continue
         fd = central_difference(total_of, x0, flat)
-        worst = max(worst, rel_error(analytic, fd, floor))
+        worst = max(worst, rel_error(grads[block, c, i, j], fd, floor))
     return worst
 
 
@@ -352,7 +354,7 @@ def run_regloss_oracle(trials: int, seed: int = 20260804) -> SuiteResult:
     for _ in range(trials):
         f_a, d_a, samples, config = random_instance(rng, max_h=8, max_w=8, max_samples=4)
         config = RegConfig(config.r_p, config.strategy, loss_reduction="sum")
-        got = reg_loss(f_a, d_a, samples, config).total
+        got = reg_loss_with_gradients(f_a, d_a, samples, config)[0].total
         want, _ = oracle_reg_loss(f_a, d_a, samples, config)
         worst = max(worst, rel_error(got, want))
     return SuiteResult("reg-loss vs triple-loop reference", trials, worst, 1e-12)

@@ -1,11 +1,12 @@
 """The training step's reused work arrays: routing, escape and allocation checks.
 
-``batch_objective`` takes its large arrays from one module arena and routes
-channel-planar sample gradients back by one ``roll_into`` and one add (a
-plain add at zero shift).  These tests pin that the routing equals the
-``np.roll`` it replaced bit for bit, that no arena buffer leaves a step or a
-call made without an arena, that only the regularizer makes planar feature
-copies, and that a steady-state step allocates little.
+``batch_objective`` takes its large arrays from one module arena and hands
+``reg_loss`` its feature-gradient buffers, into which ``reg_loss`` adds each
+channel-planar gradient in its grid's own frame: a shifted sample's by one
+``roll_into`` back and one add.  These tests pin that routing against
+materialized rolled copies bit for bit, that no arena buffer leaves a step
+or a call made without an arena, that only the regularizer makes planar
+feature copies, and that a steady-state step allocates little.
 """
 
 import tracemalloc
@@ -13,17 +14,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from depthreg.grid import Scratch, SeedRng
+from depthreg import losses
+from depthreg.errors import DomainError
+from depthreg.grid import Grid1, Grid3, Scratch, SeedRng
 from depthreg.identify import MultiRange, NegativeRange, RegConfig
 from depthreg.losses import DepthLossParams, reg_loss
 from depthreg.sampling import Batch, build_sample_set
 from depthreg.toybench import train
 from depthreg.toybench.model import ToyModel, model_forward
 from depthreg.toybench.scenes import scene_pool
-from depthreg.toybench.train import add_unshifted, batch_objective
+from depthreg.toybench.train import batch_objective
+from depthreg.verification import reg_loss_with_gradients
+from test_sampling import CONFIGS, masked_pair, rolled_copy
 
 MULTI = RegConfig(
     r_p=0.1,
@@ -35,42 +40,96 @@ MULTI = RegConfig(
 
 
 # ---------------------------------------------------------------------------
-# Gradient routing: roll_into plus one add equals np.roll plus add
+# Gradient routing: reg_loss adds each gradient in its grid's own frame
 # ---------------------------------------------------------------------------
 
-def wrong_sign(acc, g, s_h, s_w):
-    """``add_unshifted`` with the shift's sign flipped: the canary's mutant."""
-    add_unshifted(acc, g, g.shape[-2] - s_h, g.shape[-1] - s_w)
+def routed_further_on(roll_into):
+    """``roll_into`` with negative shifts made positive: the canary's mutant.
 
-
-def check_routing(route, seed, h, w, c, first=1):
-    """On (C, H, W) maps ``route`` adds like ``acc += np.roll(g, (-s_h, -s_w))``, bit for bit.
-
-    Shifts run from ``first`` to n - 1 on each axis; ``first=0`` adds the
-    zero shifts of across-samples, alone and on one axis.
+    ``reg_loss`` rolls a sample's maps in by its shift, at least 1 on each
+    axis, and its gradient back by the negated shift; this rolls the
+    gradient further on instead.
     """
-    rng = SeedRng(seed)
-    for s_h in range(first, h):
-        for s_w in range(first, w):
-            acc = rng.normals(c * h * w).reshape(c, h, w)
-            g = rng.normals(c * h * w).reshape(c, h, w)
-            want = acc.copy()
-            want += np.roll(g, (-s_h, -s_w), axis=(1, 2))
-            route(acc, g, s_h, s_w)
-            assert acc.tobytes() == want.tobytes(), (s_h, s_w)
+    return lambda src, s_h, s_w, out: roll_into(src, abs(s_h), abs(s_w), out)
+
+
+def seeded(shape, seed):
+    """Finite, non-zero accumulator values."""
+    x = SeedRng(seed).normals(int(np.prod(shape))).reshape(shape)
+    x[x == 0.0] = 1.0
+    return x
+
+
+def check_routing(seed, h, w, c, n_within=3, n_across=1, invalid="partial"):
+    """``reg_loss`` on plan entries against materialized rolled copies, bit for bit.
+
+    A within-sample's accumulated gradient is the copy's rolled back by
+    ``(-s_h, -s_w)``; the anchor's and an across-sample's are the copy's.
+    Accumulators seeded with other values end at seed plus that result.
+    """
+    items = (masked_pair(seed, h, w, c, invalid), masked_pair(seed + 1, h, w, c, "partial"))
+    f, d = items[0]
+    ss = build_sample_set(f, d, Batch(items), 0, n_within, n_across, SeedRng(seed + 2))
+    got, grads = reg_loss_with_gradients(f, d, ss, CONFIGS[3])
+    copies, copy_grads = reg_loss_with_gradients(f, d, tuple(map(rolled_copy, ss)), CONFIGS[3])
+    assert got == copies
+    assert grads[0].tobytes() == copy_grads[0].tobytes()
+    for p, g, copy_g in zip(ss, grads[1:], copy_grads[1:]):
+        assert g.tobytes() == np.roll(copy_g, (-p.s_h, -p.s_w), axis=(1, 2)).tobytes(), p
+
+    acc = seeded(grads.shape, seed + 3)
+    want = acc + grads
+    reg_loss(f, d, ss, CONFIGS[3], acc[0], acc[1:])
+    assert acc.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32), h=st.integers(2, 9), w=st.integers(2, 9),
-       c=st.integers(1, 6), first=st.sampled_from([0, 1]))
-def test_quadrant_routing_equals_roll(seed, h, w, c, first):
-    check_routing(add_unshifted, seed, h, w, c, first)
+       c=st.integers(1, 6), n_within=st.integers(0, 4), n_across=st.integers(0, 2),
+       invalid=st.sampled_from(["none", "partial", "all"]))
+@example(seed=1, h=2, w=3, c=1, n_within=4, n_across=1, invalid="partial")
+def test_reg_loss_adds_each_gradient_in_its_grids_frame(seed, h, w, c, n_within, n_across,
+                                                        invalid):
+    check_routing(seed, h, w, c, n_within, n_across, invalid)
 
 
 @pytest.mark.parametrize("h, w, c", [(2, 3, 1), (5, 4, 2), (9, 9, 6)])
-def test_routing_with_wrong_shift_sign_is_caught(h, w, c):
+def test_routing_with_wrong_shift_sign_is_caught(monkeypatch, h, w, c):
+    monkeypatch.setattr(losses, "roll_into", routed_further_on(losses.roll_into))
     with pytest.raises(AssertionError):
-        check_routing(wrong_sign, 3, h, w, c)
+        check_routing(3, h, w, c)
+
+
+def overflowing_pair(h, w, c, value):
+    return Grid3(np.full((h, w, c), value)), Grid1(np.full((h, w), 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), h=st.integers(2, 5), w=st.integers(2, 5),
+       c=st.integers(1, 3), case=st.sampled_from(["no samples", "all invalid", "overflow"]))
+@example(seed=1, h=2, w=2, c=1, case="no samples")
+@example(seed=1, h=2, w=2, c=1, case="all invalid")
+@example(seed=1, h=2, w=2, c=1, case="overflow")
+def test_reg_loss_without_a_finite_gradient_adds_nothing(seed, h, w, c, case):
+    """No samples, all-invalid masks and an overflowing gradient leave every accumulator alone."""
+    if case == "overflow":  # +-1e308 differ by inf: a positive pair's gradient is NaN
+        items = (overflowing_pair(h, w, c, 1e308), overflowing_pair(h, w, c, -1e308))
+    else:
+        invalid = "all" if case == "all invalid" else "partial"
+        items = (masked_pair(seed, h, w, c, invalid), masked_pair(seed + 1, h, w, c, "partial"))
+    f, d = items[0]
+    n = 0 if case == "no samples" else 3
+    ss = build_sample_set(f, d, Batch(items), 0, n, min(n, 1), SeedRng(seed + 2))
+    acc = seeded((len(ss) + 1, c, h, w), seed + 3)
+    before = acc.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            res = reg_loss(f, d, ss, CONFIGS[3], acc[0], acc[1:])
+        except DomainError:
+            assert case == "overflow"
+        else:
+            assert case != "overflow" and res.total == 0.0
+    assert acc.tobytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +168,18 @@ def test_steps_return_fresh_arrays_and_repeat_bit_for_bit():
 def test_calls_without_scratch_share_nothing_with_the_arena():
     step(606, 2026)
     buffers = arena_arrays(train._ARENA)
+    before = [buf.tobytes() for buf in buffers]
     scenes = scene_pool(606, 2, 16, 12, 0.5, 10.0)
     model = ToyModel.init(SeedRng(606))
     feats, preds, caches = zip(*(model_forward(model, sc.image) for sc in scenes))
     depths = [sc.depth for sc in scenes]
     ss = build_sample_set(feats[0], depths[0], Batch(tuple(zip(feats, depths))), 0, 3, 1,
                           SeedRng(5))
-    res = reg_loss(feats[0], depths[0], ss, MULTI)
+    reg_loss_with_gradients(feats[0], depths[0], ss, MULTI)
+    assert [buf.tobytes() for buf in buffers] == before
     fresh = [f.data for f in feats] + [p.values for p in preds] + [p.valid for p in preds]
     fresh += [a for c in caches for a in (c["h1"], c["h2"], c["f"], c["pred"])]
     fresh += [a for p in ss[:3] for a in (p.feature.data, p.depth.values, p.depth.valid)]
-    fresh += [res.grad_anchor, res.grad_samples]
     for a in fresh:
         assert not any(np.shares_memory(a, buf) for buf in buffers)
 

@@ -40,26 +40,24 @@ def classifier_threshold_high(oracle_reg_loss):
 
 
 def hinge_sign_flipped(reg_loss):
-    """``reg_loss`` with the negative pairs' share of every gradient sign-flipped.
+    """``reg_loss`` adding every gradient with the negative pairs' share sign-flipped.
 
     Margins too small to activate a hinge leave the positives' gradients
     alone (classification and the reduction scale are unchanged), so
     ``2 * positive - full`` flips the negatives' share.
     """
-    def mutant(f_a, d_a, samples, config, scratch=None):
-        res = reg_loss(f_a, d_a, samples, config)
+    def gradients(f_a, d_a, samples, config):
+        h, w, c = f_a.data.shape
+        grads = np.zeros((len(samples) + 1, c, h, w))
+        return reg_loss(f_a, d_a, samples, config, grads[0], grads[1:]), grads
+
+    def mutant(f_a, d_a, samples, config, grad_anchor, grad_samples, scratch=None):
+        res, full = gradients(f_a, d_a, samples, config)
         tiny = MultiRange(tuple(replace(r, margin=1e-300) for r in config.strategy.ranges))
-        pos = reg_loss(f_a, d_a, samples, replace(config, strategy=tiny))
-        return replace(res, grad_anchor=2.0 * pos.grad_anchor - res.grad_anchor,
-                       grad_samples=2.0 * pos.grad_samples - res.grad_samples)
-    return mutant
-
-
-def shift_sign_flipped(add_unshifted):
-    """Routing that rolls a sample's gradient further on instead of back."""
-    def mutant(acc, g, s_h, s_w, scratch=None):
-        h, w = g.shape[-2:]
-        add_unshifted(acc, g, (h - s_h) % h, (w - s_w) % w, scratch)
+        _, pos = gradients(f_a, d_a, samples, replace(config, strategy=tiny))
+        for acc, g in zip([grad_anchor, *grad_samples], 2.0 * pos - full):
+            acc += g
+        return res
     return mutant
 
 
@@ -168,13 +166,6 @@ def empty_range_answers_one(gen_shift_seed):
     return lambda rng, n: 1 if n < 2 else gen_shift_seed(rng, n)
 
 
-def anchor_gradient_writable(loss_result):
-    """``LossResult`` holding a writable copy of the anchor gradient, as if left unfrozen."""
-    def mutant(*args, grad_anchor, **kwargs):
-        return loss_result(*args, grad_anchor=np.array(grad_anchor), **kwargs)
-    return mutant
-
-
 def planar_copy_on_every_path(model_forward):
     """``model_forward`` also making the frozen channel-planar feature copy, on the off path too."""
     def mutant(model, image, scratch=None):
@@ -223,7 +214,7 @@ CANARIES = [
                  test_verification.test_regloss_oracle_passes, id="classifier"),
     pytest.param((verification, "reg_loss"), hinge_sign_flipped,
                  test_verification.test_regloss_gradcheck_passes, id="hinge-sign"),
-    pytest.param((train, "add_unshifted"), shift_sign_flipped,
+    pytest.param((losses, "roll_into"), test_arena.routed_further_on,
                  test_verification.test_model_gradcheck_passes, id="routing-shift-sign"),
     pytest.param((losses, "roll_into"), fill_one_row_off,
                  test_verification.test_model_gradcheck_passes, id="window-one-row-off"),
@@ -273,9 +264,6 @@ CANARIES = [
     pytest.param((sampling, "gen_shift_seed"), empty_range_answers_one,
                  test_sampling.TestAcross().test_insufficient_batch,
                  id="shift-seed-empty-range-across"),
-    pytest.param((losses, "LossResult"), anchor_gradient_writable,
-                 test_sampling.test_reg_loss_leaves_inputs_unchanged_and_gradients_read_only,
-                 id="anchor-gradient-writable"),
     pytest.param((train, "model_forward"), planar_copy_on_every_path,
                  with_monkeypatch(
                      test_arena.test_disabled_regularizer_makes_no_planar_feature_copy),

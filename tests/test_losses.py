@@ -11,10 +11,9 @@ from depthreg.grid import Grid1, Grid3, SeedRng, _check_depth, _view
 from depthreg.experiment import strategy_from_dict
 from depthreg.identify import (POSITIVE, MultiRange, NegativeRange, RegConfig, differential_map,
                                identify)
-from depthreg.losses import (DepthLossParams, _coefficient, _margins, _squared_distance, reg_loss,
-                             si_loss)
+from depthreg.losses import DepthLossParams, _coefficient, _margins, _squared_distance, si_loss
 from depthreg.sampling import Batch, SamplePair, build_sample_set
-from depthreg.verification import oracle_reg_loss, random_instance
+from depthreg.verification import oracle_reg_loss, random_instance, reg_loss_with_gradients
 
 UNIFORM_NYU = RegConfig(r_p=0.1, strategy=MultiRange((NegativeRange(0.5, np.inf, 4.0),)))
 MULTI_NYU = RegConfig(
@@ -35,26 +34,25 @@ class TestRegLoss:
     def test_empty_sample_set(self):
         f_a = Grid3(np.ones((2, 2, 3)))
         d_a = Grid1(np.ones((2, 2)))
-        res = reg_loss(f_a, d_a, (), UNIFORM_NYU)
+        res, grads = reg_loss_with_gradients(f_a, d_a, (), UNIFORM_NYU)
         assert res.total == 0.0
         assert res.breakdown == {}
         assert res.contributing_count == 0
-        assert res.grad_anchor.shape == (3, 2, 2) and (res.grad_anchor == 0).all()
-        assert res.grad_samples.shape == (0, 3, 2, 2)
+        assert (grads == 0).all()
 
     def test_identical_positive_pair_is_zero(self):
         f_a, d_a, ss = single_pixel_instance([1.0, 2.0], [1.0, 2.0], 3.0, 3.0)
-        res = reg_loss(f_a, d_a, ss, UNIFORM_NYU)
+        res, _ = reg_loss_with_gradients(f_a, d_a, ss, UNIFORM_NYU)
         assert res.total == 0.0
         assert res.contributing_count == 1
 
     def test_positive_pair_distance_and_gradient(self):
         f_a, d_a, ss = single_pixel_instance([3.0, 4.0], [0.0, 0.0], 1.0, 1.05)
-        res = reg_loss(f_a, d_a, ss, UNIFORM_NYU)
+        res, grads = reg_loss_with_gradients(f_a, d_a, ss, UNIFORM_NYU)
         assert res.total == pytest.approx(5.0)
         # d dist / d f_a = (f_a - f_s) / dist
-        assert res.grad_anchor[:, 0, 0].tolist() == pytest.approx([0.6, 0.8])
-        assert res.grad_samples[0, :, 0, 0].tolist() == pytest.approx([-0.6, -0.8])
+        assert grads[0, :, 0, 0].tolist() == pytest.approx([0.6, 0.8])
+        assert grads[1, :, 0, 0].tolist() == pytest.approx([-0.6, -0.8])
 
     @pytest.mark.parametrize("config, sample_depth, total, group", [
         (UNIFORM_NYU, 2.0, 3.0, "negative_1"),  # max(0, 4 - 1)
@@ -63,11 +61,11 @@ class TestRegLoss:
     def test_negative_pair_hinge_gradient_pushes_apart(self, config, sample_depth, total,
                                                        group):
         f_a, d_a, ss = single_pixel_instance([1.0, 0.0], [0.0, 0.0], 1.0, sample_depth)
-        res = reg_loss(f_a, d_a, ss, config)
+        res, grads = reg_loss_with_gradients(f_a, d_a, ss, config)
         assert res.total == pytest.approx(total)
         assert res.breakdown[group] == pytest.approx(total)
-        assert res.grad_anchor[:, 0, 0].tolist() == pytest.approx([-1.0, 0.0])
-        assert res.grad_samples[0, :, 0, 0].tolist() == pytest.approx([1.0, 0.0])
+        assert grads[0, :, 0, 0].tolist() == pytest.approx([-1.0, 0.0])
+        assert grads[1, :, 0, 0].tolist() == pytest.approx([1.0, 0.0])
 
     @pytest.mark.parametrize("config, sample_depth, dist", [
         (UNIFORM_NYU, 2.0, 9.0),
@@ -76,10 +74,10 @@ class TestRegLoss:
     def test_inactive_hinge_contributes_count_but_nothing_else(self, config, sample_depth,
                                                                dist):
         f_a, d_a, ss = single_pixel_instance([dist, 0.0], [0.0, 0.0], 1.0, sample_depth)
-        res = reg_loss(f_a, d_a, ss, config)
+        res, grads = reg_loss_with_gradients(f_a, d_a, ss, config)
         assert res.total == 0.0
         assert res.contributing_count == 1
-        assert (res.grad_anchor == 0).all()
+        assert (grads == 0).all()
 
     @pytest.mark.parametrize("config", [UNIFORM_NYU, MULTI_NYU])
     def test_overflowing_feature_difference_raises(self, config):
@@ -90,13 +88,13 @@ class TestRegLoss:
             SamplePair(Grid3(np.full((2, 3, 2), -1e308)), Grid1(np.full((2, 3), depth)), 1, 0, 0)
             for depth in (2.0, 2.7))  # one positive sample, one negative
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
-            reg_loss(f_a, d_a, samples, config)
+            reg_loss_with_gradients(f_a, d_a, samples, config)
 
     def test_channel_mismatch_rejected(self):
         f_a, d_a, _ = single_pixel_instance([1.0], [1.0], 1.0, 1.0)
         _, _, ss = single_pixel_instance([1.0, 2.0], [1.0, 2.0], 1.0, 1.0)
         with pytest.raises(ShapeError):
-            reg_loss(f_a, d_a, ss, UNIFORM_NYU)
+            reg_loss_with_gradients(f_a, d_a, ss, UNIFORM_NYU)
 
     # Each sample is checked in the fill loop, before its slot is written.
     def test_second_sample_with_other_feature_shape_rejected(self):
@@ -104,7 +102,7 @@ class TestRegLoss:
         samples = (SamplePair(Grid3(np.zeros((2, 3, 2))), Grid1(np.ones((2, 3))), 1, 0, 0),
                    SamplePair(Grid3(np.zeros((2, 3, 3))), Grid1(np.ones((2, 3))), 1, 0, 0))
         with pytest.raises(ShapeError, match="sample 1"):
-            reg_loss(f_a, d_a, samples, UNIFORM_NYU)
+            reg_loss_with_gradients(f_a, d_a, samples, UNIFORM_NYU)
 
     @pytest.mark.parametrize("depth_shape", [(1, 3), (2, 1), (3, 3)])
     def test_sample_depth_map_alone_of_other_shape_rejected(self, depth_shape):
@@ -113,20 +111,20 @@ class TestRegLoss:
         samples = (SamplePair(Grid3(np.zeros((2, 3, 2))), Grid1(np.full(depth_shape, 3.0)),
                               1, 0, 0),)
         with pytest.raises(ShapeError, match="sample 0"):
-            reg_loss(f_a, d_a, samples, UNIFORM_NYU)
+            reg_loss_with_gradients(f_a, d_a, samples, UNIFORM_NYU)
 
     def test_breakdown_sums_to_total(self):
         rng = SeedRng(404)
         for _ in range(20):
             f_a, d_a, samples, config = random_instance(rng)
-            res = reg_loss(f_a, d_a, samples, config)
+            res, _ = reg_loss_with_gradients(f_a, d_a, samples, config)
             assert sum(res.breakdown.values()) == pytest.approx(res.total, rel=1e-12)
 
     def test_matches_triple_loop_oracle(self):
         rng = SeedRng(505)
         for _ in range(100):
             f_a, d_a, samples, config = random_instance(rng, max_h=8, max_w=8)
-            res = reg_loss(f_a, d_a, samples, config)
+            res, _ = reg_loss_with_gradients(f_a, d_a, samples, config)
             want, count = oracle_reg_loss(f_a, d_a, samples, config)
             assert res.total == pytest.approx(want, rel=1e-12, abs=1e-15)
             assert res.contributing_count == count
@@ -145,18 +143,18 @@ class TestRegLoss:
             )
             for _ in range(2)
         )
-        res = reg_loss(f_a, d_a, samples, cfg)
+        res, _ = reg_loss_with_gradients(f_a, d_a, samples, cfg)
         want, _ = oracle_reg_loss(f_a, d_a, samples, cfg)
         assert res.total == pytest.approx(want, rel=1e-12)
 
     def test_mean_reduction_divides_sum(self):
         rng = SeedRng(606)
         f_a, d_a, samples, config = random_instance(rng)
-        total_sum = reg_loss(
+        total_sum, _ = reg_loss_with_gradients(
             f_a, d_a, samples,
             RegConfig(config.r_p, config.strategy, loss_reduction="sum"),
         )
-        total_mean = reg_loss(
+        total_mean, _ = reg_loss_with_gradients(
             f_a, d_a, samples,
             RegConfig(config.r_p, config.strategy, loss_reduction="mean_contributing"),
         )
@@ -182,8 +180,8 @@ class TestRegLoss:
         permuted = tuple(
             replace(p, feature=permute3(p.feature), depth=permute1(p.depth)) for p in samples
         )
-        a = reg_loss(f_a, d_a, samples, config).total
-        b = reg_loss(permute3(f_a), permute1(d_a), permuted, config).total
+        a = reg_loss_with_gradients(f_a, d_a, samples, config)[0].total
+        b = reg_loss_with_gradients(permute3(f_a), permute1(d_a), permuted, config)[0].total
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_translation_invariance(self):
@@ -191,18 +189,18 @@ class TestRegLoss:
         f_a, d_a, samples, config = random_instance(rng)
         shift = rng.normals(f_a.channels) * 10
         shifted = tuple(replace(p, feature=Grid3(p.feature.data + shift)) for p in samples)
-        a = reg_loss(f_a, d_a, samples, config).total
-        b = reg_loss(Grid3(f_a.data + shift), d_a, shifted, config).total
+        a = reg_loss_with_gradients(f_a, d_a, samples, config)[0].total
+        b = reg_loss_with_gradients(Grid3(f_a.data + shift), d_a, shifted, config)[0].total
         assert b == pytest.approx(a, rel=1e-9)
 
     def test_zero_iff_optimum(self):
         # total is zero exactly when positives coincide and negatives clear margins
         f_a, d_a, ss = single_pixel_instance([1.0, 1.0], [1.0, 1.0], 2.0, 2.0)
-        assert reg_loss(f_a, d_a, ss, UNIFORM_NYU).total == 0.0
+        assert reg_loss_with_gradients(f_a, d_a, ss, UNIFORM_NYU)[0].total == 0.0
         f_a, d_a, ss = single_pixel_instance([5.0, 0.0], [0.0, 0.0], 1.0, 9.0)
-        assert reg_loss(f_a, d_a, ss, UNIFORM_NYU).total == 0.0
+        assert reg_loss_with_gradients(f_a, d_a, ss, UNIFORM_NYU)[0].total == 0.0
         f_a, d_a, ss = single_pixel_instance([3.0, 0.0], [0.0, 0.0], 1.0, 9.0)
-        assert reg_loss(f_a, d_a, ss, UNIFORM_NYU).total > 0.0
+        assert reg_loss_with_gradients(f_a, d_a, ss, UNIFORM_NYU)[0].total > 0.0
 
 
 # reg_loss checks neither the differential map nor the sample gradients:
@@ -260,11 +258,11 @@ def test_anchor_gradient_check_covers_every_sample_gradient(data, seed, n, c, co
     samples = tuple(SamplePair(features(), depths(), 1, 0, 0) for _ in range(n))
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            res = reg_loss(f_a, d_a, samples, replace(config, loss_reduction=reduction))
+            _, grads = reg_loss_with_gradients(f_a, d_a, samples,
+                                               replace(config, loss_reduction=reduction))
         except DomainError:
             return
-    assert np.isfinite(res.grad_anchor).all()
-    assert np.isfinite(res.grad_samples).all()
+    assert np.isfinite(grads).all()
 
 
 # Holes in a depth map are NaN-marked before anything reads them, so no
@@ -286,13 +284,13 @@ def test_depth_holes_of_any_value_are_ignored(data, seed, h, w, n_within, n_acro
         batch = Batch(tuple(pairs))
         f_a, d_a = batch.items[0]
         ss = build_sample_set(f_a, d_a, batch, 0, n_within, n_across, SeedRng(seed + 1))
-        runs.append((reg_loss(f_a, d_a, ss, config), oracle_reg_loss(f_a, d_a, ss, config)))
-    (got, (want, count)), (zero_filled, _) = runs
+        runs.append((*reg_loss_with_gradients(f_a, d_a, ss, config),
+                     oracle_reg_loss(f_a, d_a, ss, config)))
+    (got, grads, (want, count)), (zero_filled, zero_filled_grads, _) = runs
     assert got.contributing_count == count == zero_filled.contributing_count
     assert got.total == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert (got.total, got.breakdown) == (zero_filled.total, zero_filled.breakdown)
-    assert got.grad_anchor.tobytes() == zero_filled.grad_anchor.tobytes()
-    assert got.grad_samples.tobytes() == zero_filled.grad_samples.tobytes()
+    assert grads.tobytes() == zero_filled_grads.tobytes()
 
 
 # Margins and gradient coefficients: the formulations they replaced, kept
@@ -419,13 +417,12 @@ def test_reg_loss_is_independent_of_feature_storage_order(seed, h, w, c, k, n_wi
         batch = Batch(tuple((wrap(f), d) for f, d in items))
         f_a, d_a = batch.items[0]
         ss = build_sample_set(f_a, d_a, batch, 0, n_within, n_across, SeedRng(seed + 1))
-        results.append(reg_loss(f_a, d_a, ss, config))
-    hwc, planar = results
+        results.append(reg_loss_with_gradients(f_a, d_a, ss, config))
+    (hwc, hwc_grads), (planar, planar_grads) = results
     assert (planar.total, planar.breakdown, planar.contributing_count) == (
         hwc.total, hwc.breakdown, hwc.contributing_count)
-    assert planar.grad_anchor.tobytes() == hwc.grad_anchor.tobytes()
-    assert len(planar.grad_samples) == len(hwc.grad_samples) == n_within + n_across
-    assert planar.grad_samples.tobytes() == hwc.grad_samples.tobytes()
+    assert len(planar_grads) == len(hwc_grads) == 1 + n_within + n_across
+    assert planar_grads.tobytes() == hwc_grads.tobytes()
 
 
 class TestSubsumption:
@@ -441,16 +438,11 @@ class TestSubsumption:
                     strategy=MultiRange((NegativeRange(0.5, 1e9, 2.0),)),
                     loss_reduction=reduction,
                 )
-                a = reg_loss(f_a, d_a, samples, uni)
-                b = reg_loss(f_a, d_a, samples, multi)
+                a, a_grads = reg_loss_with_gradients(f_a, d_a, samples, uni)
+                b, b_grads = reg_loss_with_gradients(f_a, d_a, samples, multi)
                 assert b.total == pytest.approx(a.total, rel=1e-12, abs=1e-15)
                 assert b.contributing_count == a.contributing_count
-                np.testing.assert_allclose(
-                    b.grad_anchor, a.grad_anchor, rtol=1e-12, atol=1e-15
-                )
-                np.testing.assert_allclose(
-                    b.grad_samples, a.grad_samples, rtol=1e-12, atol=1e-15
-                )
+                np.testing.assert_allclose(b_grads, a_grads, rtol=1e-12, atol=1e-15)
 
 
 class TestSiLoss:

@@ -7,9 +7,8 @@ from depthreg import losses, sampling
 from depthreg.errors import InvalidDimension
 from depthreg.grid import Grid1, Grid3, SeedRng, roll_into
 from depthreg.identify import MultiRange, NegativeRange, RegConfig
-from depthreg.losses import reg_loss
 from depthreg.sampling import Batch, SamplePair, build_sample_set
-from depthreg.verification import oracle_reg_loss
+from depthreg.verification import oracle_reg_loss, reg_loss_with_gradients
 
 UNIFORM = MultiRange((NegativeRange(0.5, np.inf, 2.0),))
 
@@ -193,12 +192,11 @@ def masked_pair(seed, h, w, c, invalid):
 
 
 def fill_one_row_off(src, s_h, s_w, out):
-    """``roll_into`` one row short: the mutant of the fill in ``reg_loss``."""
-    return roll_into(src, s_h - 1, s_w, out)
+    """``roll_into`` one row short on the fill's shifts: the mutant of the fill in ``reg_loss``.
 
-
-def read_only(a):
-    return not a.flags.writeable and (a.base is None or not a.base.flags.writeable)
+    Its routing rolls by the negated shift, which is left as it is.
+    """
+    return roll_into(src, s_h - 1 if s_h > 0 else s_h, s_w, out)
 
 
 def rolled_copy(p):
@@ -213,16 +211,18 @@ def check_within_against_oracle(seed, h, w, c, n_within, invalid, config):
     f, d = masked_pair(seed, h, w, c, invalid)
     ss = within_samples(f, d, n_within, SeedRng(seed + 1))
     assert len(ss) == n_within
-    got = reg_loss(f, d, ss, config)
+    got, grads = reg_loss_with_gradients(f, d, ss, config)
     want, want_count = oracle_reg_loss(f, d, ss, config)
     assert got.total == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert got.contributing_count == want_count
-    # plan entries and rolled copies are the same inputs: same bits out
-    copies = reg_loss(f, d, tuple(rolled_copy(p) for p in ss), config)
+    # plan entries and rolled copies are the same inputs: same bits out, a
+    # copy's gradient in the frame of the copy
+    copies, copy_grads = reg_loss_with_gradients(f, d, tuple(rolled_copy(p) for p in ss), config)
     assert copies.total == got.total
     assert copies.contributing_count == got.contributing_count
-    assert np.array_equal(copies.grad_anchor, got.grad_anchor)
-    assert np.array_equal(copies.grad_samples, got.grad_samples)
+    assert np.array_equal(copy_grads[0], grads[0])
+    for p, g, copy_g in zip(ss, grads[1:], copy_grads[1:]):
+        assert np.array_equal(np.roll(copy_g, (-p.s_h, -p.s_w), axis=(1, 2)), g)
 
 
 WITHIN_CASES = dict(
@@ -252,17 +252,13 @@ def test_within_samples_are_the_anchor_grids():
         assert p.feature is f and p.depth is d
 
 
-def test_reg_loss_leaves_inputs_unchanged_and_gradients_read_only():
+def test_reg_loss_leaves_inputs_unchanged():
     f, d = masked_pair(3, 6, 7, 3, "partial")
     batch = Batch((masked_pair(4, 6, 7, 3, "partial"), masked_pair(5, 6, 7, 3, "none")))
     ss = build_sample_set(f, d, batch, 0, 4, 3, SeedRng(2))
     arrays = [f.data, d.values, d.valid] + [
         a for p in ss for a in (p.feature.data, p.depth.values, p.depth.valid)]
     before = [a.tobytes() for a in arrays]
-    res = reg_loss(f, d, ss, CONFIGS[3])
-    assert res.contributing_count > 0
+    res, grads = reg_loss_with_gradients(f, d, ss, CONFIGS[3])
+    assert res.contributing_count > 0 and grads.any()
     assert [a.tobytes() for a in arrays] == before
-    assert res.grad_anchor.shape == (3, 6, 7) and res.grad_samples.shape == (len(ss), 3, 6, 7)
-    assert read_only(res.grad_anchor) and read_only(res.grad_samples)
-    with pytest.raises(ValueError):
-        res.grad_samples[0, 0, 0, 0] = 1.0
