@@ -134,8 +134,9 @@ def _view(cls, **arrays: np.ndarray):
 
     Checks sit only where arithmetic can break an invariant: grid
     construction, the model's output and the anchor gradient.  ``_view``
-    wraps what follows from checked grids: rolls of them, the jointly valid
-    ``|d_a - d_s|``, ``exp(z)``.
+    wraps what those checks cover: the model's features and ``exp(z)``, and
+    the step's planar copy of the features.  It derives nothing either: a
+    ``Grid1`` made here has no ``plane``.
     """
     obj = object.__new__(cls)
     for name, arr in arrays.items():
@@ -160,7 +161,14 @@ class Grid1:
     """H x W depth map (meters) with a validity mask.
 
     Valid entries must be finite and >= 0; invalid entries are unconstrained
-    (sensor holes carry whatever the source wrote there).
+    (sensor holes carry whatever the source wrote there).  ``plane`` is the
+    read-only values with NaN off the mask, whatever the holes hold: the one
+    form of depth validity past the grid.  NaN fails every comparison and
+    survives differences and ``abs``, so a differential of two planes is
+    NaN wherever either is invalid.  It is built with the grid, not on first
+    read: built lazily, the planes land mid-run among a step's temporaries,
+    which sped up perfbench's host-speed reference kernel and so read as a
+    16% slower scaled step (see CHANGES.md).
     """
 
     values: np.ndarray
@@ -181,11 +189,11 @@ class Grid1:
                 raise ShapeError(f"mask shape {mask.shape} != values shape {vals.shape}")
         _check_depth(vals, mask)
         vals = vals.copy()
-        vals.setflags(write=False)
         mask = mask.copy()
-        mask.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "valid", mask)
+        plane = np.where(mask, vals, np.nan)
+        for name, arr in (("values", vals), ("valid", mask), ("plane", plane)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def height(self) -> int:

@@ -4,9 +4,11 @@ A sample pixel is classified relative to the anchor by the absolute depth
 difference at that position: below ``r_p`` it is a positive, inside a
 negative range it belongs to that negative subgroup, anywhere else
 (threshold gaps, boundary equalities, invalid depth) it is ignored.
-All threshold comparisons are strict; equality never classifies.
+All threshold comparisons are strict; equality never classifies.  A
+differential is NaN where either depth is invalid, and NaN fails every
+strict comparison, so it is ignored with no mask.
 
-Label codes in ``identify``'s (H, W) int16 array: 0 = positive, j >= 1
+Label codes in ``identify``'s int16 array: 0 = positive, j >= 1
 = negative subgroup j, -1 = ignored.
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, ShapeError
-from .grid import Grid1, _view
+from .grid import Grid1
 
 POSITIVE = 0
 IGNORED = -1
@@ -93,27 +95,24 @@ class RegConfig:
         return self.strategy is not None
 
 
-def differential_map(d_a: Grid1, d_s: Grid1) -> Grid1:
-    """|d_a - d_s| per pixel; valid only where both inputs are valid."""
+def differential_map(d_a: Grid1, d_s: Grid1) -> np.ndarray:
+    """|d_a - d_s| per pixel, NaN where either input is invalid."""
     if (d_a.height, d_a.width) != (d_s.height, d_s.width):
         raise ShapeError(
             f"shape mismatch {(d_a.height, d_a.width)} vs {(d_s.height, d_s.width)}"
         )
-    valid = d_a.valid & d_s.valid
-    vals = np.where(valid, np.abs(d_a.values - d_s.values), 0.0)
-    return _view(Grid1, values=vals, valid=valid)  # finite, >= 0 where both are valid
+    return np.abs(d_a.plane - d_s.plane)
 
 
-def _classify(d_r: Grid1, r_p: float, bounds: list[tuple[float, float]]) -> np.ndarray:
-    """Read-only (H, W) int16 labels, built by adding masks in two reused bool buffers.
+def _classify(v: np.ndarray, r_p: float, bounds: list[tuple[float, float]]) -> np.ndarray:
+    """Read-only int16 labels of ``v``'s shape, built by adding masks in two reused bool buffers.
 
     The groups (positive, then each negative range) are disjoint and
     ascending: ``RegConfig`` checks every bound pair and ``r_p`` below the
     first.  So a pixel of group j lies in the union "group k or a
-    later one" for exactly k = 0..j, and summing those j + 1 unions over
-    the valid pixels, from ``IGNORED``, gives its label.
+    later one" for exactly k = 0..j, and summing those j + 1 unions, from
+    ``IGNORED``, gives its label.  A NaN pixel lies in none of them.
     """
-    v, ok = d_r.values, d_r.valid
     labels = np.zeros(v.shape, np.int16)
     later = np.zeros(v.shape, bool)  # the union of the groups processed so far
     test = np.empty(v.shape, bool)
@@ -123,14 +122,17 @@ def _classify(d_r: Grid1, r_p: float, bounds: list[tuple[float, float]]) -> np.n
         np.logical_and(later, np.greater(v, low, out=test), out=later)
         labels += later
     labels += np.logical_or(np.less(v, r_p, out=test), later, out=later)
-    labels *= ok
     labels += IGNORED
     labels.setflags(write=False)
     return labels
 
 
-def identify(d_r: Grid1, config: RegConfig) -> np.ndarray:
-    """Read-only (H, W) int16 labels: positive below r_p, negative group j in the j-th range."""
+def identify(d_r: np.ndarray, config: RegConfig) -> np.ndarray:
+    """Read-only int16 labels of a NaN-marked differential array of any shape.
+
+    Positive below r_p, negative group j in the j-th range, ignored elsewhere
+    and on NaN.
+    """
     if not config.enabled:
         raise InvalidConfig("regularization disabled; nothing to identify")
     bounds = [(r.low, r.high) for r in config.strategy.ranges]

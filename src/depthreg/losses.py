@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, ShapeError
-from .grid import Grid1, Grid3, Scratch, _check_finite, _view, roll_into, take
+from .grid import Grid1, Grid3, Scratch, _check_finite, roll_into, take
 from .identify import POSITIVE, RegConfig, identify
 from .sampling import SamplePair
 
@@ -63,13 +63,6 @@ def _squared_distance(diff: np.ndarray, out: np.ndarray, work: np.ndarray) -> np
     np.einsum("nchw,nchw->nhw", diff[:, 0::2], diff[:, 0::2], out=out)
     np.einsum("nchw,nchw->nhw", diff[:, 1::2], diff[:, 1::2], out=work)
     return np.add(out, work, out=out)
-
-
-def _nan_plane(d: Grid1, out: np.ndarray) -> np.ndarray:
-    """``d``'s values into ``out`` with NaN off its valid mask, whatever its holes hold."""
-    out.fill(np.nan)
-    np.copyto(out, d.values, where=d.valid)
-    return out
 
 
 def _margins(labels: np.ndarray, ranges, index: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -130,46 +123,33 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
     nhw = (n, h, w)
     fa = f_a.data.transpose(2, 0, 1)  # (C, H, W); contiguous when f_a views planar storage
 
-    # One classification pass over every (sample, pixel): the differentials
-    # form an (N*H, W) map, classified through the public identify path (it
-    # is purely per-pixel, so the reshape is transparent).  The buffers are
-    # filled sample by sample, channel-planar: a shifted sample is rolled
-    # into its slot and the anchor subtracted there in place, an unshifted
-    # one subtracted straight from its source, so every ufunc of the pass
-    # runs on contiguous operands when the features view planar storage (on
-    # row-strided blocks or an inner axis of length C it runs several times
-    # slower).  Each sample's shape is checked before its slot is written:
-    # a ufunc's ``out=`` would broadcast a (1, W) depth map silently.
-    # Depth enters as NaN-marked planes, one per distinct depth grid: the
-    # anchor's in ``hinge[0]``, the others in ``dist``'s slots, both free
-    # until the distances are summed.  A shifted sample rolls its plane.  NaN
-    # survives the subtraction and ``abs``, so a pixel is jointly valid
-    # exactly where its differential equals itself.
+    # One classification pass over every (sample, pixel) of the (N, H, W)
+    # differentials.  The buffers are filled sample by sample,
+    # channel-planar: a shifted sample is rolled into its slot and the anchor
+    # subtracted there in place, an unshifted one subtracted straight from
+    # its source, so every ufunc of the pass runs on contiguous operands when
+    # the features view planar storage (on row-strided blocks or an inner
+    # axis of length C it runs several times slower).  Each sample's shape is
+    # checked before its slot is written: a ufunc's ``out=`` would broadcast
+    # a (1, W) depth map silently.  Depth enters as each grid's NaN-marked
+    # plane, which a shifted sample rolls; NaN survives the subtraction and
+    # ``abs``, so ``identify`` ignores every pixel that is not jointly valid.
     diff = take(scratch, "diff", (n, c, h, w))  # f_a - f_s; becomes the f_s gradient
     dd = take(scratch, "dd", nhw)  # |d_a - d_s|; then the margins; then the coefficient's sign
-    mask = take(scratch, "mask", nhw, bool)  # joint validity; then one pixel test at a time
-    hinge = take(scratch, "hinge", nhw)
-    dist = take(scratch, "dist", nhw)
-    a_plane = _nan_plane(d_a, hinge[0])
-    planes = {id(d_a): a_plane}  # id of a depth grid -> its plane
     for i, p in enumerate(samples):
         if p.feature.data.shape != (h, w, c) or p.depth.values.shape != (h, w):
             raise ShapeError(f"sample {i} disagrees in shape with the anchor")
-        f_s, d_s = p.feature.data.transpose(2, 0, 1), planes.get(id(p.depth))
-        if d_s is None:
-            d_s = planes[id(p.depth)] = _nan_plane(p.depth, dist[len(planes) - 1])
+        f_s, d_s = p.feature.data.transpose(2, 0, 1), p.depth.plane
         if p.s_h or p.s_w:
             f_s = roll_into(f_s, p.s_h, p.s_w, diff[i])
             d_s = roll_into(d_s, p.s_h, p.s_w, dd[i])
         np.subtract(fa, f_s, out=diff[i])
-        np.subtract(a_plane, d_s, out=dd[i])
-    np.abs(dd, out=dd)
-    # |d_a - d_s| of two checked depth maps: finite and >= 0 where both are valid
-    dr = _view(Grid1, values=dd.reshape(n * h, w),
-               valid=np.equal(dd, dd, out=mask).reshape(n * h, w))
-    labels = identify(dr, config).reshape(nhw)
+        np.subtract(d_a.plane, d_s, out=dd[i])
+    labels = identify(np.abs(dd, out=dd), config)
 
-    dist = _squared_distance(diff, dist, hinge)  # hinge holds the odd-channel partial sums
+    mask = take(scratch, "mask", nhw, bool)  # one pixel test at a time
+    hinge = take(scratch, "hinge", nhw)  # first the odd-channel partial sums
+    dist = _squared_distance(diff, take(scratch, "dist", nhw), hinge)
     np.sqrt(dist, out=dist)
 
     ranges = config.strategy.ranges

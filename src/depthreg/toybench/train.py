@@ -99,12 +99,9 @@ def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
     h, w = features.height, features.width
     p = h * w
     i1, i2 = _separation_pairs(p, n_pairs, seed)
-    feats = features.data.reshape(p, -1)
-    dvals = depth.values.reshape(p)
-    dvalid = depth.valid.reshape(p)
-    ok = dvalid[i1] & dvalid[i2]
-    dd = np.abs(dvals[i1] - dvals[i2])[ok]
-    fd = np.sqrt(_pair_sq_distances(feats, i1, i2))[ok]
+    plane = depth.plane.reshape(p)
+    dd = np.abs(plane[i1] - plane[i2])  # NaN, so neither near nor far, unless both are valid
+    fd = np.sqrt(_pair_sq_distances(features.data.reshape(p, -1), i1, i2))
     near_fd = fd[dd < near]
     far_fd = fd[dd > far]
     if near_fd.size == 0:

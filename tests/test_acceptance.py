@@ -122,7 +122,7 @@ def test_criterion_4_identification_partition():
         picks = (rng.uniforms(64).reshape(8, 8) * 5).astype(int)
         vals = np.where(rng.uniforms(64).reshape(8, 8) < 0.25, boundaries[picks], vals)
         valid = rng.uniforms(64).reshape(8, 8) > 0.08
-        d_r = Grid1(vals, valid)
+        d_r = Grid1(vals, valid).plane
 
         got_u = identify(d_r, uniform)
         got_m = identify(d_r, cfg)

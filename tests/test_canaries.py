@@ -1,11 +1,11 @@
 """Mutation canaries: every check in the table catches the bug it guards against.
 
-Each row of ``CANARIES`` is a target (a module and the name of one of its
-attributes), a mutant (a function of the original attribute returning its
-corrupted replacement) and a guard (a check or test of the suite, called
-without arguments).  The guard must pass on the real code and fail once
-the mutant is patched in.  Code under check looks its target up in that
-module at call time, so the patch reaches it.
+Each row of ``CANARIES`` is a target (a module or class and the name of one
+of its attributes), a mutant (a function of the original attribute
+returning its corrupted replacement) and a guard (a check or test of the
+suite, called without arguments).  The guard must pass on the real code
+and fail once the mutant is patched in.  Code under check looks its target
+up in that module or class at call time, so the patch reaches it.
 """
 
 import tempfile
@@ -28,7 +28,7 @@ import test_verification
 from depthreg import cli, grid, identify, losses, sampling, verification
 from depthreg.errors import InvalidConfig
 from depthreg.grid import Grid1
-from depthreg.identify import MultiRange, NegativeRange, RegConfig
+from depthreg.identify import POSITIVE, MultiRange, NegativeRange, RegConfig
 from depthreg.toybench import model, train
 
 
@@ -85,11 +85,11 @@ def wrapped_columns_from_neighbouring_row(roll_into):
     return mutant
 
 
-def plane_without_mask(nan_plane):
-    """``_nan_plane`` copying every depth value, the holes' included, with no NaN marking."""
-    def mutant(d, out):
-        np.copyto(out, d.values)
-        return out
+def plane_without_mask(post_init):
+    """``Grid1`` whose plane holds every depth value, the holes' included, with no NaN marking."""
+    def mutant(self):
+        post_init(self)
+        object.__setattr__(self, "plane", self.values)
     return mutant
 
 
@@ -148,8 +148,15 @@ def depth_check_excludes_zero(check_depth):
 
 def ranges_closed_above(classify):
     """``_classify`` with each negative range closed above (``<= high``)."""
-    def mutant(d_r, r_p, bounds):
-        return classify(d_r, r_p, [(low, np.nextafter(high, np.inf)) for low, high in bounds])
+    def mutant(v, r_p, bounds):
+        return classify(v, r_p, [(low, np.nextafter(high, np.inf)) for low, high in bounds])
+    return mutant
+
+
+def nan_as_positive(classify):
+    """``_classify`` testing the positive group as ``~(v >= r_p)``, which holds on NaN."""
+    def mutant(v, r_p, bounds):
+        return np.where(~(v >= r_p), POSITIVE, classify(v, r_p, bounds))
     return mutant
 
 
@@ -204,10 +211,17 @@ PAIR_DISTANCES = partial(
     .inner_test, test_toybench.TestFeatureSeparation(), p=10, c=8, n_pairs=10, seed=0, decades=0)
 VALID_ZERO_DEPTH = partial(test_grid.check_depth_against_where_check, np.array([[0.0]]),
                            np.array([[True]]))
-PIXEL_AT_A_BOUND = partial(
+LABELS_AGAINST_BRUTE_FORCE = (
     test_identify.test_labels_match_brute_force_on_thresholds_and_bad_invalid_pixels.hypothesis
-    .inner_test, (RegConfig(r_p=0.1, strategy=MultiRange((NegativeRange(0.5, 1.0, 1.0),))),
-                  Grid1(np.array([[1.0]]))))
+    .inner_test)
+ONE_RANGE = RegConfig(r_p=0.1, strategy=MultiRange((NegativeRange(0.5, 1.0, 1.0),)))
+PIXEL_AT_A_BOUND = partial(LABELS_AGAINST_BRUTE_FORCE, (ONE_RANGE, Grid1(np.array([[1.0]]))))
+PIXEL_IN_A_HOLE = partial(LABELS_AGAINST_BRUTE_FORCE,
+                          (ONE_RANGE, Grid1(np.array([[0.05]]), np.array([[False]]))))
+SEPARATION_WITH_FILLED_HOLES = partial(
+    test_toybench.TestFeatureSeparation.test_equals_the_uncached_sum_bit_for_bit.hypothesis
+    .inner_test, test_toybench.TestFeatureSeparation(), h=24, w=24, c=3, seed=7,
+    features="random", levels=4, valid="part")
 
 CANARIES = [
     pytest.param((verification, "oracle_reg_loss"), classifier_threshold_high,
@@ -224,8 +238,10 @@ CANARIES = [
     pytest.param((losses, "roll_into"), wrapped_columns_from_neighbouring_row,
                  partial(test_sampling.check_within_against_oracle, 13, 5, 6, 2, 3, "none",
                          test_sampling.CONFIGS[2]), id="roll-wrapped-columns-one-row-off"),
-    pytest.param((losses, "_nan_plane"), plane_without_mask,
+    pytest.param((Grid1, "__post_init__"), plane_without_mask,
                  test_verification.test_regloss_oracle_passes, id="depth-plane-without-mask"),
+    pytest.param((Grid1, "__post_init__"), plane_without_mask, SEPARATION_WITH_FILLED_HOLES,
+                 id="separation-plane-without-mask"),
     pytest.param((losses, "_margins"), margin_table_shifted,
                  test_verification.test_regloss_oracle_passes, id="margin-table-one-group-on"),
     pytest.param((losses, "_coefficient"), sign_without_positive_term,
@@ -255,6 +271,8 @@ CANARIES = [
                  id="depth-check-excludes-zero"),
     pytest.param((identify, "_classify"), ranges_closed_above, PIXEL_AT_A_BOUND,
                  id="classify-closed-above"),
+    pytest.param((identify, "_classify"), nan_as_positive, PIXEL_IN_A_HOLE,
+                 id="classify-nan-as-positive"),
     pytest.param((train, "check_batch"), batch_check_ignores_enabled,
                  in_a_fresh_directory(
                      test_cli.TestTrainCommand().test_disabled_strategy_with_batch_of_one_trains),

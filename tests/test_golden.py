@@ -1,15 +1,20 @@
-"""Golden output tree of a tiny in-process ``depthreg ablate``.
+"""Golden output trees of a tiny in-process ``depthreg ablate`` and of ``gen-scenes``.
 
-Covers baseline, uniform and multi-range strategies plus one point of each
-sample-count sweep on 12x12 scenes with two seeds.  Every written file but
-``ablation_summary.json`` must hash to the digests below, which were recorded
-before the strategy types were folded into one negative-range
-representation.  Float results depend on numpy's kernels, so the digests
-hold only for the numpy version they were recorded with.
+The ablation covers baseline, uniform and multi-range strategies plus one
+point of each sample-count sweep on 12x12 scenes with two seeds.  Every
+written file but ``ablation_summary.json`` must hash to the digests below,
+which were recorded before the strategy types were folded into one
+negative-range representation.  The ``gen-scenes`` tree is three 64x64
+scenes of ``configs/benchmark.json``; its ``selfdiff.pgm`` label maps are
+the only files written straight from ``differential_map`` and ``identify``.
+Its digests were recorded before depth validity became one NaN-marked plane
+per grid.  Float results depend on numpy's kernels, so the digests hold
+only for the numpy version they were recorded with.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,16 +84,48 @@ DIGESTS = {
 }
 
 
+SCENE_DIGESTS = {
+    "manifest.json": "42b4be9bdc8e01402d95c04bffc8c550588ccb7ec9fd2625699f28acb9aa44dc",
+    "scene_0000.depth.pfm": "a86d0b5b8e3cd68ae472800187cbdace132c411e59563635d34713be663efc20",
+    "scene_0000.depth.pfm.mask": "4fdd600892f7d61608383a6f94b6b68a8630b65c0976dea3f5e410d4c4ff0bbd",
+    "scene_0000.image.pfm": "a45e84beeaaf0f4d63aa2ad8ae1f13e1cb6d415eb7caff32126b9aa2c080986f",
+    "scene_0000.selfdiff.pgm": "640d4ed0a55eb93731e4c5b35504773cf6a89487270c63cec92f6d528d34e14d",
+    "scene_0001.depth.pfm": "55dcda780a45e5d223699b50472863d7df28ca4d95d91a149034b94e9010a3fb",
+    "scene_0001.depth.pfm.mask": "4fdd600892f7d61608383a6f94b6b68a8630b65c0976dea3f5e410d4c4ff0bbd",
+    "scene_0001.image.pfm": "421f398140fce7a1a553a2fbbca511abc97c333680f1a8e249478a60ff75e524",
+    "scene_0001.selfdiff.pgm": "2f93e57f818a12ec79d33445fb35eb06ff0df70c5c843b87491ae4ca2f0511b8",
+    "scene_0002.depth.pfm": "102e6ba59076160fbac9a4420af9cdf67f63858b2031b9f78d202d4a4f0f7548",
+    "scene_0002.depth.pfm.mask": "4fdd600892f7d61608383a6f94b6b68a8630b65c0976dea3f5e410d4c4ff0bbd",
+    "scene_0002.image.pfm": "f9a7c0b2d1b63febe0d2e2fccb2bc9b93dc0a900086ab97352c40c41f269c0fb",
+    "scene_0002.selfdiff.pgm": "56cc80345fc52aafd593d19a27742de5654dd5a30a5e82f10695b66e107d9780",
+}
+
+BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
+
+pytestmark = pytest.mark.skipif(
+    np.__version__ != NUMPY_VERSION,
+    reason=f"digests recorded with numpy {NUMPY_VERSION}, running {np.__version__}")
+
+
+def digests(out, skip=()):
+    """sha256 of every file under ``out`` but those named in ``skip``, by relative path."""
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name not in skip
+    }
+
+
 def test_ablate_tree_matches_golden_digests(tmp_path, capsys):
-    if np.__version__ != NUMPY_VERSION:
-        pytest.skip(f"digests recorded with numpy {NUMPY_VERSION}, running {np.__version__}")
     config = tmp_path / "config.json"
     config.write_text(json.dumps(GOLDEN_CONFIG), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["ablate", "--config", str(config), "--out", str(out)]) == 0
-    got = {
-        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out.rglob("*"))
-        if p.is_file() and p.name != "ablation_summary.json"
-    }
-    assert got == DIGESTS
+    assert digests(out, skip=("ablation_summary.json",)) == DIGESTS
+
+
+def test_gen_scenes_tree_matches_golden_digests(tmp_path, capsys):
+    out = tmp_path / "scenes"
+    assert main(["gen-scenes", "--config", str(BENCHMARK_CONFIG), "--out", str(out),
+                 "--count", "3", "--seed", "5"]) == 0
+    assert digests(out) == SCENE_DIGESTS

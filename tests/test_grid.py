@@ -120,6 +120,29 @@ def test_depth_check_rejects_exactly_what_the_where_check_rejects(data, h, w):
     check_depth_against_where_check(values, valid)
 
 
+VALID_DEPTHS = [0.0, -0.0, 5e-324, 1.5, 1e308]
+HOLES = [np.nan, np.inf, -np.inf, -1.0, -1e308] + VALID_DEPTHS  # anything, in-range values too
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), h=st.integers(1, 5), w=st.integers(1, 5))
+def test_plane_is_the_value_on_the_mask_and_nan_off_it(data, h, w):
+    """Holes of any value read NaN; the plane is read-only and built once per grid."""
+    valid = np.array(data.draw(st.lists(st.booleans(), min_size=h * w,
+                                        max_size=h * w))).reshape(h, w)
+    values = np.array([data.draw(st.sampled_from(VALID_DEPTHS if ok else HOLES))
+                       for ok in valid.reshape(-1)]).reshape(h, w)
+    g = Grid1(values, valid)
+    plane = g.plane
+    assert plane.shape == (h, w) and plane.dtype == np.float64
+    assert np.array_equal(np.isnan(plane), ~valid)
+    assert plane[valid].tobytes() == values[valid].tobytes()  # -0.0 stays -0.0
+    assert not plane.flags.writeable
+    with pytest.raises(ValueError):
+        plane[...] = 0.0
+    assert g.plane is plane
+
+
 def roll(a: np.ndarray, s_h: int, s_w: int) -> np.ndarray:
     """``roll_into`` ``a`` into a fresh buffer."""
     return roll_into(a, s_h, s_w, np.empty_like(a))

@@ -224,10 +224,10 @@ def test_differential_of_checked_depth_maps_passes_the_depth_check(data, h, w):
     d_a, d_s = checked_depth_map(data, h, w), checked_depth_map(data, h, w)
     joint = d_a.valid & d_s.valid
     with np.errstate(over="ignore", invalid="ignore"):  # only in the holes
-        _check_depth(np.abs(d_a.values - d_s.values), joint)  # as reg_loss computes it
-        d_r = differential_map(d_a, d_s)
-    assert np.array_equal(d_r.valid, joint)
-    _check_depth(d_r.values, d_r.valid)
+        _check_depth(np.abs(d_a.values - d_s.values), joint)
+    d_r = differential_map(d_a, d_s)  # as reg_loss computes it, from the planes
+    assert np.array_equal(d_r == d_r, joint)
+    _check_depth(d_r, joint)
 
 
 HUGE_FEATURES = [1e308, -1e308, 1.7e308, -1.7e308, 1e200, -1e160, 1e154, -1e-160, 5e-324]
@@ -353,8 +353,7 @@ def test_margin_lookup_and_coefficient_equal_the_per_range_passes(data, config, 
     dists = [0.0] * len(points) + [np.inf] * len(points) + data.draw(st.lists(
         st.one_of(st.sampled_from([0.0, smallest, np.inf] + kinks), st.floats(smallest, 1e4)),
         min_size=len(diffs) - 2 * len(points), max_size=len(diffs) - 2 * len(points)))
-    d = np.array(diffs).reshape(1, -1)
-    labels = identify(Grid1(np.nan_to_num(d), d == d), config).reshape(1, 1, -1)
+    labels = identify(np.array(diffs).reshape(1, 1, -1), config)
     dist = np.array(dists).reshape(labels.shape)
     assert set(np.unique(labels)) == set(range(-1, len(ranges) + 1))
     count = int(np.count_nonzero(labels >= POSITIVE))

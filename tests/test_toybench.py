@@ -175,8 +175,8 @@ def separation_case(h, w, c, seed, features, levels, valid):
 
     ``features`` is "random" (normals times one power of ten from 1e-3 to
     1e3), "constant" or "zero"; depth takes ``levels`` values 0.3 m apart, so one
-    level leaves no far pair; ``valid`` is "all", "part" or "none", with NaN
-    written on the invalid pixels.
+    level leaves no far pair; ``valid`` is "all", "part" or "none", with an
+    in-range depth on about half the invalid pixels and NaN on the rest.
     """
     rng = np.random.default_rng(seed)
     if features == "random":
@@ -186,7 +186,8 @@ def separation_case(h, w, c, seed, features, levels, valid):
     values = 1.0 + 0.3 * rng.integers(0, levels, (h, w))
     mask = {"all": np.ones((h, w), bool), "none": np.zeros((h, w), bool),
             "part": rng.random((h, w)) < 0.5}[valid]
-    return Grid3(data), Grid1(np.where(mask, values, np.nan), mask)
+    kept = mask | (rng.random((h, w)) < 0.5)  # an in-range depth on about half the holes
+    return Grid3(data), Grid1(np.where(kept, values, np.nan), mask)
 
 
 class TestFeatureSeparation:
