@@ -121,7 +121,7 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
     n = len(samples)
     h, w, c = f_a.data.shape
     nhw = (n, h, w)
-    fa = f_a.data.transpose(2, 0, 1)  # (C, H, W); contiguous when f_a views planar storage
+    fa = f_a.data.transpose(2, 0, 1)  # (C, H, W); contiguous for the model's features
 
     # One classification pass over every (sample, pixel) of the (N, H, W)
     # differentials.  The buffers are filled sample by sample,

@@ -13,6 +13,13 @@ reachable; the prediction head is zero-initialized, so a fresh model
 predicts exp(0) = 1 everywhere.  Parameters and gradients travel as one
 flat vector in a fixed order, which keeps SGD updates and the
 finite-difference checks one-liners.
+
+Every activation and every gradient against one is channel-planar, one
+row of P pixels per channel: the features are the ``(C, H, W)`` block the
+regularizer reads, and the backward pass takes the planar feature gradient
+as it is.  A ``(P, C)`` layout would run each bias add, bias-gradient sum
+and ``w4`` product along rows only 6-12 values wide and need a transposing
+copy each way.
 """
 
 from __future__ import annotations
@@ -88,24 +95,28 @@ class ToyModel:
 def model_forward(model: ToyModel, image: Grid3, scratch: Scratch | None = None):
     """Forward pass; returns (features, prediction, cache for backward).
 
-    ``features`` and ``prediction`` are read-only views of the cached
-    activations.  With a ``scratch`` every array returned is one of its
-    buffers, valid until the next call with that arena.
+    Every activation is channel-planar, ``(channels, P)`` over the P pixels
+    in row-major order: a layer is ``w @ x`` plus a bias column, so each
+    ufunc runs along a row P values long.  ``features`` is an ``(H, W, C)``
+    read-only view of the planar ``(C, H, W)`` feature block, the layout
+    ``reg_loss`` reads, and ``prediction`` a read-only view of ``exp(z)``.
+    With a ``scratch`` every array returned is one of its buffers, valid
+    until the next call with that arena.
     """
     if image.channels != model.c_in:
         raise ShapeError(f"model expects {model.c_in} input channels, got {image.channels}")
     h, w = image.height, image.width
     p = h * w
-    x = image.data.reshape(-1, model.c_in)
-    h1 = np.matmul(x, model.w1.T, out=take(scratch, "h1", (p, model.w1.shape[0])))
-    h1 += model.b1
+    x = image.data.reshape(p, model.c_in)  # its transpose is the planar input
+    h1 = np.matmul(model.w1, x.T, out=take(scratch, "h1", (model.w1.shape[0], p)))
+    h1 += model.b1[:, None]
     np.tanh(h1, out=h1)
-    h2 = np.matmul(h1, model.w2.T, out=take(scratch, "h2", (p, model.w2.shape[0])))
-    h2 += model.b2
+    h2 = np.matmul(model.w2, h1, out=take(scratch, "h2", (model.w2.shape[0], p)))
+    h2 += model.b2[:, None]
     np.tanh(h2, out=h2)
-    f = np.matmul(h2, model.w3.T, out=take(scratch, "f", (p, model.c_feat)))
-    f += model.b3
-    z = np.matmul(f, model.w4, out=take(scratch, "z", (p,)))
+    f = np.matmul(model.w3, h2, out=take(scratch, "f", (model.c_feat, p)))
+    f += model.b3[:, None]
+    z = np.matmul(model.w4, f, out=take(scratch, "z", (p,)))
     z += model.b4
     if not np.all(np.isfinite(z)):
         raise DomainError("model output diverged (non-finite pre-activation)")
@@ -118,7 +129,7 @@ def model_forward(model: ToyModel, image: Grid3, scratch: Scratch | None = None)
     valid.fill(True)
     cache = {"x": x, "h1": h1, "h2": h2, "f": f, "pred": pred}
     _check_finite(f)
-    features = _view(Grid3, data=f.reshape(h, w, model.c_feat))
+    features = _view(Grid3, data=f.reshape(model.c_feat, h, w).transpose(1, 2, 0))
     prediction = _view(Grid1, values=pred.reshape(h, w), valid=valid)  # exp: finite, >= 0
     return features, prediction, cache
 
@@ -129,54 +140,38 @@ def model_backward(model: ToyModel, cache, d_feat: np.ndarray, d_pred: np.ndarra
 
     ``d_feat`` is channel-planar (C, H, W) against the feature map,
     ``d_pred`` (H, W) against the prediction.  The returned vector is freshly
-    allocated; a ``scratch`` lends only the per-pixel work arrays.  Each
-    bias gradient sums its ``(P, C)`` upstream array over pixels in row
-    order, the order of ``sum(axis=0)`` (see ``_column_sums``).
+    allocated; a ``scratch`` lends only the planar work arrays.
     """
     h1, h2, f = cache["h1"], cache["h2"], cache["f"]
-    p = f.shape[0]
+    p = f.shape[1]
     dz = np.multiply(d_pred.reshape(-1), cache["pred"], out=take(scratch, "dz", (p,)))
-    # df = d_feat + dz * w4, formed channel-planar, where each ufunc's inner
-    # loop runs over pixels instead of the C channels, then transposed in
-    # one copy into the (P, C) buffer the matmuls read.
-    wz = np.multiply(model.w4[:, None], dz, out=take(scratch, "wz", (model.c_feat, p)))
-    wz += d_feat.reshape(wz.shape)
-    df = take(scratch, "df", f.shape)
-    np.copyto(df, wz.T)
+    df = np.multiply(model.w4[:, None], dz, out=take(scratch, "df", f.shape))
+    df += d_feat.reshape(f.shape)
 
-    dw4 = f.T @ dz
+    dw4 = f @ dz
     db4 = float(np.sum(dz))
 
-    dw3 = df.T @ h2
-    db3 = _column_sums(df)
-    dh2 = _tanh_grad(np.matmul(df, model.w3, out=take(scratch, "dh2", h2.shape)), h2,
+    dw3, db3 = _affine_grads(df, h2)
+    dh2 = _tanh_grad(np.matmul(model.w3.T, df, out=take(scratch, "dh2", h2.shape)), h2,
                      take(scratch, "g2", h2.shape))
 
-    dw2 = dh2.T @ h1
-    db2 = _column_sums(dh2)
-    dh1 = _tanh_grad(np.matmul(dh2, model.w2, out=take(scratch, "dh1", h1.shape)), h1,
+    dw2, db2 = _affine_grads(dh2, h1)
+    dh1 = _tanh_grad(np.matmul(model.w2.T, dh2, out=take(scratch, "dh1", h1.shape)), h1,
                      take(scratch, "g1", h1.shape))
 
-    dw1 = dh1.T @ cache["x"]
-    db1 = _column_sums(dh1)
+    dw1, db1 = _affine_grads(dh1, cache["x"].T)
 
     return np.concatenate(
         [dw1.ravel(), db1, dw2.ravel(), db2, dw3.ravel(), db3, dw4, [db4]]
     )
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=0)`` of a C-contiguous (P, C) array, bit for bit.
+def _affine_grads(dy: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias gradients of ``w @ x + b`` from its planar upstream ``dy``.
 
-    numpy reduces ``axis=0`` with an inner loop C elements long, so for a
-    few columns the sum runs far below vector width (79-130 us for
-    (4096, 6 | 12) on a 2-vCPU x86-64 host, numpy 2.4.6).  ``einsum`` loops
-    over the pixels of each column instead, adding them in the same row
-    order (21-41 us).  One column is one contiguous run that ``sum``
-    reduces pairwise, an order ``einsum`` does not keep, so it stays a
-    ``sum``.
+    The bias gradient sums each contiguous row of ``dy``, pairwise.
     """
-    return a.sum(axis=0) if a.shape[1] == 1 else np.einsum("pc->c", a)
+    return dy @ x.T, dy.sum(axis=1)
 
 
 def _tanh_grad(upstream: np.ndarray, act: np.ndarray, work: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DomainError, EmptyEvaluation, InvalidConfig
-from ..grid import Grid1, Grid3, Scratch, SeedRng, _view
+from ..grid import Grid1, Grid3, Scratch, SeedRng
 from ..identify import RegConfig
 from ..losses import DepthLossParams, reg_loss, si_loss
 from ..metrics import MetricReport, compute_metrics, mean_report
@@ -68,22 +68,18 @@ def _separation_pairs(p: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.n
 
 
 def _pair_sq_distances(feats: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
-    """The bits of ``np.sum((feats[i1] - feats[i2]) ** 2, axis=1)`` for (P, C) ``feats``.
+    """Squared distances of the pixel pairs ``(i1, i2)`` of planar ``(C, P)`` ``feats``.
 
-    Below 8 channels numpy sums each short row sequentially, so adding whole
-    columns one after another gives the same bits at full vector width.
-    From 8 on numpy keeps 8 partial sums per row, which the column loop
-    does not reproduce, so ``sum(axis=1)`` itself is kept.
+    The channels are added one after another, each along a contiguous row:
+    the bits of ``np.sum((f[i1] - f[i2]) ** 2, axis=1)`` over the ``(P, C)``
+    layout below 8 channels, where numpy sums each short row sequentially.
+    From 8 on numpy keeps 8 partial sums per row, and the two differ in the
+    last bits.
     """
-    sq = np.take(feats, i1, axis=0)
-    sq -= np.take(feats, i2, axis=0)
+    sq = np.take(feats, i1, axis=1)
+    sq -= np.take(feats, i2, axis=1)
     sq *= sq
-    if sq.shape[1] >= 8:
-        return np.sum(sq, axis=1)
-    out = sq[:, 0].copy()
-    for j in range(1, sq.shape[1]):
-        out += sq[:, j]
-    return out
+    return np.sum(sq, axis=0)
 
 
 def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
@@ -101,7 +97,8 @@ def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
     i1, i2 = _separation_pairs(p, n_pairs, seed)
     plane = depth.plane.reshape(p)
     dd = np.abs(plane[i1] - plane[i2])  # NaN, so neither near nor far, unless both are valid
-    fd = np.sqrt(_pair_sq_distances(features.data.reshape(p, -1), i1, i2))
+    planar = features.data.transpose(2, 0, 1).reshape(-1, p)  # a view when the features are planar
+    fd = np.sqrt(_pair_sq_distances(planar, i1, i2))
     near_fd = fd[dd < near]
     far_fd = fd[dd > far]
     if near_fd.size == 0:
@@ -152,21 +149,13 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
     breakdown: dict[str, float] = {}
     use_reg = reg_cfg.enabled and (reg_cfg.n_within + reg_cfg.n_across) > 0
     if use_reg:
-        # Sampling and reg_loss read (H, W, C) views of one frozen
-        # channel-planar copy of each item's features.
-        planar = []
-        for f, arena in zip(feats, items):
-            copy = arena.take("planar", (c, h, w))
-            np.copyto(copy, f.data.transpose(2, 0, 1))
-            copy.setflags(write=False)
-            planar.append(_view(Grid3, data=copy.transpose(1, 2, 0)))
         rng = SeedRng(sample_seed)
-        batch = Batch(tuple(zip(planar, depths)))
+        batch = Batch(tuple(zip(feats, depths)))
         for a in range(k):
             ss = build_sample_set(
-                planar[a], depths[a], batch, a, reg_cfg.n_within, reg_cfg.n_across, rng
+                feats[a], depths[a], batch, a, reg_cfg.n_within, reg_cfg.n_across, rng
             )
-            res = reg_loss(planar[a], depths[a], ss, reg_cfg,
+            res = reg_loss(feats[a], depths[a], ss, reg_cfg,
                            d_feat[a], [d_feat[(a + p.s_k) % k] for p in ss], _ARENA)
             l_re += res.total / k
             contributing += res.contributing_count

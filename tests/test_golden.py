@@ -2,9 +2,12 @@
 
 The ablation covers baseline, uniform and multi-range strategies plus one
 point of each sample-count sweep on 12x12 scenes with two seeds.  Every
-written file but ``ablation_summary.json`` must hash to the digests below,
-which were recorded before the strategy types were folded into one
-negative-range representation.  The ``gen-scenes`` tree is three 64x64
+written file but ``ablation_summary.json`` must hash to the digests below.
+They were re-recorded once when the model became channel-planar, which
+sums its prediction, its last-layer weight gradient and its ``k = P``
+weight-gradient products and bias-gradient sums in another order: every
+value of the tree agreed with the previous code's within 7e-14 relative,
+but most files changed in their last printed digits.  The ``gen-scenes`` tree is three 64x64
 scenes of ``configs/benchmark.json``; its ``selfdiff.pgm`` label maps are
 the only files written straight from ``differential_map`` and ``identify``.
 Its digests were recorded before depth validity became one NaN-marked plane
@@ -48,39 +51,39 @@ GOLDEN_CONFIG = {
 }
 
 DIGESTS = {
-    "baseline/seed_5/eval.csv": "3fda0d04c3e9ca13d1fb00c8ecda85c0fd03b401a371638c8c68959fc7ace8f0",
-    "baseline/seed_5/record.csv": "22a155cfeff1bebc83ab1cd19a8a30c4f6bed35d61aaf9a444af617d2696c1e4",
-    "baseline/seed_5/summary.json": "01bc59c77919adbf62d7a93416a5205ba1fe1f6915462317ad1d7226a177f4f4",
-    "baseline/seed_6/eval.csv": "53498a8a760ed9206d5799940d13ebb731febcad55ba60e53a45cec4e872456e",
-    "baseline/seed_6/record.csv": "2fe9e947ec35fa33a4658cf5226235ac8764b92a72628aee3d7396e8c5b6aaa8",
-    "baseline/seed_6/summary.json": "9e695e5349ae1dcc2085ae94ad0e0b30ae20b7758c3335747d207564f31a4e60",
+    "baseline/seed_5/eval.csv": "240d5415015cb4944add0e5c5a9f43a0d7ae0d3173dd8d49b9eef83d346a12cb",
+    "baseline/seed_5/record.csv": "2456e06710a01c93b006f9a157eeb06ed860fb7c823abab2eb7968f83064fc1d",
+    "baseline/seed_5/summary.json": "9951b79553bf10956078398c7a53e027a9940bba4aa2623b4cc61e8769f08dbe",
+    "baseline/seed_6/eval.csv": "73843db3f99e02b00e9d10b97cf281cb2180445b0898c76d2dfe5b6de97ed247",
+    "baseline/seed_6/record.csv": "2dd0c8a0f536b90d8e7fca9598d7594d81dc1d38306de09d983efca6d0131e1a",
+    "baseline/seed_6/summary.json": "1bc4b6dcf6271191f08f6122f1447a2d082bf9c45bd42c667a189bf1ea88d05d",
     "config.json": "31be6c2dec609c7ebfd80102c33ed38f49a01879a1bc0c4b395ea0714c4a4ea4",
-    "multi_range/seed_5/eval.csv": "2567a95fc90512c6381e3d7e430d467673cb5b91514eeb1f191ee144793163bc",
-    "multi_range/seed_5/record.csv": "7b632601f0b05e8bbd83ba10b429ad17d3abaf95748e8544c12a985e5e6ab8ab",
-    "multi_range/seed_5/summary.json": "77f0f2b6daff753ffb9421a67c75e5fd7fe296f72cd7282a33cb67f16c98785c",
-    "multi_range/seed_6/eval.csv": "1f0f0f199e6c2e15a8789544996376f080e496f8c98cdc6e574cd3a0e48cd973",
-    "multi_range/seed_6/record.csv": "3933bfd7c6b7072df360e4e73e873e72a3c40d945f21effa7d2178a2fcdc9009",
-    "multi_range/seed_6/summary.json": "0535c04e3469f676db023a51f8392e149c45fb04f9e4412b5715b16421a00ee2",
-    "sweep_n_across.dat": "cb96ba2d4748fca67fc77888637c62ccbfa34faa64344c3ce5a7b4cb6fb4ea4f",
-    "sweep_n_across_1/seed_5/eval.csv": "714fcf7dbf6c80b6413b040d8e05fac5876658461ecff6c6a84fcda2204031ad",
-    "sweep_n_across_1/seed_5/record.csv": "ca18d95c06f0962d5b2197115b11528d566401042f0fc46f6633c0d8fdbcf6b9",
-    "sweep_n_across_1/seed_5/summary.json": "e75d821977c3e3234c15242b82d8d35d81a0f735aa4c2910a6ee057c02552fb6",
-    "sweep_n_across_1/seed_6/eval.csv": "400f566be46728529c557446cdf7b3675c7da4d80867cdbc3ea20e71aadbe24d",
-    "sweep_n_across_1/seed_6/record.csv": "65d86a921d56b2c945ed7456cc2cb229052d01f188d5b596c998741ec2b363b1",
-    "sweep_n_across_1/seed_6/summary.json": "c7daf1d3dcd6cc3874c84610adec7ef144d1036fcbd39ddbc4736bace6ca5a80",
+    "multi_range/seed_5/eval.csv": "8f1d1bdc44426768dab532ef5f03724b59742e51862f1eee58eff567b4aca894",
+    "multi_range/seed_5/record.csv": "0c79ef190cc87388d3b92ad41ef603cad5fd9d6ea64d02118c920365c951488b",
+    "multi_range/seed_5/summary.json": "c9b618757cf26865ec4835abce2d85c5d799ddcfe617e102f2bcc23f7221cba0",
+    "multi_range/seed_6/eval.csv": "4acbb611701c00ad32d24e7323601f790c669f894dd51ada2b224eddebbbd783",
+    "multi_range/seed_6/record.csv": "bc80129299c7010c26d190e95a74cc3a0e3c7da38168748a0c527d69ba731548",
+    "multi_range/seed_6/summary.json": "d2d51b03e2661312676ddba4cbda2c8efa5cd0863143225c161d1cd9046b91ce",
+    "sweep_n_across.dat": "f8fa9c94bfeeb27684e24f6e74f356687ebed76ea93895aec8989601692f0f7b",
+    "sweep_n_across_1/seed_5/eval.csv": "5ca76c2e4df152649379daa3bf6eea2b6e348e538636fbc989d5ba3767923d68",
+    "sweep_n_across_1/seed_5/record.csv": "babc5ae707ac78bbce7c9205766c803ff939ed07afa666204f88e5709d775cef",
+    "sweep_n_across_1/seed_5/summary.json": "ec5163fa146abadaf3f1d3bc4aa73940f30da4f127ce8bbfa6b8b87558ba7163",
+    "sweep_n_across_1/seed_6/eval.csv": "2aaeeffe59be4c4f9beb110c231e2ebb2c19b3295600f9d6fe189e21c598a3f6",
+    "sweep_n_across_1/seed_6/record.csv": "f2b93ff82211873b5821929f22d298d65a27e8938cfdfcf19d6ce558b09762d0",
+    "sweep_n_across_1/seed_6/summary.json": "ca3ed84fc7a9ad0737fd80964ab243f3a8e96dcc0505385ff3bed9790198728e",
     "sweep_n_within.dat": "83f6e6708be7a930f8e71a7b5be61f906808d17d367fbdee5eab934f3b38d03d",
-    "sweep_n_within_2/seed_5/eval.csv": "220594851b21007c9d192cb0ffd57d66010ecd9a0da1e1e01eb810ce4c1aa250",
-    "sweep_n_within_2/seed_5/record.csv": "5e2763a6dfe4dc890e90b99a2ed1406589be5d0693122e11d25d0b3dd1a74357",
-    "sweep_n_within_2/seed_5/summary.json": "135784fd602e000e828c44f02233092a57f4e19d5c794d7dea401268a4fdda76",
-    "sweep_n_within_2/seed_6/eval.csv": "91bc518e403bc1bd726cc5ec00522d6e9efbd5971a0c743fc092893c3be4e587",
-    "sweep_n_within_2/seed_6/record.csv": "1ca0b44100cdfa0683e0edb736f0ae1258454144177f512d420bf97e272d5118",
-    "sweep_n_within_2/seed_6/summary.json": "628edcc6bf9bc464bf6c7ae8cc3d55a352d362dac9e459f22eacaf01acbf60d0",
-    "uniform/seed_5/eval.csv": "599efcb4433e7dda31b48a25d20d4ec536cd94d7fd90902a531d95ff3fe061c4",
-    "uniform/seed_5/record.csv": "781df33a92b39a1e43fa3c05c9abec13b685d0ed639491ff08962e9876d8be96",
-    "uniform/seed_5/summary.json": "3a826102e66a9155fb8315ecd3b77c081f01677c38e50d411455675bfc6a83a5",
-    "uniform/seed_6/eval.csv": "34092432c423b91dd127ce20630345276e5a3b1d0a7f933e21471469a874c87e",
-    "uniform/seed_6/record.csv": "be95d32c049f31615de225a57f841aaaf1aab2e93b0d118c4159edbba852e37a",
-    "uniform/seed_6/summary.json": "90404a3104e2aa817eb4c3f5640cea9cf25696f9f5cbe3a149ba8414047ed594",
+    "sweep_n_within_2/seed_5/eval.csv": "c025d68742e033b4b1f4ea45296349b8fa21204e199ee958437cfd804a2d303c",
+    "sweep_n_within_2/seed_5/record.csv": "eab900f33f58e377e06db5b164df7f4d8ab6833ccdafbe59283e71d2a3fb6ae9",
+    "sweep_n_within_2/seed_5/summary.json": "cbd3eafd19b1c9a84f6c4961efdde0aae33ad5cd1a6caee5d634ac38654b675b",
+    "sweep_n_within_2/seed_6/eval.csv": "503e6b05d4e2629ffa4ca917c0b6d0adcea15318a5965403508fa9d10aa2057e",
+    "sweep_n_within_2/seed_6/record.csv": "6bb48c199111f8aa1aa58833d225e6e46909e7b6259c1418684e1e5ef7f848dc",
+    "sweep_n_within_2/seed_6/summary.json": "887b47d9e7023a3c7fa110c4026a51c73361e02c2de62968cdd3f0f1c124cfcb",
+    "uniform/seed_5/eval.csv": "704d423571597d338b2c97d29f52a9fd4403bee4853d0c1e82f8315a5264eb5d",
+    "uniform/seed_5/record.csv": "ca8e0830a5078ee1442291f601db851414f7db1a80c73626e49879fbcdc9dbe4",
+    "uniform/seed_5/summary.json": "6cdea7f6933788ad8f9544f452e836b2ceaf11d89018d767d01f8a20d4b871ba",
+    "uniform/seed_6/eval.csv": "7677dca89b4cb35244b52297f90a78cb1e2c1237cb7ecaa4216b2dc8c47fc804",
+    "uniform/seed_6/record.csv": "d5aba541b8698ed966a4f72f2a1ce458b1426ca5e9e6e21ebf3f7d5e98fd1b02",
+    "uniform/seed_6/summary.json": "3b6df19eb30ebcdfe55551d5c66ecf5bf419d4c6bf24dbb4fdc61b66839a8eb9",
 }
 
 

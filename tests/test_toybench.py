@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthreg.errors import InvalidConfig
-from depthreg.grid import Grid1, Grid3, SeedRng
+from depthreg.grid import Grid1, Grid3, Scratch, SeedRng
 from depthreg.identify import MultiRange, NegativeRange, RegConfig
 from depthreg.losses import DepthLossParams
-from depthreg.toybench import model as model_module
 from depthreg.toybench import train as train_module
-from depthreg.toybench.model import ToyModel, _column_sums, model_backward, model_forward
+from depthreg.toybench.model import ToyModel, model_backward, model_forward
 from depthreg.toybench.scenes import gen_scene
 from depthreg.toybench.train import (
     Schedule,
@@ -111,36 +110,59 @@ class TestModel:
         assert fd == pytest.approx(float(grad @ direction), rel=1e-6)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 5000), c=st.integers(1, 16),
-       zeros=st.sampled_from([0.0, 0.3, 1.0]), decades=st.integers(0, 16))
-def test_column_sums_equal_numpy_sum(seed, p, c, zeros, decades):
-    """Bit-equal to ``sum(axis=0)``, with signed zeros and magnitudes over ``decades``."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((p, c)) * 10.0 ** rng.uniform(-decades / 2, decades / 2, (p, c))
-    a[rng.random((p, c)) < zeros] = 0.0
-    np.copysign(a, rng.standard_normal((p, c)), out=a)
-    assert _column_sums(a).tobytes() == a.sum(axis=0).tobytes()
+def reference_forward(m, image):
+    """The model's forward pass in ``(P, C)`` layout: one row of channels per pixel."""
+    x = image.data.reshape(-1, m.c_in)
+    h1 = np.tanh(x @ m.w1.T + m.b1)
+    h2 = np.tanh(h1 @ m.w2.T + m.b2)
+    f = h2 @ m.w3.T + m.b3
+    return x, h1, h2, f, np.exp(f @ m.w4 + m.b4)
 
 
-@pytest.mark.parametrize("hidden, c_feat", [((12, 12), 6), ((1, 1), 1)],
-                         ids=["default", "one-column"])
-def test_backward_bytes_equal_with_plain_column_sums(monkeypatch, hidden, c_feat):
-    """``model_backward`` gives the same bytes when its bias sums are ``sum(axis=0)``.
+def reference_backward(m, x, h1, h2, f, pred, d_feat, d_pred):
+    """Its backward pass in the same layout, ``d_feat`` planar (C, H, W)."""
+    dz = d_pred.reshape(-1) * pred
+    df = d_feat.reshape(m.c_feat, -1).T + dz[:, None] * m.w4
+    dh2 = (df @ m.w3) * (1.0 - h2**2)
+    dh1 = (dh2 @ m.w2) * (1.0 - h1**2)
+    return np.concatenate([(dh1.T @ x).ravel(), dh1.sum(axis=0), (dh2.T @ h1).ravel(),
+                           dh2.sum(axis=0), (df.T @ h2).ravel(), df.sum(axis=0), f.T @ dz,
+                           [dz.sum()]])
 
-    With ``hidden=(1, 1)`` and ``c_feat=1`` every bias sum takes the
-    one-column path.
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h1=st.integers(1, 12), h2=st.integers(1, 12),
+       c_feat=st.integers(1, 9), h=st.integers(2, 16), w=st.integers(2, 16))
+def test_planar_model_matches_the_row_per_pixel_reference(seed, h1, h2, c_feat, h, w):
+    """Hidden activations and features bit-equal; prediction and gradient within 1e-12.
+
+    ``z``, ``dw4`` and the ``k = P`` products and bias sums are summed in
+    another order than in the ``(P, C)`` layout, so they may differ in the
+    last bits.  So may a layer of one output channel over two or more
+    planar input rows: numpy hands ``(1, k) @ (k, P)`` to BLAS gemv with the
+    matrix in the other orientation, as it does for ``z``.  The first layer
+    reads the image's own ``(P, 3)`` rows, so it keeps its bits at any width.
     """
-    rng = SeedRng(11)
-    m = ToyModel.init(rng, hidden=hidden, c_feat=c_feat)
-    m = m.with_params(m.param_vector() + 0.01 * rng.normals(m.param_count))
-    sc = gen_scene(5, 64, 64, 0.5, 10.0)
-    f, p, cache = model_forward(m, sc.image)
-    d_feat = rng.normals(f.data.size).reshape(f.data.transpose(2, 0, 1).shape)  # planar
-    d_pred = rng.normals(p.values.size).reshape(p.values.shape)
-    got = model_backward(m, cache, d_feat, d_pred)
-    monkeypatch.setattr(model_module, "_column_sums", lambda a: a.sum(axis=0))
-    assert got.tobytes() == model_backward(m, cache, d_feat, d_pred).tobytes()
+    rng = SeedRng(seed)
+    m = ToyModel.init(rng, hidden=(h1, h2), c_feat=c_feat)
+    m = m.with_params(m.param_vector() + 0.1 * rng.normals(m.param_count))
+    image = Grid3(rng.uniforms(h * w * 3).reshape(h, w, 3))
+    feats, pred, cache = model_forward(m, image, Scratch())
+    x, r1, r2, rf, rpred = reference_forward(m, image)
+    h2_exact = h2 > 1 or h1 == 1
+    f_exact = h2_exact and (c_feat > 1 or h2 == 1)
+    for got, want, exact in ((cache["h1"].T, r1, True), (cache["h2"].T, r2, h2_exact),
+                             (feats.data.reshape(-1, c_feat), rf, f_exact)):
+        if exact:
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(pred.values.reshape(-1), rpred, rtol=1e-12, atol=0.0)
+    d_feat = rng.normals(c_feat * h * w).reshape(c_feat, h, w)
+    d_pred = rng.normals(h * w).reshape(h, w)
+    got = model_backward(m, cache, d_feat, d_pred, Scratch())
+    want = reference_backward(m, x, r1, r2, rf, rpred, d_feat, d_pred)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def separation_reference(features, depth, near, far, n_pairs=4096, seed=2026):
@@ -207,21 +229,30 @@ class TestFeatureSeparation:
            features=st.sampled_from(["random", "random", "constant", "zero"]),
            levels=st.integers(1, 4), valid=st.sampled_from(["all", "part", "none"]))
     def test_equals_the_uncached_sum_bit_for_bit(self, h, w, c, seed, features, levels, valid):
-        # columns summed one by one below 8 channels, sum(axis=1) from 8 on
+        # planar channels summed one by one: sum(axis=1)'s bits below 8 channels
         feats, depth = separation_case(h, w, c, seed, features, levels, valid)
         got = feature_separation(feats, depth, *SEP)
-        assert repr(got) == repr(separation_reference(feats, depth, *SEP))
+        want = separation_reference(feats, depth, *SEP)
+        if c <= 7 or not math.isfinite(want):
+            assert repr(got) == repr(want)
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.integers(1, 300), c=st.integers(1, 12), n_pairs=st.integers(1, 300),
            seed=st.integers(0, 2**32 - 1), decades=st.integers(0, 12))
     def test_pair_distances_equal_numpy_row_sums(self, p, c, n_pairs, seed, decades):
+        """Bit-equal to ``sum(axis=1)`` over ``(P, C)`` rows below 8 channels, within 1e-12 from 8."""
         rng = np.random.default_rng(seed)
         feats = rng.standard_normal((p, c)) * 10.0 ** rng.uniform(-decades, decades, (p, c))
         i1, i2 = rng.integers(0, p, (2, n_pairs))
         want = np.sum((feats[i1] - feats[i2]) ** 2, axis=1)
-        got = train_module._pair_sq_distances(feats, i1, i2)  # patchable by a canary
-        assert got.tobytes() == want.tobytes()
+        planar = np.ascontiguousarray(feats.T)
+        got = train_module._pair_sq_distances(planar, i1, i2)  # patchable by a canary
+        if c <= 7:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("features, levels, valid, want", [
         ("constant", 4, "all", "1.0"),
