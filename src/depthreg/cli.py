@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DepthRegError
 from .experiment import (
     CONFIG_KEYS,
@@ -29,8 +31,8 @@ from .experiment import (
     run_ablation,
     run_experiment,
 )
-from .grid import Grid1, SeedRng, roll_into
-from .identify import differential_map, identify
+from .grid import SeedRng, roll_into
+from .identify import identify
 from .metrics import CSV_HEADER, compute_metrics
 from .pfmio import read_pfm_g1, write_pfm_g1, write_pfm_g3, write_pgm_labels
 from .toybench.scenes import gen_scene
@@ -137,7 +139,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = read_pfm_g1(args.pred)
+    pred = read_pfm_g1(args.pred).values  # a checked file; its mask plays no part
     gt = read_pfm_g1(args.gt)
     report = compute_metrics(pred, gt)
     text = f"{CSV_HEADER}\n{report.csv_row()}\n"
@@ -162,8 +164,9 @@ def cmd_gen_scenes(args) -> int:
         if reg_cfg is not None and reg_cfg.enabled:
             # inspection aid: sample-type map of the scene against its own
             # depth rolled by one pixel (sharp bands at discontinuities)
-            rolled = (roll_into(a, 1, 1, a.copy()) for a in (sc.depth.values, sc.depth.valid))
-            labels = identify(differential_map(sc.depth, Grid1(*rolled)), reg_cfg)
+            plane = sc.depth.plane
+            rolled = roll_into(plane, 1, 1, np.empty_like(plane))
+            labels = identify(np.abs(plane - rolled), reg_cfg)
             write_pgm_labels(out / f"scene_{i:04d}.selfdiff.pgm", labels)
     _dump_json(out / "manifest.json", {"base_seed": args.seed, "count": args.count,
                                        "scene": raw["scene"], "scene_seeds": seeds})

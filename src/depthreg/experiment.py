@@ -37,7 +37,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import InvalidConfig
-from .identify import MultiRange, NegativeRange, RegConfig
+from .identify import NegativeRange, RegConfig
 from .losses import DepthLossParams
 from .metrics import CSV_HEADER
 from .toybench.scenes import check_scene
@@ -85,9 +85,9 @@ class Sweep:
 
 @dataclass(frozen=True)
 class Ablation:
-    strategies: dict[str, MultiRange | None]
+    strategies: dict[str, tuple[NegativeRange, ...] | None]
     sweep: Sweep = Sweep()
-    sweep_strategy: MultiRange | None = MultiRange((NegativeRange(0.5, 1.0, 2.0),))
+    sweep_strategy: tuple[NegativeRange, ...] | None = (NegativeRange(0.5, 1.0, 2.0),)
 
 
 CONFIG_KEYS = ("scene", "regularization", "depth_loss", "schedule", "separation",
@@ -179,7 +179,7 @@ def _ints(xs) -> tuple[int, ...]:
 
 
 def strategy_from_dict(d, where: str):
-    """The strategy a ``{"kind": ...}`` object names; ``None`` for "disabled"."""
+    """The negative ranges a ``{"kind": ...}`` object names; ``None`` for "disabled"."""
     kind = d.get("kind") if isinstance(d, dict) else None
     if kind not in ("disabled", "uniform", "multi_range"):
         raise InvalidConfig(f"unknown strategy kind {kind!r} in {where}")
@@ -187,10 +187,11 @@ def strategy_from_dict(d, where: str):
     if kind == "uniform":  # the one range (r_n, inf) with margin m_u
         check_keys(rest, where, ("r_n", "m_u"))
         r_n, m_u = (_converted(_float, rest[k], f"{where}.{k}") for k in ("r_n", "m_u"))
-        return MultiRange((NegativeRange(r_n, math.inf, m_u),))
+        return (NegativeRange(r_n, math.inf, m_u),)
     if kind == "multi_range":
-        return from_section(MultiRange, rest, where, ranges=lambda rows: tuple(
-            NegativeRange(*map(_float, row)) for row in rows))
+        check_keys(rest, where, ("ranges",))
+        return _converted(lambda rows: tuple(NegativeRange(*map(_float, row)) for row in rows),
+                          rest["ranges"], f"{where}.ranges")
     check_keys(rest, where, ())
     return None
 
@@ -199,9 +200,9 @@ def strategy_to_dict(s) -> dict:
     """``s`` in config form; a config's bounds are finite, so an infinite one is uniform's."""
     if s is None:
         return {"kind": "disabled"}
-    if len(s.ranges) == 1 and s.ranges[0].high == math.inf:
-        return {"kind": "uniform", "r_n": s.ranges[0].low, "m_u": s.ranges[0].margin}
-    return {"kind": "multi_range", "ranges": [list(astuple(r)) for r in s.ranges]}
+    if len(s) == 1 and s[0].high == math.inf:
+        return {"kind": "uniform", "r_n": s[0].low, "m_u": s[0].margin}
+    return {"kind": "multi_range", "ranges": [list(astuple(r)) for r in s]}
 
 
 def reg_config_from_dict(d: dict) -> RegConfig:

@@ -134,9 +134,8 @@ def _view(cls, **arrays: np.ndarray):
 
     Checks sit only where arithmetic can break an invariant: grid
     construction, the model's output and the anchor gradient.  ``_view``
-    wraps what those checks cover: the model's features (an ``(H, W, C)``
-    view of its planar block) and ``exp(z)``.  It derives nothing either: a
-    ``Grid1`` made here has no ``plane``.
+    wraps what those checks cover: the model's features, an ``(H, W, C)``
+    view of its planar block.  It derives nothing either.
     """
     obj = object.__new__(cls)
     for name, arr in arrays.items():

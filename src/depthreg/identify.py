@@ -1,4 +1,4 @@
-"""Depth-differential maps and per-pixel sample-type identification.
+"""Per-pixel sample-type identification from depth differentials.
 
 A sample pixel is classified relative to the anchor by the absolute depth
 difference at that position: below ``r_p`` it is a positive, inside a
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, ShapeError
-from .grid import Grid1
+from .errors import InvalidConfig
 
 POSITIVE = 0
 IGNORED = -1
@@ -33,32 +32,20 @@ class NegativeRange:
 
 
 @dataclass(frozen=True)
-class MultiRange:
-    """Negatives split into subgroups by differential range, one margin each.
-
-    The uniform strategy (one negative group above ``r_n`` with margin
-    ``m_u``) is the one range ``(r_n, inf, m_u)``.
-    """
-
-    ranges: tuple[NegativeRange, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranges", tuple(self.ranges))
-
-
-@dataclass(frozen=True)
 class RegConfig:
     """Thresholds, margins and sample counts driving the regularizer.
 
-    ``strategy=None`` disables regularization entirely (baseline runs); the
-    multi-range invariant forbids an empty range list, so "off" is explicit.
+    ``strategy`` is the ascending tuple of negative ranges, one margin each
+    (a list is stored as a tuple); the uniform strategy is the one range
+    ``(r_n, inf, m_u)``.  ``strategy=None`` disables regularization entirely
+    (baseline runs); an empty tuple is rejected, so "off" is explicit.
     ``loss_reduction`` is ``"sum"`` (literal double sum over samples and
     pixels) or ``"mean_contributing"`` (divide by the number of non-ignored
     sample pixels, resolution-independent; the default).
     """
 
     r_p: float
-    strategy: MultiRange | None
+    strategy: tuple[NegativeRange, ...] | None
     n_within: int = 10
     n_across: int = 4
     loss_reduction: str = "mean_contributing"
@@ -73,15 +60,13 @@ class RegConfig:
             raise InvalidConfig(f"unknown loss_reduction {self.loss_reduction!r}")
         if self.depth_loss_weight < 0:
             raise InvalidConfig("depth_loss_weight must be >= 0")
-        s = self.strategy
-        if s is None:
+        if self.strategy is None:
             return
-        if not isinstance(s, MultiRange):
-            raise InvalidConfig(f"unknown strategy type {type(s).__name__}")
-        if not s.ranges:
+        object.__setattr__(self, "strategy", tuple(self.strategy))
+        if not self.strategy:
             raise InvalidConfig("multi-range strategy needs at least one range")
         prev_high = self.r_p
-        for r in s.ranges:
+        for r in self.strategy:
             if not r.low < r.high:
                 raise InvalidConfig(f"range ({r.low}, {r.high}) is empty")
             if not r.margin > 0:
@@ -93,15 +78,6 @@ class RegConfig:
     @property
     def enabled(self) -> bool:
         return self.strategy is not None
-
-
-def differential_map(d_a: Grid1, d_s: Grid1) -> np.ndarray:
-    """|d_a - d_s| per pixel, NaN where either input is invalid."""
-    if (d_a.height, d_a.width) != (d_s.height, d_s.width):
-        raise ShapeError(
-            f"shape mismatch {(d_a.height, d_a.width)} vs {(d_s.height, d_s.width)}"
-        )
-    return np.abs(d_a.plane - d_s.plane)
 
 
 def _classify(v: np.ndarray, r_p: float, bounds: list[tuple[float, float]]) -> np.ndarray:
@@ -135,5 +111,5 @@ def identify(d_r: np.ndarray, config: RegConfig) -> np.ndarray:
     """
     if not config.enabled:
         raise InvalidConfig("regularization disabled; nothing to identify")
-    bounds = [(r.low, r.high) for r in config.strategy.ranges]
+    bounds = [(r.low, r.high) for r in config.strategy]
     return _classify(d_r, config.r_p, bounds)

@@ -152,7 +152,7 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
     dist = _squared_distance(diff, take(scratch, "dist", nhw), hinge)
     np.sqrt(dist, out=dist)
 
-    ranges = config.strategy.ranges
+    ranges = config.strategy
     m = _margins(labels, ranges, hinge.view(np.intp), dd)
     np.subtract(m, dist, out=hinge)
     np.maximum(0.0, hinge, out=hinge)
@@ -194,22 +194,22 @@ def reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...], config: Re
     return LossResult(total=total, breakdown=breakdown, contributing_count=contributing)
 
 
-def si_loss(pred: Grid1, gt: Grid1, params: DepthLossParams) -> tuple[float, np.ndarray]:
-    """Scale-invariant log error and its exact gradient wrt the prediction.
+def si_loss(pred: np.ndarray, gt: Grid1, params: DepthLossParams) -> tuple[float, np.ndarray]:
+    """Scale-invariant log error and its exact gradient wrt the (H, W) prediction array.
 
-    With g_i = ln pred_i - ln gt_i over the T jointly valid pixels (gt > 0
-    required), returns ``scale * sqrt(mean(g^2) - focus * mean(g)^2)``.
-    The gradient is returned as an (H, W) array, zero off the valid mask
+    With g_i = ln pred_i - ln gt_i over the T pixels valid in ``gt`` with
+    gt > 0, returns ``scale * sqrt(mean(g^2) - focus * mean(g)^2)``.
+    The gradient is returned as an (H, W) array, zero off those pixels
     and zero everywhere when the sqrt argument vanishes.
     """
-    if (pred.height, pred.width) != (gt.height, gt.width):
+    if pred.shape != gt.values.shape:
         raise ShapeError("prediction and ground-truth shapes disagree")
-    mask = pred.valid & gt.valid & (gt.values > 0)
-    grad = np.zeros((pred.height, pred.width))
+    mask = gt.valid & (gt.values > 0)
+    grad = np.zeros(pred.shape)
     t = int(np.count_nonzero(mask))
     if t == 0:
         return 0.0, grad
-    p = pred.values[mask]
+    p = pred[mask]
     if np.any(p <= 0):
         raise DomainError("prediction must be positive on evaluated pixels")
     g = np.log(p) - np.log(gt.values[mask])

@@ -32,15 +32,15 @@ class MetricReport:
         return ",".join(map(repr, astuple(self)))
 
 
-def compute_metrics(pred: Grid1, gt: Grid1) -> MetricReport:
-    """The seven depth metrics over the valid evaluation pixels."""
-    if (pred.height, pred.width) != (gt.height, gt.width):
+def compute_metrics(pred: np.ndarray, gt: Grid1) -> MetricReport:
+    """The seven depth metrics of the (H, W) prediction array over the valid evaluation pixels."""
+    if pred.shape != gt.values.shape:
         raise ShapeError("prediction and ground-truth shapes disagree")
-    mask = gt.valid & (gt.values > 0) & (pred.values > 0)
+    mask = gt.valid & (gt.values > 0) & (pred > 0)
     n = int(np.count_nonzero(mask))
     if n == 0:
         raise EmptyEvaluation("no valid pixel to evaluate")
-    p = pred.values[mask]
+    p = pred[mask]
     g = gt.values[mask]
 
     err = np.abs(p - g)

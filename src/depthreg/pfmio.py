@@ -1,9 +1,8 @@
 """PFM / PGM serialization for grids and label maps.
 
 PFM (portable float map) stores float32 scanlines bottom-to-top; we always
-write little-endian (negative scale).  ``Pf`` covers 1 channel and ``PF``
-3 channels; any other channel count is written as C consecutive ``Pf``
-planes in one file, which plain PFM readers see as the first channel.
+write little-endian (negative scale).  ``Pf`` holds a depth map (1
+channel), ``PF`` a scene image (3 channels).
 
 The validity sidecar is a bare byte file of '0'/'1', row-major,
 top-to-bottom (natural array order, unlike the PFM payload).
@@ -90,26 +89,9 @@ def read_pfm_g1(path: str | Path) -> Grid1:
 
 
 def write_pfm_g3(path: str | Path, grid: Grid3) -> None:
-    """Feature map to PFM: PF for C=3, Pf for C=1, else C stacked Pf planes."""
+    """A 3-channel scene image to PFM (PF)."""
     with open(path, "wb") as fh:
-        if grid.channels == 3:
-            _write_plane(fh, grid.data, color=True)
-        else:
-            for c in range(grid.channels):
-                _write_plane(fh, grid.data[:, :, c], color=False)
-
-
-def read_pfm_g3(path: str | Path) -> Grid3:
-    planes = []
-    with open(path, "rb") as fh:
-        while fh.peek(1):
-            planes.append(_read_plane(fh))
-    if len(planes) == 1 and planes[0].ndim == 3:
-        return Grid3(planes[0])
-    for p in planes:
-        if p.ndim != 2 or p.shape != planes[0].shape:
-            raise ShapeError("inconsistent planes in stacked PFM")
-    return Grid3(np.stack(planes, axis=-1))
+        _write_plane(fh, grid.data, color=True)
 
 
 def write_pgm_labels(path: str | Path, labels: np.ndarray) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, ShapeError
-from ..grid import Grid1, Grid3, Scratch, SeedRng, _check_finite, _view, take
+from ..grid import Grid3, Scratch, SeedRng, _check_finite, _view, take
 
 
 @dataclass
@@ -99,7 +99,8 @@ def model_forward(model: ToyModel, image: Grid3, scratch: Scratch | None = None)
     in row-major order: a layer is ``w @ x`` plus a bias column, so each
     ufunc runs along a row P values long.  ``features`` is an ``(H, W, C)``
     read-only view of the planar ``(C, H, W)`` feature block, the layout
-    ``reg_loss`` reads, and ``prediction`` a read-only view of ``exp(z)``.
+    ``reg_loss`` reads, and ``prediction`` the read-only ``(H, W)`` view of
+    ``exp(z)``, finite and >= 0.
     With a ``scratch`` every array returned is one of its buffers, valid
     until the next call with that arena.
     """
@@ -123,15 +124,12 @@ def model_forward(model: ToyModel, image: Grid3, scratch: Scratch | None = None)
     pred = np.exp(z, out=z)
     if not np.all(np.isfinite(pred)):
         raise DomainError("model output diverged (prediction overflow)")
-    f.setflags(write=False)  # the returned grids are views of these cached arrays
+    f.setflags(write=False)  # both outputs are views of these cached arrays
     pred.setflags(write=False)
-    valid = take(scratch, "valid", (h, w), bool)
-    valid.fill(True)
     cache = {"x": x, "h1": h1, "h2": h2, "f": f, "pred": pred}
     _check_finite(f)
     features = _view(Grid3, data=f.reshape(model.c_feat, h, w).transpose(1, 2, 0))
-    prediction = _view(Grid1, values=pred.reshape(h, w), valid=valid)  # exp: finite, >= 0
-    return features, prediction, cache
+    return features, pred.reshape(h, w), cache
 
 
 def model_backward(model: ToyModel, cache, d_feat: np.ndarray, d_pred: np.ndarray,

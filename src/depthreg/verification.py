@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .grid import Grid1, Grid3, SeedRng
-from .identify import MultiRange, NegativeRange, RegConfig
+from .identify import NegativeRange, RegConfig
 from .losses import DepthLossParams, LossResult, reg_loss, si_loss
 from .metrics import MetricReport, compute_metrics
 from .sampling import SamplePair
@@ -42,7 +42,7 @@ def _oracle_label(diff: float, valid: bool, config: RegConfig) -> tuple[int, flo
         return -1, 0.0
     if diff < config.r_p:
         return 0, 0.0
-    for j, r in enumerate(config.strategy.ranges, start=1):
+    for j, r in enumerate(config.strategy, start=1):
         if r.low < diff < r.high:
             return j, r.margin
     return -1, 0.0
@@ -82,7 +82,7 @@ def oracle_reg_loss(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
     return total, len(terms)
 
 
-def oracle_metrics(pred: Grid1, gt: Grid1) -> MetricReport:
+def oracle_metrics(pred: np.ndarray, gt: Grid1) -> MetricReport:
     """Scalar-loop recomputation of the seven evaluation metrics."""
     abs_rel, sq_rel, sq, sq_log, l10 = [], [], [], [], []
     d1 = d2 = d3 = 0
@@ -90,7 +90,7 @@ def oracle_metrics(pred: Grid1, gt: Grid1) -> MetricReport:
     for i in range(gt.height):
         for j in range(gt.width):
             g = float(gt.values[i, j])
-            p = float(pred.values[i, j])
+            p = float(pred[i, j])
             if not (bool(gt.valid[i, j]) and g > 0 and p > 0):
                 continue
             n += 1
@@ -138,11 +138,9 @@ def random_instance(rng: SeedRng, max_h: int = 4, max_w: int = 4, max_c: int = 5
     h, w, c, n = min(h, max_h), min(w, max_w), min(c, max_c), min(n, max_samples)
 
     if rng.uniforms(1)[0] < 0.5:
-        strategy = MultiRange((NegativeRange(0.5, math.inf, 2.0),))
+        strategy = (NegativeRange(0.5, math.inf, 2.0),)
     else:
-        strategy = MultiRange(
-            (NegativeRange(0.5, 1.0, 1.5), NegativeRange(1.0, 2.0, 3.0))
-        )
+        strategy = (NegativeRange(0.5, 1.0, 1.5), NegativeRange(1.0, 2.0, 3.0))
     reduction = "sum" if rng.uniforms(1)[0] < 0.5 else "mean_contributing"
     config = RegConfig(r_p=0.2, strategy=strategy, n_within=0, n_across=0,
                        loss_reduction=reduction)
@@ -264,9 +262,9 @@ def check_si_loss_gradient(rng: SeedRng, h: int = 3, w: int = 4) -> float:
     pred_vals = 0.5 + rng.uniforms(h * w).reshape(h, w) * 4.0
 
     def loss_of(x: np.ndarray) -> float:
-        return si_loss(Grid1(x.reshape(h, w)), gt, params)[0]
+        return si_loss(x.reshape(h, w), gt, params)[0]
 
-    loss0, grad = si_loss(Grid1(pred_vals), gt, params)
+    loss0, grad = si_loss(pred_vals, gt, params)
     floor = noise_floor(loss0)
     x0 = pred_vals.ravel().copy()
     worst = 0.0
@@ -326,7 +324,7 @@ def run_model_gradcheck(tolerance: float, seed: int = 20260803) -> SuiteResult:
     model = ToyModel.init(rng)
     reg_cfg = RegConfig(
         r_p=0.1,
-        strategy=MultiRange((NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 2.0, 6.0))),
+        strategy=(NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 2.0, 6.0)),
         n_within=2, n_across=1,
     )
     depth_params = DepthLossParams()
@@ -367,7 +365,7 @@ def run_metrics_oracle(trials: int, seed: int = 20260805) -> SuiteResult:
         h, w = 8, 8
         gt = Grid1(rng.uniforms(h * w).reshape(h, w) * 9.5 + 0.5,
                    rng.uniforms(h * w).reshape(h, w) > 0.1)
-        pred = Grid1(rng.uniforms(h * w).reshape(h, w) * 9.5 + 0.5)
+        pred = rng.uniforms(h * w).reshape(h, w) * 9.5 + 0.5
         got = compute_metrics(pred, gt)
         want = oracle_metrics(pred, gt)
         for a, b in zip(astuple(got), astuple(want)):

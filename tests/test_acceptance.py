@@ -24,7 +24,6 @@ from depthreg.grid import Grid1, Grid3, SeedRng
 from depthreg.identify import (
     IGNORED,
     POSITIVE,
-    MultiRange,
     NegativeRange,
     RegConfig,
     identify,
@@ -85,7 +84,7 @@ def test_criterion_3_subsumption():
     for _ in range(50):
         f_a, d_a, samples, base_cfg = random_instance(rng, max_h=5, max_w=5)
         uni = RegConfig(r_p=0.2, strategy=uniform, loss_reduction=base_cfg.loss_reduction)
-        multi = RegConfig(r_p=0.2, strategy=MultiRange((NegativeRange(0.5, 1e12, 2.0),)),
+        multi = RegConfig(r_p=0.2, strategy=(NegativeRange(0.5, 1e12, 2.0),),
                           loss_reduction=base_cfg.loss_reduction)
         a, a_grads = reg_loss_with_gradients(f_a, d_a, samples, uni)
         b, b_grads = reg_loss_with_gradients(f_a, d_a, samples, multi)
@@ -109,10 +108,8 @@ def test_criterion_4_identification_partition():
     boundaries = np.array([0.1, 0.5, 1.0, 1.5, 2.0])
     cfg = RegConfig(
         r_p=0.1,
-        strategy=MultiRange(
-            (NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 1.5, 6.0),
-             NegativeRange(1.5, 2.0, 8.0))
-        ),
+        strategy=(NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 1.5, 6.0),
+                  NegativeRange(1.5, 2.0, 8.0)),
     )
     uniform = RegConfig(r_p=0.1, strategy=strategy_from_dict(
         {"kind": "uniform", "r_n": 0.5, "m_u": 1.0}, "regularization.strategy"))
@@ -135,7 +132,7 @@ def test_criterion_4_identification_partition():
                     want_u = POSITIVE if v < 0.1 else (1 if v > 0.5 else IGNORED)
                     want_m = POSITIVE if v < 0.1 else IGNORED
                     if valid[i, j] and v >= 0.1:
-                        for g, r in enumerate(cfg.strategy.ranges, start=1):
+                        for g, r in enumerate(cfg.strategy, start=1):
                             if r.low < v < r.high:
                                 want_m = g
                                 break
@@ -150,7 +147,7 @@ def test_criterion_4_identification_partition():
 
 
 def test_criterion_5_metric_unit_values():
-    r = compute_metrics(Grid1(np.array([[2.0]])), Grid1(np.array([[1.0]])))
+    r = compute_metrics(np.array([[2.0]]), Grid1(np.array([[1.0]])))
     errs = [
         abs(r.abs_rel - 1.0),
         abs(r.sq_rel - 1.0),
@@ -159,7 +156,7 @@ def test_criterion_5_metric_unit_values():
         abs(r.log10 - math.log10(2.0)),
         abs(r.delta1), abs(r.delta2), abs(r.delta3),
     ]
-    perfect = compute_metrics(Grid1(np.array([[3.0, 4.0]])), Grid1(np.array([[3.0, 4.0]])))
+    perfect = compute_metrics(np.array([[3.0, 4.0]]), Grid1(np.array([[3.0, 4.0]])))
     exact = (
         perfect.abs_rel == 0 and perfect.sq_rel == 0 and perfect.rmse == 0
         and perfect.rmse_log == 0 and perfect.log10 == 0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from depthreg import losses
 from depthreg.errors import DomainError
 from depthreg.grid import Grid1, Grid3, Scratch, SeedRng
-from depthreg.identify import MultiRange, NegativeRange, RegConfig
+from depthreg.identify import NegativeRange, RegConfig
 from depthreg.losses import DepthLossParams, reg_loss
 from depthreg.sampling import Batch, build_sample_set
 from depthreg.toybench import train
@@ -32,8 +32,8 @@ from test_sampling import CONFIGS, masked_pair, rolled_copy
 
 MULTI = RegConfig(
     r_p=0.1,
-    strategy=MultiRange((NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 1.5, 6.0),
-                         NegativeRange(1.5, 2.0, 8.0))),
+    strategy=(NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 1.5, 6.0),
+              NegativeRange(1.5, 2.0, 8.0)),
     n_within=10,
     n_across=4,
 )
@@ -177,7 +177,7 @@ def test_calls_without_scratch_share_nothing_with_the_arena():
                           SeedRng(5))
     reg_loss_with_gradients(feats[0], depths[0], ss, MULTI)
     assert [buf.tobytes() for buf in buffers] == before
-    fresh = [f.data for f in feats] + [p.values for p in preds] + [p.valid for p in preds]
+    fresh = [f.data for f in feats] + list(preds)
     fresh += [a for c in caches for a in (c["h1"], c["h2"], c["f"], c["pred"])]
     fresh += [a for p in ss[:3] for a in (p.feature.data, p.depth.values, p.depth.valid)]
     for a in fresh:

@@ -28,7 +28,7 @@ import test_verification
 from depthreg import cli, grid, identify, losses, sampling, verification
 from depthreg.errors import InvalidConfig
 from depthreg.grid import Grid1
-from depthreg.identify import POSITIVE, MultiRange, NegativeRange, RegConfig
+from depthreg.identify import POSITIVE, NegativeRange, RegConfig
 from depthreg.toybench import model, train
 
 
@@ -53,7 +53,7 @@ def hinge_sign_flipped(reg_loss):
 
     def mutant(f_a, d_a, samples, config, grad_anchor, grad_samples, scratch=None):
         res, full = gradients(f_a, d_a, samples, config)
-        tiny = MultiRange(tuple(replace(r, margin=1e-300) for r in config.strategy.ranges))
+        tiny = tuple(replace(r, margin=1e-300) for r in config.strategy)
         _, pos = gradients(f_a, d_a, samples, replace(config, strategy=tiny))
         for acc, g in zip([grad_anchor, *grad_samples], 2.0 * pos - full):
             acc += g
@@ -224,7 +224,7 @@ VALID_ZERO_DEPTH = partial(test_grid.check_depth_against_where_check, np.array([
 LABELS_AGAINST_BRUTE_FORCE = (
     test_identify.test_labels_match_brute_force_on_thresholds_and_bad_invalid_pixels.hypothesis
     .inner_test)
-ONE_RANGE = RegConfig(r_p=0.1, strategy=MultiRange((NegativeRange(0.5, 1.0, 1.0),)))
+ONE_RANGE = RegConfig(r_p=0.1, strategy=(NegativeRange(0.5, 1.0, 1.0),))
 PIXEL_AT_A_BOUND = partial(LABELS_AGAINST_BRUTE_FORCE, (ONE_RANGE, Grid1(np.array([[1.0]]))))
 PIXEL_IN_A_HOLE = partial(LABELS_AGAINST_BRUTE_FORCE,
                           (ONE_RANGE, Grid1(np.array([[0.05]]), np.array([[False]]))))

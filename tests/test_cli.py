@@ -18,7 +18,7 @@ from depthreg.experiment import (
 )
 from depthreg.errors import InvalidConfig
 from depthreg.grid import Grid1, SeedRng
-from depthreg.identify import differential_map, identify
+from depthreg.identify import identify
 from depthreg.losses import DepthLossParams
 from depthreg.pfmio import write_pfm_g1
 from depthreg.toybench import train as train_module
@@ -445,7 +445,7 @@ class TestEvalAndScenes:
             d = gen_scene(seed, 16, 16, 0.5, 10.0).depth  # tiny_config's scene
             rolled = Grid1(np.roll(d.values, (1, 1), axis=(0, 1)),
                            np.roll(d.valid, (1, 1), axis=(0, 1)))
-            labels = identify(differential_map(d, rolled), reg)
+            labels = identify(np.abs(d.plane - rolled.plane), reg)
             want = np.where(labels < 0, 255, labels).astype(np.uint8)
             assert len(np.unique(want)) > 2  # enough structure for a misplaced roll to show
             pgm = (scene_dir / f"scene_{i:04d}.selfdiff.pgm").read_bytes()

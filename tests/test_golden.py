@@ -9,7 +9,7 @@ weight-gradient products and bias-gradient sums in another order: every
 value of the tree agreed with the previous code's within 7e-14 relative,
 but most files changed in their last printed digits.  The ``gen-scenes`` tree is three 64x64
 scenes of ``configs/benchmark.json``; its ``selfdiff.pgm`` label maps are
-the only files written straight from ``differential_map`` and ``identify``.
+the only files written straight from a depth-plane differential and ``identify``.
 Its digests were recorded before depth validity became one NaN-marked plane
 per grid.  Float results depend on numpy's kernels, so the digests hold
 only for the numpy version they were recorded with.

@@ -3,13 +3,7 @@ import pytest
 
 from depthreg.errors import ShapeError
 from depthreg.grid import Grid1, Grid3, SeedRng
-from depthreg.pfmio import (
-    read_pfm_g1,
-    read_pfm_g3,
-    write_pfm_g1,
-    write_pfm_g3,
-    write_pgm_labels,
-)
+from depthreg.pfmio import _read_plane, read_pfm_g1, write_pfm_g1, write_pfm_g3, write_pgm_labels
 
 
 def f32_exact(arr):
@@ -44,15 +38,18 @@ def test_g1_without_sidecar_is_all_valid(tmp_path):
     assert read_pfm_g1(path).valid.all()
 
 
-@pytest.mark.parametrize("channels", [1, 3, 6])
+@pytest.mark.parametrize("channels", [3])
 def test_g3_round_trip(tmp_path, channels):
     rng = SeedRng(channels)
     data = f32_exact(rng.normals(4 * 5 * channels).reshape(4, 5, channels))
-    path = tmp_path / "feat.pfm"
+    path = tmp_path / "image.pfm"
     write_pfm_g3(path, Grid3(data))
-    back = read_pfm_g3(path)
-    assert back.data.shape == (4, 5, channels)
-    assert np.array_equal(back.data, data)
+    with open(path, "rb") as fh:
+        back = _read_plane(fh)
+        assert not fh.read(1)
+    assert back.shape == (4, 5, channels)
+    assert np.array_equal(back, data)
+    assert path.read_bytes().startswith(b"PF\n5 4\n-1.0\n")
 
 
 def test_pfm_header_is_little_endian(tmp_path):
@@ -106,12 +103,3 @@ def test_g1_bytes_after_payload_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + bytes(4))
     with pytest.raises(ShapeError):
         read_pfm_g1(path)
-
-
-@pytest.mark.parametrize("tail", [b"Pf\n", b"Pf\n5 4\n-1.0\n" + bytes(8)])
-def test_g3_trailing_partial_plane_rejected(tmp_path, tail):
-    path = tmp_path / "feat.pfm"
-    write_pfm_g3(path, Grid3(np.ones((4, 5, 6))))
-    path.write_bytes(path.read_bytes() + tail)
-    with pytest.raises(ShapeError):
-        read_pfm_g3(path)

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from depthreg import losses, sampling
 from depthreg.errors import InvalidDimension
 from depthreg.grid import Grid1, Grid3, SeedRng, roll_into
-from depthreg.identify import MultiRange, NegativeRange, RegConfig
+from depthreg.identify import NegativeRange, RegConfig
 from depthreg.sampling import Batch, SamplePair, build_sample_set
 from depthreg.verification import oracle_reg_loss, reg_loss_with_gradients
 
-UNIFORM = MultiRange((NegativeRange(0.5, np.inf, 2.0),))
+UNIFORM = (NegativeRange(0.5, np.inf, 2.0),)
 
 
 def make_pair(seed, h=4, w=5, c=3):
@@ -168,8 +168,7 @@ CONFIGS = [
     RegConfig(r_p=0.2, strategy=UNIFORM, loss_reduction=reduction)
     for reduction in ("sum", "mean_contributing")
 ] + [
-    RegConfig(r_p=0.2, strategy=MultiRange((NegativeRange(0.5, 1.0, 1.5),
-                                            NegativeRange(1.0, 2.0, 3.0))),
+    RegConfig(r_p=0.2, strategy=(NegativeRange(0.5, 1.0, 1.5), NegativeRange(1.0, 2.0, 3.0)),
               loss_reduction=reduction)
     for reduction in ("sum", "mean_contributing")
 ]

@@ -1,6 +1,8 @@
-"""Every module-level name in ``src/depthreg`` is used somewhere in ``src/``.
+"""Every module-level name in ``src/depthreg`` is used somewhere in ``src/``,
+and every name a module imports is used in that module.
 
-A name that only tests call is surface the package carries for nothing.
+A name that only tests call is surface the package carries for nothing; an
+import nothing reads is a leftover of code that has gone.
 """
 
 import ast
@@ -11,9 +13,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "depthreg"
 ALLOWED = {
     # the package version, read by packaging tools and users, not by code
     "__version__",
-    # reads the feature maps `depthreg gen-scenes` writes; the writer's
-    # round-trip test in tests/test_pfmio.py needs it
-    "read_pfm_g3",
 }
 
 
@@ -50,4 +49,25 @@ def test_every_module_level_name_is_used_in_src():
                 if not any(name in used_names(t, own if p == path else frozenset())
                            for p, t in trees.items()):
                     unused.append(f"{path.relative_to(SRC.parent)}: {name}")
+    assert not unused, unused
+
+
+def imported_names(tree):
+    """``(name, line)`` of each name an import statement anywhere in ``tree`` binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        # names only: ``x.take`` must not count as a use of an imported ``take``
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.relative_to(SRC.parent)}:{line}: {name}"
+                   for name, line in imported_names(tree) if name not in used]
     assert not unused, unused

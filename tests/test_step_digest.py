@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from depthreg.grid import SeedRng
-from depthreg.identify import MultiRange, NegativeRange, RegConfig
+from depthreg.identify import NegativeRange, RegConfig
 from depthreg.losses import DepthLossParams
 from depthreg.toybench.model import ToyModel
 from depthreg.toybench.scenes import scene_pool
@@ -33,13 +33,13 @@ pytestmark = pytest.mark.skipif(
     np.__version__ != NUMPY_VERSION,
     reason=f"digests recorded with numpy {NUMPY_VERSION}, running {np.__version__}")
 
-MULTI = MultiRange((NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 1.5, 6.0),
-                    NegativeRange(1.5, 2.0, 8.0)))
+MULTI = (NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 1.5, 6.0),
+         NegativeRange(1.5, 2.0, 8.0))
 CONFIGS = {
     "multi_range": RegConfig(r_p=0.1, strategy=MULTI, n_within=10, n_across=4),
-    "uniform": RegConfig(r_p=0.1, strategy=MultiRange((NegativeRange(0.5, np.inf, 4.0),)),
+    "uniform": RegConfig(r_p=0.1, strategy=(NegativeRange(0.5, np.inf, 4.0),),
                          n_within=10, n_across=4),
-    "across_only": RegConfig(r_p=0.1, strategy=MultiRange((NegativeRange(0.5, 1.0, 2.0),)),
+    "across_only": RegConfig(r_p=0.1, strategy=(NegativeRange(0.5, 1.0, 2.0),),
                              n_within=0, n_across=3),
 }
 

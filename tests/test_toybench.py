@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from depthreg.errors import InvalidConfig
 from depthreg.grid import Grid1, Grid3, Scratch, SeedRng
-from depthreg.identify import MultiRange, NegativeRange, RegConfig
+from depthreg.identify import NegativeRange, RegConfig
 from depthreg.losses import DepthLossParams
 from depthreg.toybench import train as train_module
 from depthreg.toybench.model import ToyModel, model_backward, model_forward
@@ -23,7 +23,7 @@ from depthreg.toybench.train import (
 SEP = (0.1, 0.5)
 SMALL_MULTI = RegConfig(
     r_p=0.1,
-    strategy=MultiRange((NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 2.0, 6.0))),
+    strategy=(NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 2.0, 6.0)),
     n_within=2,
     n_across=1,
 )
@@ -71,7 +71,7 @@ class TestModel:
         m = ToyModel.init(SeedRng(1))
         sc = gen_scene(2, 8, 8, 0.5, 10.0)
         _, pred, _ = model_forward(m, sc.image)
-        assert (pred.values == 1.0).all()
+        assert (pred == 1.0).all()
 
     def test_forward_deterministic(self):
         m = ToyModel.init(SeedRng(1))
@@ -79,7 +79,7 @@ class TestModel:
         f1, p1, _ = model_forward(m, sc.image)
         f2, p2, _ = model_forward(m, sc.image)
         assert np.array_equal(f1.data, f2.data)
-        assert np.array_equal(p1.values, p2.values)
+        assert np.array_equal(p1, p2)
 
     def test_param_count_under_budget(self):
         assert ToyModel.init(SeedRng(0)).param_count < 10000
@@ -97,14 +97,14 @@ class TestModel:
         sc = gen_scene(5, 8, 8, 0.5, 10.0)
         f, p, cache = model_forward(m, sc.image)
         d_feat = rng.normals(f.data.size).reshape(f.data.transpose(2, 0, 1).shape)  # planar
-        d_pred = rng.normals(p.values.size).reshape(p.values.shape)
+        d_pred = rng.normals(p.size).reshape(p.shape)
         grad = model_backward(m, cache, d_feat, d_pred)
         direction = rng.normals(grad.size)
         eps = 1e-6
         def value(vec):
             f2, p2, _ = model_forward(m.with_params(vec), sc.image)
             return float(np.sum(f2.data.transpose(2, 0, 1) * d_feat)
-                         + np.sum(p2.values * d_pred))
+                         + np.sum(p2 * d_pred))
         x0 = m.param_vector()
         fd = (value(x0 + eps * direction) - value(x0 - eps * direction)) / (2 * eps)
         assert fd == pytest.approx(float(grad @ direction), rel=1e-6)
@@ -157,7 +157,7 @@ def test_planar_model_matches_the_row_per_pixel_reference(seed, h1, h2, c_feat, 
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
         else:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    np.testing.assert_allclose(pred.values.reshape(-1), rpred, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(pred.reshape(-1), rpred, rtol=1e-12, atol=0.0)
     d_feat = rng.normals(c_feat * h * w).reshape(c_feat, h, w)
     d_pred = rng.normals(h * w).reshape(h, w)
     got = model_backward(m, cache, d_feat, d_pred, Scratch())

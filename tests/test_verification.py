@@ -4,7 +4,7 @@ tests/test_canaries.py shows that they catch deliberately corrupted variants.
 """
 
 from depthreg.grid import Grid1, Grid3, SeedRng
-from depthreg.identify import MultiRange, NegativeRange, RegConfig
+from depthreg.identify import NegativeRange, RegConfig
 from depthreg.sampling import Batch, build_sample_set
 from depthreg.verification import (
     check_reg_loss_gradient,
@@ -26,8 +26,8 @@ def test_regloss_gradcheck_passes_on_shifted_plan_entries():
     f_a = Grid3(rng.normals(4 * 5 * 3).reshape(4, 5, 3))
     d_a = Grid1(rng.uniforms(20).reshape(4, 5) * 2.2, rng.uniforms(20).reshape(4, 5) > 0.1)
     samples = build_sample_set(f_a, d_a, Batch(((f_a, d_a),)), 0, 3, 0, SeedRng(6))
-    config = RegConfig(r_p=0.2, strategy=MultiRange((NegativeRange(0.5, 1.0, 1.5),
-                                                     NegativeRange(1.0, 2.0, 3.0))))
+    config = RegConfig(r_p=0.2, strategy=(NegativeRange(0.5, 1.0, 1.5),
+                                          NegativeRange(1.0, 2.0, 3.0)))
     assert check_reg_loss_gradient(f_a, d_a, samples, config) < 1e-5
 
 
