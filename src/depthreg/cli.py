@@ -110,8 +110,8 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, schedule=replace(cfg.schedule, seeds=(args.seed,)))
     out = Path(args.out if args.out is not None else cfg.output_dir)
     _write_config_echo(out, cfg)
-    summaries = run_experiment(cfg, out, on_run=_progress(len(cfg.schedule.seeds)))
-    for seed, s in summaries.items():
+    runs = run_experiment(cfg, [("run", cfg.reg)], out, on_run=_progress(len(cfg.schedule.seeds)))
+    for seed, s in runs["run"].items():
         final = s["final_eval"]
         if s["diverged"]:
             print(f"seed {seed}: DIVERGED at step {s['diverged_step']}")
@@ -124,13 +124,11 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     raw = load_config_file(args.config)
     cfg = config_from_dict(raw)
-    ablation = raw.get("ablation", {})
     # a bad section fails before anything is written
-    strategies, sweeps = ablation_runs(cfg, ablation)
-    total = (len(strategies) + sum(map(len, sweeps.values()))) * len(cfg.schedule.seeds)
+    plan = ablation_runs(cfg, raw.get("ablation", {}))
     out = Path(args.out if args.out is not None else cfg.output_dir)
     _write_config_echo(out, cfg)
-    summary = run_ablation(cfg, ablation, out, on_run=_progress(total))
+    summary = run_ablation(cfg, plan, out, on_run=_progress(len(plan) * len(cfg.schedule.seeds)))
     for name, s in summary["strategies"].items():
         print(f"{name}: mean_abs_rel={_fmt(s['mean_abs_rel'], '.6f')} "
               f"mean_separation={_fmt(s['mean_separation'], '.4f')}")

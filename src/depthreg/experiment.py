@@ -18,14 +18,14 @@ raises ``InvalidConfig`` naming ``section.key``; nothing is coerced (an
 integer field rejects 2.7, "12" and true, a number field strings, bools,
 NaN and the infinities, a string field anything but a string, null
 included); a top-level key is named ``config.<key>``.  The seed list and
-each sweep list take no repeated entry.  An ablation runs
+each sweep list take no repeated entry.  An ablation's run plan trains
 every (strategy, seed) pair of its "strategies" map, then, for each count
 in the "sweep" lists, the "sweep_strategy" with that count on its axis
-("n_within" or "n_across") and 0 on the other; every run's regularizer
-is built and checked before the first run.  A run whose loss or held-out
-evaluation diverges is recorded as diverged at that step and the other
-runs go on.  All randomness roots in the explicit seed list; rerunning a
-command overwrites byte-identical outputs.
+("n_within" or "n_across") and 0 on the other; the plan, every run's
+regularizer included, is built and checked before the first run.  A run
+whose loss or held-out evaluation diverges is recorded as diverged at
+that step and the other runs go on.  All randomness roots in the explicit
+seed list; rerunning a command overwrites byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -250,15 +250,17 @@ def ablation_from_dict(d: dict) -> Ablation:
     )
 
 
-def ablation_runs(cfg: ExperimentConfig, d: dict) -> tuple[dict, dict]:
-    """The regularizer of every run of the "ablation" section ``d``, all checked up front.
+def ablation_runs(cfg: ExperimentConfig, d: dict) -> list[tuple[str, RegConfig, tuple | None]]:
+    """The run plan of the "ablation" section ``d``, every run checked up front.
 
-    Returns ``({strategy name: RegConfig}, {axis: [(count, RegConfig), ...]})``,
-    each built from ``cfg.reg``; a strategy ``cfg.reg`` rejects (ranges
-    starting below ``r_p``, say), or one ``cfg.schedule`` cannot train
-    (cross-batch samples with ``batch_size`` 1), raises ``InvalidConfig``
-    naming ``ablation.strategies.<name>`` before any run trains.  So does a
-    name that is not one path component other than ``.`` and ``..``, or that
+    The plan lists ``(label, RegConfig, point)`` in training order: each
+    strategy by name with ``point`` None, then each ``sweep_<axis>_<count>``
+    with ``point`` ``(axis, count)``; every regularizer is built from
+    ``cfg.reg``.  A strategy ``cfg.reg`` rejects (ranges starting below
+    ``r_p``, say), or one ``cfg.schedule`` cannot train (cross-batch samples
+    with ``batch_size`` 1), raises ``InvalidConfig`` naming
+    ``ablation.strategies.<name>`` before any run trains.  So does a name
+    that is not one path component other than ``.`` and ``..``, or that
     equals another top-level path the ablation writes: its run directory
     would escape the output directory or be overwritten.
     """
@@ -273,23 +275,22 @@ def ablation_runs(cfg: ExperimentConfig, d: dict) -> tuple[dict, dict]:
         except InvalidConfig as exc:
             raise InvalidConfig(f"{where}: {exc}") from exc
 
-    strategies = {name: build(f"ablation.strategies.{name}", reg, strategy=s)
-                  for name, s in ab.strategies.items()}
-    sweeps = {}
+    plan = [(name, build(f"ablation.strategies.{name}", reg, strategy=s), None)
+            for name, s in ab.strategies.items()]
+    taken = {"", ".", "..", "config.json", "ablation_summary.json"}
     for axis, counts in asdict(ab.sweep).items():
         if counts:
             swept = build("ablation.sweep_strategy", reg, strategy=ab.sweep_strategy,
                           n_within=0, n_across=0)
-            sweeps[axis] = [(count, build(f"ablation.sweep.{axis}", swept, **{axis: count}))
-                            for count in counts]
-    taken = {"", ".", "..", "config.json", "ablation_summary.json"}
-    for axis, sweep in sweeps.items():
-        taken |= {f"sweep_{axis}.dat", *(f"sweep_{axis}_{count}" for count, _ in sweep)}
-    for name in strategies:
+            plan += [(f"sweep_{axis}_{count}", build(f"ablation.sweep.{axis}", swept,
+                                                     **{axis: count}), (axis, count))
+                     for count in counts]
+            taken |= {f"sweep_{axis}.dat", *(f"sweep_{axis}_{count}" for count in counts)}
+    for name in ab.strategies:
         if name in taken or "/" in name or "\0" in name:
             raise InvalidConfig(f"ablation.strategies.{name}: a run directory name must be one "
                                 "path component, not '.', '..' or another output's name")
-    return strategies, sweeps
+    return plan
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -316,6 +317,8 @@ def load_config_file(path: str | Path) -> dict:
         raise InvalidConfig(
             f"config parse error at {path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # the parser recurses once per level of nesting
+        raise InvalidConfig(f"config file {path} nests too deeply to parse") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -372,92 +375,80 @@ def write_run_outputs(run_dir: Path, record: TrainRecord, seed: int) -> dict:
     return summary
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path, label: str = "run",
-                   on_run=None, pools: dict | None = None) -> dict:
-    """All seeds of one configuration; returns {seed: summary}.
+def run_experiment(cfg: ExperimentConfig, plan: list, out_dir: Path, on_run=None) -> dict:
+    """Every (label, seed) run of ``plan``, label-major; returns {label: {seed: summary}}.
 
+    ``plan`` lists ``(label, RegConfig, ...)`` entries, each trained on every
+    seed of ``cfg.schedule`` into ``out_dir/<label>/seed_<seed>``.
     ``on_run(label, seed, summary)``, if given, is called once each run's
-    outputs are written.  ``pools`` is ``train_run``'s store of scene pools.
+    outputs are written.  Every run takes its scene pools from one store
+    that lives as long as this call, so each seed's pools are generated
+    once, not once per run.
     """
-    summaries = {}
-    for seed in cfg.schedule.seeds:
-        record = train_run(
-            (cfg.scene.height, cfg.scene.width),
-            (cfg.scene.d_min, cfg.scene.d_max),
-            cfg.reg,
-            cfg.depth_loss,
-            cfg.schedule,
-            seed,
-            astuple(cfg.separation),
-            pools=pools,
-        )
-        summaries[seed] = write_run_outputs(out_dir / label / f"seed_{seed}", record, seed)
-        if on_run is not None:
-            on_run(label, seed, summaries[seed])
-    return summaries
+    shape, depths = (cfg.scene.height, cfg.scene.width), (cfg.scene.d_min, cfg.scene.d_max)
+    pools: dict = {}
+    runs: dict = {}
+    for label, reg, *_ in plan:
+        runs[label] = {}
+        for seed in cfg.schedule.seeds:
+            record = train_run(shape, depths, reg, cfg.depth_loss, cfg.schedule, seed,
+                               astuple(cfg.separation), pools=pools)
+            summary = runs[label][seed] = write_run_outputs(out_dir / label / f"seed_{seed}",
+                                                            record, seed)
+            if on_run is not None:
+                on_run(label, seed, summary)
+    return runs
 
 
-def _means(runs: dict, **values: list) -> dict:
-    """Mean and count (``<name>_n``) of the finite values in each named list.
+def _means(rows: list, *keys: str) -> dict:
+    """``n_diverged`` over ``rows``, and per key ``mean_<key>`` with its count ``mean_<key>_n``.
 
-    ``n_diverged`` counts the diverged runs; a diverged run's last
-    evaluation, if it reached one, is averaged like any other.
+    Each mean is over the rows' finite values of its key; a diverged run's
+    last evaluation, if it reached one, is averaged like any other.
     """
-    out = {"n_diverged": sum(r["diverged"] for r in runs.values())}
-    for name, xs in values.items():
-        finite = [x for x in xs if x is not None and math.isfinite(x)]
+    out = {"n_diverged": sum(r["diverged"] for r in rows)}
+    for key in keys:
+        finite = [r[key] for r in rows if r[key] is not None and math.isfinite(r[key])]
         mean = sum(finite) / len(finite) if finite else math.nan
-        _put_finite(out, name, mean, "no seed has a finite value to average")
-        out[f"{name}_n"] = len(finite)
+        _put_finite(out, f"mean_{key}", mean, "no seed has a finite value to average")
+        out[f"mean_{key}_n"] = len(finite)
     return out
 
 
-def run_ablation(cfg: ExperimentConfig, ablation: dict, out_dir: Path, on_run=None) -> dict:
-    """Strategy comparison plus optional sample-count sweeps.
+def run_ablation(cfg: ExperimentConfig, plan: list, out_dir: Path, on_run=None) -> dict:
+    """Strategy comparison plus optional sample-count sweeps, from ``ablation_runs``'s plan.
 
-    Writes one run directory per (strategy, seed), a JSON comparison summary,
-    and two-column plot-data files for any sweep grids.  The whole section is
-    checked (``ablation_runs``) before the first run.  ``on_run`` is
-    ``run_experiment``'s, called after every run.  Every run takes its scene
-    pools from one store that lives as long as this call, so each seed's
-    pools are generated once, not once per run.
+    Trains the plan (``run_experiment``, with its ``on_run``), then writes a
+    JSON comparison summary and a two-column plot-data file per sweep axis.
+    Each label's per-seed rows are read as a strategy entry or, for a sweep
+    label, as the point ``(axis, count)`` of that axis, in plan and seed
+    order.
     """
-    strategies, sweeps = ablation_runs(cfg, ablation)
-    pools: dict = {}
+    runs = run_experiment(cfg, plan, out_dir, on_run)
     summary: dict = {"seeds": list(cfg.schedule.seeds), "strategies": {}}
-    for name, reg in strategies.items():
-        runs = run_experiment(replace(cfg, reg=reg), out_dir, label=name, on_run=on_run,
-                              pools=pools)
-        per_seed = []
+    for label, _, point in plan:
+        rows = []
         for seed in cfg.schedule.seeds:
-            final = runs[seed]["final_eval"] or {}
-            entry = {"seed": seed, "diverged": runs[seed]["diverged"],
-                     "abs_rel": final.get("abs_rel"), "separation": final.get("separation")}
-            entry.update((k, final[k]) for k in ("abs_rel_reason", "separation_reason")
-                         if k in final)
-            per_seed.append(entry)
-        summary["strategies"][name] = {
-            "per_seed": per_seed,
-            **_means(runs, mean_abs_rel=[p["abs_rel"] for p in per_seed],
-                     mean_separation=[p["separation"] for p in per_seed]),
-        }
-
-    for axis, sweep in sweeps.items():
-        points = []
-        for count, reg in sweep:
-            runs = run_experiment(replace(cfg, reg=reg), out_dir, label=f"sweep_{axis}_{count}",
-                                  on_run=on_run, pools=pools)
-            abs_rels = [
-                r["final_eval"]["abs_rel"] for r in runs.values() if r["final_eval"]
-            ]
-            points.append({"count": count, **_means(runs, mean_abs_rel=abs_rels)})
-        # plot data keeps "nan" where the summary writes null
-        data = "".join(
-            f"{p['count']} {'nan' if p['mean_abs_rel'] is None else repr(p['mean_abs_rel'])}\n"
-            for p in points
-        )
-        (out_dir / f"sweep_{axis}.dat").write_text(data, encoding="utf-8")
-        summary[f"sweep_{axis}"] = points
-
+            run = runs[label][seed]
+            final = run["final_eval"] or {}
+            row = {"seed": seed, "diverged": run["diverged"], "abs_rel": final.get("abs_rel"),
+                   "separation": final.get("separation")}
+            row.update((k, final[k]) for k in ("abs_rel_reason", "separation_reason")
+                       if k in final)
+            rows.append(row)
+        if point is None:
+            summary["strategies"][label] = {"per_seed": rows,
+                                            **_means(rows, "abs_rel", "separation")}
+        else:
+            axis, count = point
+            summary.setdefault(f"sweep_{axis}", []).append({"count": count,
+                                                            **_means(rows, "abs_rel")})
+    for key, points in summary.items():
+        if key.startswith("sweep_"):
+            # plot data keeps "nan" where the summary writes null
+            data = "".join(f"{p['count']} "
+                           f"{'nan' if p['mean_abs_rel'] is None else repr(p['mean_abs_rel'])}\n"
+                           for p in points)
+            (out_dir / f"{key}.dat").write_text(data, encoding="utf-8")
     _dump_json(out_dir / "ablation_summary.json", summary)
     return summary

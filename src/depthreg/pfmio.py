@@ -2,7 +2,8 @@
 
 PFM (portable float map) stores float32 scanlines bottom-to-top; we always
 write little-endian (negative scale).  ``Pf`` holds a depth map (1
-channel), ``PF`` a scene image (3 channels).
+channel), read back and checked as a ``Grid1``; ``PF`` a scene image (3
+channels), written only.
 
 The validity sidecar is a bare byte file of '0'/'1', row-major,
 top-to-bottom (natural array order, unlike the PFM payload).
@@ -32,8 +33,8 @@ def _write_plane(fh, plane: np.ndarray, color: bool) -> None:
 
 def _read_plane(fh):
     magic = fh.readline().strip()
-    if magic not in (b"PF", b"Pf"):
-        raise ShapeError(f"not a PFM plane: magic {magic!r}")
+    if magic != b"Pf":
+        raise ShapeError(f"not a single-channel PFM (Pf): magic {magic!r}")
     size = fh.readline().split()
     if len(size) != 2 or not all(t.isdigit() and int(t) > 0 for t in size):
         raise ShapeError(f"PFM size line must be two positive integers, got {size!r}")
@@ -45,16 +46,13 @@ def _read_plane(fh):
         scale = math.nan
     if scale == 0.0 or not math.isfinite(scale):
         raise ShapeError(f"PFM scale must be a nonzero finite number, got {scale_line!r}")
-    channels = 3 if magic == b"PF" else 1
-    count = h * w * channels
     # checked before reading: a huge claimed size would overflow or exhaust memory
-    if 4 * count > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ShapeError(f"truncated PFM payload: {w}x{h}x{channels} floats claimed")
-    raw = fh.read(4 * count)
-    dt = "<f4" if scale < 0 else ">f4"
-    arr = np.frombuffer(raw, dtype=dt).astype(np.float64)
-    arr = arr.reshape(h, w, channels) if channels == 3 else arr.reshape(h, w)
-    return arr[::-1].copy()
+    if 4 * h * w > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ShapeError(f"truncated PFM payload: {w}x{h} floats claimed")
+    raw = np.frombuffer(fh.read(4 * h * w), dtype="<f4" if scale < 0 else ">f4")
+    # a signalling NaN would warn in the cast; the depth check rejects or ignores it
+    with np.errstate(invalid="ignore"):
+        return raw.astype(np.float64).reshape(h, w)[::-1].copy()
 
 
 def write_pfm_g1(path: str | Path, grid: Grid1) -> None:
@@ -72,8 +70,6 @@ def read_pfm_g1(path: str | Path) -> Grid1:
         vals = _read_plane(fh)
         if fh.read(1):
             raise ShapeError("bytes after the PFM payload")
-    if vals.ndim != 2:
-        raise ShapeError("expected a single-channel PFM for depth")
     mask_path = Path(str(path) + ".mask")
     if mask_path.exists():
         raw = np.frombuffer(mask_path.read_bytes(), dtype=np.uint8)

@@ -192,6 +192,21 @@ def noise_floor(loss_scale: float) -> float:
     return max(REL_FLOOR, DENOM_SCALE * max(1.0, abs(loss_scale)))
 
 
+def worst_fd_error(loss_of, x0: np.ndarray, grad: np.ndarray, loss: float,
+                   keep: np.ndarray | None = None) -> float:
+    """Max relative error of ``grad[k]`` against the central difference of ``loss_of`` along
+    ``x0[k]``, over every coordinate ``k`` that ``keep`` (all, if None) flags.
+
+    The error floor scales with ``loss``, the value of ``loss_of(x0)``.
+    """
+    floor = noise_floor(loss)
+    worst = 0.0
+    for k in range(x0.size):
+        if keep is None or keep[k]:
+            worst = max(worst, rel_error(grad[k], central_difference(loss_of, x0, k), floor))
+    return worst
+
+
 def reg_loss_with_gradients(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, ...],
                             config: RegConfig) -> tuple[LossResult, np.ndarray]:
     """``reg_loss`` adding into fresh zeros: its result and the (N + 1, C, H, W) gradients.
@@ -241,16 +256,9 @@ def check_reg_loss_gradient(f_a: Grid3, d_a: Grid1, samples: tuple[SamplePair, .
         return reg_loss_with_gradients(fa, d_a, new_pairs, config)[0].total
 
     x0 = np.concatenate([f_a.data.ravel()] + [p.feature.data.ravel() for p in samples])
-    floor = noise_floor(res.total)
-    worst = 0.0
-    for flat in range(x0.size):
-        block, offset = divmod(flat, size)
-        i, j, c = np.unravel_index(offset, shape)
-        if not good[block, i, j]:
-            continue
-        fd = central_difference(total_of, x0, flat)
-        worst = max(worst, rel_error(grads[block, c, i, j], fd, floor))
-    return worst
+    # x0 holds each grid's features in (H, W, C) order
+    return worst_fd_error(total_of, x0, grads.transpose(0, 2, 3, 1).ravel(), res.total,
+                          np.repeat(good.ravel(), shape[2]))
 
 
 def check_si_loss_gradient(rng: SeedRng, h: int = 3, w: int = 4) -> float:
@@ -265,14 +273,7 @@ def check_si_loss_gradient(rng: SeedRng, h: int = 3, w: int = 4) -> float:
         return si_loss(x.reshape(h, w), gt, params)[0]
 
     loss0, grad = si_loss(pred_vals, gt, params)
-    floor = noise_floor(loss0)
-    x0 = pred_vals.ravel().copy()
-    worst = 0.0
-    for flat in range(x0.size):
-        i, j = divmod(flat, w)
-        fd = central_difference(loss_of, x0, flat)
-        worst = max(worst, rel_error(grad[i, j], fd, floor))
-    return worst
+    return worst_fd_error(loss_of, pred_vals.ravel(), grad.ravel(), loss0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +297,23 @@ class SuiteResult:
                 f"tolerance={self.tolerance:.1e} trials={self.trials}")
 
 
-def run_regloss_gradcheck(trials: int, tolerance: float, seed: int = 20260801) -> SuiteResult:
+def _suite(name: str, trials: int, tolerance: float, seed: int, trial) -> SuiteResult:
+    """The worst of ``trials`` runs of ``trial(rng)``, all drawing from one ``SeedRng(seed)``."""
     rng = SeedRng(seed)
     worst = 0.0
     for _ in range(trials):
-        f_a, d_a, samples, config = random_instance(rng)
-        worst = max(worst, check_reg_loss_gradient(f_a, d_a, samples, config))
-    return SuiteResult("reg-loss gradient vs central differences", trials, worst, tolerance)
+        worst = max(worst, trial(rng))
+    return SuiteResult(name, trials, worst, tolerance)
+
+
+def run_regloss_gradcheck(trials: int, tolerance: float, seed: int = 20260801) -> SuiteResult:
+    return _suite("reg-loss gradient vs central differences", trials, tolerance, seed,
+                  lambda rng: check_reg_loss_gradient(*random_instance(rng)))
 
 
 def run_siloss_gradcheck(trials: int, tolerance: float, seed: int = 20260802) -> SuiteResult:
-    rng = SeedRng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        worst = max(worst, check_si_loss_gradient(rng))
-    return SuiteResult("si-loss gradient vs central differences", trials, worst, tolerance)
+    return _suite("si-loss gradient vs central differences", trials, tolerance, seed,
+                  check_si_loss_gradient)
 
 
 def run_model_gradcheck(tolerance: float, seed: int = 20260803) -> SuiteResult:
@@ -319,55 +322,44 @@ def run_model_gradcheck(tolerance: float, seed: int = 20260803) -> SuiteResult:
     from .toybench.scenes import gen_scene
     from .toybench.train import batch_objective
 
-    rng = SeedRng(seed)
-    scenes = [gen_scene(rng.next_u64(), 8, 8, 0.5, 10.0) for _ in range(2)]
-    model = ToyModel.init(rng)
-    reg_cfg = RegConfig(
-        r_p=0.1,
-        strategy=(NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 2.0, 6.0)),
-        n_within=2, n_across=1,
-    )
-    depth_params = DepthLossParams()
-    sample_seed = rng.next_u64()
+    def trial(rng: SeedRng) -> float:
+        scenes = [gen_scene(rng.next_u64(), 8, 8, 0.5, 10.0) for _ in range(2)]
+        model = ToyModel.init(rng)
+        reg_cfg = RegConfig(
+            r_p=0.1,
+            strategy=(NegativeRange(0.5, 1.0, 3.0), NegativeRange(1.0, 2.0, 6.0)),
+            n_within=2, n_across=1,
+        )
+        depth_params = DepthLossParams()
+        sample_seed = rng.next_u64()
 
-    _, _, l_final, _, grad, _ = batch_objective(model, scenes, reg_cfg, depth_params, sample_seed)
+        _, _, l_final, _, grad, _ = batch_objective(model, scenes, reg_cfg, depth_params,
+                                                    sample_seed)
 
-    def loss_of(vec: np.ndarray) -> float:
-        m = model.with_params(vec)
-        return batch_objective(m, scenes, reg_cfg, depth_params, sample_seed)[2]
+        def loss_of(vec: np.ndarray) -> float:
+            m = model.with_params(vec)
+            return batch_objective(m, scenes, reg_cfg, depth_params, sample_seed)[2]
 
-    x0 = model.param_vector()
-    floor = noise_floor(l_final)
-    worst = 0.0
-    for flat in range(x0.size):
-        fd = central_difference(loss_of, x0, flat)
-        worst = max(worst, rel_error(grad[flat], fd, floor))
-    return SuiteResult("toy-model parameter gradient vs central differences",
-                       1, worst, tolerance)
+        return worst_fd_error(loss_of, model.param_vector(), grad, l_final)
+    return _suite("toy-model parameter gradient vs central differences", 1, tolerance, seed,
+                  trial)
 
 
 def run_regloss_oracle(trials: int, seed: int = 20260804) -> SuiteResult:
-    rng = SeedRng(seed)
-    worst = 0.0
-    for _ in range(trials):
+    def trial(rng: SeedRng) -> float:
         f_a, d_a, samples, config = random_instance(rng, max_h=8, max_w=8, max_samples=4)
         config = RegConfig(config.r_p, config.strategy, loss_reduction="sum")
         got = reg_loss_with_gradients(f_a, d_a, samples, config)[0].total
-        want, _ = oracle_reg_loss(f_a, d_a, samples, config)
-        worst = max(worst, rel_error(got, want))
-    return SuiteResult("reg-loss vs triple-loop reference", trials, worst, 1e-12)
+        return rel_error(got, oracle_reg_loss(f_a, d_a, samples, config)[0])
+    return _suite("reg-loss vs triple-loop reference", trials, 1e-12, seed, trial)
 
 
 def run_metrics_oracle(trials: int, seed: int = 20260805) -> SuiteResult:
-    rng = SeedRng(seed)
-    worst = 0.0
-    for _ in range(trials):
+    def trial(rng: SeedRng) -> float:
         h, w = 8, 8
         gt = Grid1(rng.uniforms(h * w).reshape(h, w) * 9.5 + 0.5,
                    rng.uniforms(h * w).reshape(h, w) > 0.1)
         pred = rng.uniforms(h * w).reshape(h, w) * 9.5 + 0.5
-        got = compute_metrics(pred, gt)
-        want = oracle_metrics(pred, gt)
-        for a, b in zip(astuple(got), astuple(want)):
-            worst = max(worst, rel_error(a, b))
-    return SuiteResult("evaluation metrics vs scalar-loop reference", trials, worst, 1e-12)
+        got, want = compute_metrics(pred, gt), oracle_metrics(pred, gt)
+        return max(rel_error(a, b) for a, b in zip(astuple(got), astuple(want)))
+    return _suite("evaluation metrics vs scalar-loop reference", trials, 1e-12, seed, trial)

@@ -15,6 +15,7 @@ import pytest
 
 from depthreg.cli import main
 from depthreg.experiment import (
+    ablation_runs,
     config_from_dict,
     load_config_file,
     run_ablation,
@@ -177,7 +178,7 @@ def benchmark_summary(tmp_path_factory):
     cfg = config_from_dict(raw)
     out = tmp_path_factory.mktemp("benchmark")
     t0 = time.time()
-    summary = run_ablation(cfg, raw["ablation"], out)
+    summary = run_ablation(cfg, ablation_runs(cfg, raw["ablation"]), out)
     summary["_elapsed"] = time.time() - t0
     return summary
 

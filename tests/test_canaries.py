@@ -8,6 +8,7 @@ and fail once the mutant is patched in.  Code under check looks its target
 up in that module or class at call time, so the patch reaches it.
 """
 
+import contextlib
 import tempfile
 from dataclasses import replace
 from functools import partial
@@ -195,6 +196,23 @@ def planar_copy_on_every_path(model_forward):
     return mutant
 
 
+def recursion_error_let_through(load_config_file):
+    """``load_config_file`` re-raising the parser's ``RecursionError``, not ``InvalidConfig``."""
+    def mutant(path):
+        try:
+            return load_config_file(path)
+        except InvalidConfig as exc:
+            if isinstance(exc.__cause__, RecursionError):
+                raise exc.__cause__
+            raise
+    return mutant
+
+
+def errstate_sets_nothing(errstate):
+    """numpy's ``errstate`` leaving every error setting as it is: a cast under it warns."""
+    return lambda **kwargs: contextlib.nullcontext()
+
+
 def does_nothing(check):
     return lambda *args: None
 
@@ -228,6 +246,11 @@ ONE_RANGE = RegConfig(r_p=0.1, strategy=(NegativeRange(0.5, 1.0, 1.0),))
 PIXEL_AT_A_BOUND = partial(LABELS_AGAINST_BRUTE_FORCE, (ONE_RANGE, Grid1(np.array([[1.0]]))))
 PIXEL_IN_A_HOLE = partial(LABELS_AGAINST_BRUTE_FORCE,
                           (ONE_RANGE, Grid1(np.array([[0.05]]), np.array([[False]]))))
+DEEP_CONFIG_THROUGH_ABLATE = in_a_fresh_directory(
+    lambda tmp, capsys: test_cli.test_deeply_nested_config_exits_2_without_outputs(tmp, "ablate"))
+SIGNALLING_NAN_THROUGH_EVAL = partial(
+    test_cli.test_eval_of_any_pfm_bytes_exits_0_or_2_with_at_most_one_error_line.hypothesis
+    .inner_test, files=(test_cli.SIGNALLING_NAN_PFM, None))
 SEPARATION_WITH_FILLED_HOLES = partial(
     test_toybench.TestFeatureSeparation.test_equals_the_uncached_sum_bit_for_bit.hypothesis
     .inner_test, test_toybench.TestFeatureSeparation(), h=24, w=24, c=3, seed=7,
@@ -299,6 +322,10 @@ CANARIES = [
                  with_monkeypatch(
                      test_arena.test_disabled_regularizer_makes_no_planar_feature_copy),
                  id="planar-copy-on-the-off-path"),
+    pytest.param((cli, "load_config_file"), recursion_error_let_through,
+                 DEEP_CONFIG_THROUGH_ABLATE, id="deep-config-recursion-error"),
+    pytest.param((np, "errstate"), errstate_sets_nothing, SIGNALLING_NAN_THROUGH_EVAL,
+                 id="pfm-cast-warns-on-signalling-nan"),
 ]
 
 

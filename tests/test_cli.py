@@ -1,11 +1,18 @@
+import contextlib
 import importlib
+import io
 import json
+import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from depthreg import experiment
 from depthreg.cli import main
@@ -17,10 +24,10 @@ from depthreg.experiment import (
     run_ablation,
 )
 from depthreg.errors import InvalidConfig
-from depthreg.grid import Grid1, SeedRng
+from depthreg.grid import Grid1, Grid3, SeedRng
 from depthreg.identify import identify
 from depthreg.losses import DepthLossParams
-from depthreg.pfmio import write_pfm_g1
+from depthreg.pfmio import write_pfm_g1, write_pfm_g3
 from depthreg.toybench import train as train_module
 from depthreg.toybench.model import ToyModel
 from depthreg.toybench.scenes import gen_scene, scene_pool
@@ -58,6 +65,26 @@ def write_config(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=2))
     return str(path)
+
+
+def exit_and_stderr(argv):
+    """``main(argv)``'s exit code and the lines it writes to stderr, stdout discarded.
+
+    A warning counts as the line it would print, and an exception escaping
+    ``main`` as a traceback line with no exit code: both are what a user
+    would see instead of, or besides, an ``error:`` line.
+    """
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = main([str(a) for a in argv])
+        except Exception as exc:
+            code = None
+            err.write(f"Traceback: {exc!r}\n")
+    lines = err.getvalue().splitlines()
+    return code, [f"{w.category.__name__}: {w.message}" for w in caught] + lines
 
 
 class TestConfig:
@@ -340,6 +367,16 @@ def test_config_not_utf8_exits_2_without_outputs(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["train", "ablate", "gen-scenes"])
+def test_deeply_nested_config_exits_2_without_outputs(tmp_path, command):
+    """The JSON parser recurses once per level: a config nested past its limit is bad input."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, err = exit_and_stderr([command, "--config", deep, "--out", tmp_path / "out"])
+    assert (code, err) == (2, [f"error: config file {deep} nests too deeply to parse"])
+    assert list(tmp_path.iterdir()) == [deep]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "gen-scenes"])
 @pytest.mark.parametrize("key, repeated", [
     pytest.param("steps", '"steps": 1, "steps": 4', id="nested"),
     pytest.param("scene", '"scene": {}, "scene": {"height": 16, "width": 16, "d_min": 0.5, '
@@ -424,6 +461,13 @@ class TestEvalAndScenes:
         assert err.count("error:") == 1 and "truncated PFM payload" in err
         assert "Traceback" not in err
 
+    def test_eval_rejects_a_scene_image(self, tmp_path, capsys):
+        image = tmp_path / "image.pfm"
+        write_pfm_g3(image, Grid3(np.ones((4, 4, 3))))
+        assert main(["eval", "--pred", str(image), "--gt", str(image)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: not a single-channel PFM (Pf): magic b'PF'"]
+
     def test_eval_rejects_mask_sidecar_byte_other_than_0_or_1(self, tmp_path, capsys):
         gt = tmp_path / "gt.pfm"
         write_pfm_g1(gt, Grid1(np.ones((4, 4))))
@@ -458,6 +502,45 @@ class TestEvalAndScenes:
         main(["gen-scenes", "--config", cfg_path, "--out", str(b), "--count", "2"])
         for name in ("scene_0001.image.pfm", "scene_0001.depth.pfm", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@st.composite
+def pfm_files(draw):
+    """Bytes of a small PFM file, mostly well-formed, and of its mask sidecar (or None)."""
+    magic = draw(st.sampled_from([b"PF", b"P5", b""] + [b"Pf"] * 9))
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    size = draw(st.sampled_from([f"{w}", f"-{w} {h}", "x y"] + [f"{w} {h}"] * 9)).encode()
+    scale = draw(st.sampled_from([0.0, float("nan")] + [-1.0, 1.0] * 4))
+    depths = draw(st.sampled_from([st.floats(width=32), st.floats(0.0, 20.0, width=32)]))
+    payload = draw(st.one_of(
+        st.lists(depths, min_size=w * h, max_size=w * h).map(
+            lambda xs: struct.pack(f"{'<' if scale < 0 else '>'}{len(xs)}f", *xs)),
+        st.binary(min_size=4 * w * h, max_size=4 * w * h),
+        st.binary(max_size=40),
+    ))
+    mask = draw(st.one_of(st.none(), st.binary(max_size=10),
+                          st.lists(st.sampled_from(b"01"), min_size=w * h,
+                                   max_size=w * h).map(bytes)))
+    return magic + b"\n" + size + b"\n" + repr(scale).encode() + b"\n" + payload, mask
+
+
+# big-endian float32 bytes of a signalling NaN: numpy's cast to float64 warns on it
+SIGNALLING_NAN_PFM = b"Pf\n1 1\n1.0\n" + bytes.fromhex("7f800001")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(files=pfm_files())
+@example(files=(SIGNALLING_NAN_PFM, None))
+def test_eval_of_any_pfm_bytes_exits_0_or_2_with_at_most_one_error_line(files):
+    """Any bytes exit 0, or 2 with one ``error:`` line: no traceback, and no warning printed."""
+    pfm, mask = files
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "depth.pfm"
+        path.write_bytes(pfm)
+        if mask is not None:
+            Path(tmp, "depth.pfm.mask").write_bytes(mask)
+        code, err = exit_and_stderr(["eval", "--pred", path, "--gt", path])
+    assert (code, err) == (0, []) or (code == 2 and len(err) == 1 and err[0].startswith("error:"))
 
 
 # Each case gets tmp_path and the paths of a valid config and depth map in it.
@@ -625,6 +708,13 @@ class TestAblateCommand:
             record(*args, **kwargs)
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapped)
+
+    def test_ablation_section_is_checked_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        self.spy(monkeypatch, experiment, "ablation_from_dict", calls.append)
+        path = write_config(tmp_path, self.ablate_config(tmp_path / "ablation"))
+        assert main(["ablate", "--config", path]) == 0
+        assert len(calls) == 1
 
     def test_ablation_generates_each_pool_once_per_call(self, tmp_path, capsys, monkeypatch):
         calls = []

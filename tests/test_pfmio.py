@@ -3,7 +3,7 @@ import pytest
 
 from depthreg.errors import ShapeError
 from depthreg.grid import Grid1, Grid3, SeedRng
-from depthreg.pfmio import _read_plane, read_pfm_g1, write_pfm_g1, write_pfm_g3, write_pgm_labels
+from depthreg.pfmio import read_pfm_g1, write_pfm_g1, write_pfm_g3, write_pgm_labels
 
 
 def f32_exact(arr):
@@ -44,12 +44,12 @@ def test_g3_round_trip(tmp_path, channels):
     data = f32_exact(rng.normals(4 * 5 * channels).reshape(4, 5, channels))
     path = tmp_path / "image.pfm"
     write_pfm_g3(path, Grid3(data))
-    with open(path, "rb") as fh:
-        back = _read_plane(fh)
-        assert not fh.read(1)
-    assert back.shape == (4, 5, channels)
+    head = b"PF\n5 4\n-1.0\n"
+    raw = path.read_bytes()
+    assert raw.startswith(head) and len(raw) == len(head) + 4 * data.size
+    # little-endian float32 scanlines, bottom row first
+    back = np.frombuffer(raw[len(head):], dtype="<f4").reshape(4, 5, channels)[::-1]
     assert np.array_equal(back, data)
-    assert path.read_bytes().startswith(b"PF\n5 4\n-1.0\n")
 
 
 def test_pfm_header_is_little_endian(tmp_path):
