@@ -204,7 +204,7 @@ def si_loss(pred: np.ndarray, gt: Grid1, params: DepthLossParams) -> tuple[float
     """
     if pred.shape != gt.values.shape:
         raise ShapeError("prediction and ground-truth shapes disagree")
-    mask = gt.valid & (gt.values > 0)
+    mask = gt.plane > 0  # NaN off the mask is not > 0
     grad = np.zeros(pred.shape)
     t = int(np.count_nonzero(mask))
     if t == 0:
@@ -212,7 +212,7 @@ def si_loss(pred: np.ndarray, gt: Grid1, params: DepthLossParams) -> tuple[float
     p = pred[mask]
     if np.any(p <= 0):
         raise DomainError("prediction must be positive on evaluated pixels")
-    g = np.log(p) - np.log(gt.values[mask])
+    g = np.log(p) - np.log(gt.plane[mask])
     s1 = float(np.sum(g))
     s2 = float(np.sum(g * g))
     v = s2 / t - params.variance_focus * (s1 / t) ** 2

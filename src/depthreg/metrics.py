@@ -36,12 +36,12 @@ def compute_metrics(pred: np.ndarray, gt: Grid1) -> MetricReport:
     """The seven depth metrics of the (H, W) prediction array over the valid evaluation pixels."""
     if pred.shape != gt.values.shape:
         raise ShapeError("prediction and ground-truth shapes disagree")
-    mask = gt.valid & (gt.values > 0) & (pred > 0)
+    mask = (gt.plane > 0) & (pred > 0)  # NaN off the mask is not > 0
     n = int(np.count_nonzero(mask))
     if n == 0:
         raise EmptyEvaluation("no valid pixel to evaluate")
     p = pred[mask]
-    g = gt.values[mask]
+    g = gt.plane[mask]
 
     err = np.abs(p - g)
     thresh = np.maximum(p / g, g / p)

@@ -96,11 +96,13 @@ def model_forward(model: ToyModel, image: Grid3, scratch: Scratch | None = None)
     """Forward pass; returns (features, prediction, cache for backward).
 
     Every activation is channel-planar, ``(channels, P)`` over the P pixels
-    in row-major order: a layer is ``w @ x`` plus a bias column, so each
-    ufunc runs along a row P values long.  ``features`` is an ``(H, W, C)``
-    read-only view of the planar ``(C, H, W)`` feature block, the layout
-    ``reg_loss`` reads, and ``prediction`` the read-only ``(H, W)`` view of
-    ``exp(z)``, finite and >= 0.
+    in row-major order, so each ufunc runs along a row P values long.  The
+    input (a planar copy of the image) and both hidden layers carry a last
+    row of ones, so a layer is one gemm of ``[w | b]`` against its input.
+    ``features`` is an ``(H, W, C)`` read-only view of the planar
+    ``(C, H, W)`` feature block, the layout ``reg_loss`` reads, and
+    ``prediction`` the read-only ``(H, W)`` view of ``exp(z)``, finite and
+    >= 0.
     With a ``scratch`` every array returned is one of its buffers, valid
     until the next call with that arena.
     """
@@ -108,15 +110,16 @@ def model_forward(model: ToyModel, image: Grid3, scratch: Scratch | None = None)
         raise ShapeError(f"model expects {model.c_in} input channels, got {image.channels}")
     h, w = image.height, image.width
     p = h * w
-    x = image.data.reshape(p, model.c_in)  # its transpose is the planar input
-    h1 = np.matmul(model.w1, x.T, out=take(scratch, "h1", (model.w1.shape[0], p)))
-    h1 += model.b1[:, None]
-    np.tanh(h1, out=h1)
-    h2 = np.matmul(model.w2, h1, out=take(scratch, "h2", (model.w2.shape[0], p)))
-    h2 += model.b2[:, None]
-    np.tanh(h2, out=h2)
-    f = np.matmul(model.w3, h2, out=take(scratch, "f", (model.c_feat, p)))
-    f += model.b3[:, None]
+    c_in, n1, n2 = model.c_in, model.w1.shape[0], model.w2.shape[0]
+    rows = image.data.reshape(p, c_in)
+    x = take(scratch, "x", (c_in + 1, p))
+    x[:c_in] = rows.T
+    h1 = take(scratch, "h1", (n1 + 1, p))
+    h2 = take(scratch, "h2", (n2 + 1, p))
+    x[c_in] = h1[n1] = h2[n2] = 1.0
+    np.tanh(_affine(model.w1, model.b1, x, rows.T, h1[:n1]), out=h1[:n1])
+    np.tanh(_affine(model.w2, model.b2, h1, h1[:n1], h2[:n2]), out=h2[:n2])
+    f = _affine(model.w3, model.b3, h2, h2[:n2], take(scratch, "f", (model.c_feat, p)))
     z = np.matmul(model.w4, f, out=take(scratch, "z", (p,)))
     z += model.b4
     if not np.all(np.isfinite(z)):
@@ -126,7 +129,7 @@ def model_forward(model: ToyModel, image: Grid3, scratch: Scratch | None = None)
         raise DomainError("model output diverged (prediction overflow)")
     f.setflags(write=False)  # both outputs are views of these cached arrays
     pred.setflags(write=False)
-    cache = {"x": x, "h1": h1, "h2": h2, "f": f, "pred": pred}
+    cache = {"x": rows, "h1": h1[:n1], "h2": h2[:n2], "f": f, "pred": pred}
     _check_finite(f)
     features = _view(Grid3, data=f.reshape(model.c_feat, h, w).transpose(1, 2, 0))
     return features, pred.reshape(h, w), cache
@@ -162,6 +165,22 @@ def model_backward(model: ToyModel, cache, d_feat: np.ndarray, d_pred: np.ndarra
     return np.concatenate(
         [dw1.ravel(), db1, dw2.ravel(), db2, dw3.ravel(), db3, dw4, [db4]]
     )
+
+
+def _affine(w: np.ndarray, b: np.ndarray, x: np.ndarray, bare: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """``w @ bare + b`` into ``out``, ``x`` being ``bare`` over a last row of ones.
+
+    The bias rides in the gemm as the last column of ``[w | b]``, with the
+    bits of a separate bias add.  A layer of one output channel keeps that
+    add: numpy hands ``(1, k) @ (k, P)`` to BLAS gemv, which rounds a folded
+    bias differently.
+    """
+    if w.shape[0] == 1:
+        np.matmul(w, bare, out=out)
+        out += b[:, None]
+        return out
+    return np.matmul(np.column_stack([w, b]), x, out=out)
 
 
 def _affine_grads(dy: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -139,16 +139,20 @@ def batch_objective(model: ToyModel, scenes: list[SyntheticScene], reg_cfg: RegC
     depths = [sc.depth for sc in scenes]
 
     h, w, c = feats[0].data.shape
-    d_feat = [arena.take("d_feat", (c, h, w)) for arena in items]  # channel-planar
     d_pred = [arena.take("d_pred", (h, w)) for arena in items]
-    for g in d_feat + d_pred:
+    for g in d_pred:
         g.fill(0.0)
 
     l_re = 0.0
     contributing = 0
     breakdown: dict[str, float] = {}
     use_reg = reg_cfg.enabled and (reg_cfg.n_within + reg_cfg.n_across) > 0
+    # Off, every feature gradient is one read-only zero view: nothing to fill.
+    d_feat = [np.broadcast_to(0.0, (c, h, w))] * k
     if use_reg:
+        d_feat = [arena.take("d_feat", (c, h, w)) for arena in items]  # channel-planar
+        for g in d_feat:
+            g.fill(0.0)
         rng = SeedRng(sample_seed)
         batch = Batch(tuple(zip(feats, depths)))
         for a in range(k):

@@ -6,7 +6,8 @@ channel-planar gradient in its grid's own frame: a shifted sample's by one
 ``roll_into`` back and one add.  These tests pin that routing against
 materialized rolled copies bit for bit, that no arena buffer leaves a step
 or a call made without an arena, that no step makes a planar feature
-copy, and that a steady-state step allocates little.
+copy, that a step without the regularizer fills no feature gradient, and
+that a steady-state step allocates little.
 """
 
 import tracemalloc
@@ -198,6 +199,22 @@ def test_disabled_regularizer_makes_no_planar_feature_copy(monkeypatch):
         scenes = scene_pool(606, 4, 16, 12, 0.5, 10.0)
         batch_objective(ToyModel.init(SeedRng(606)), scenes, reg_cfg, DepthLossParams(), 1)
         assert "planar" not in arena_keys(train._ARENA)
+
+
+def test_disabled_regularizer_fills_no_feature_gradient(monkeypatch):
+    """Without the regularizer every item's feature gradient is one read-only zero view."""
+    monkeypatch.setattr(train, "_ARENA", Scratch())
+    seen = []
+    monkeypatch.setattr(train, "model_backward",
+                        lambda m, cache, d_feat, *rest: seen.append(d_feat) or np.zeros(1))
+    scenes = scene_pool(606, 4, 16, 12, 0.5, 10.0)
+    batch_objective(ToyModel.init(SeedRng(606)), scenes, replace(MULTI, strategy=None),
+                    DepthLossParams(), 1)
+    assert "d_feat" not in arena_keys(train._ARENA)
+    assert len(seen) == 4
+    for d_feat in seen:
+        assert d_feat.shape == (6, 16, 12) and not d_feat.flags.writeable
+        assert not np.any(d_feat) and not np.any(np.signbit(d_feat))
 
 
 # ---------------------------------------------------------------------------

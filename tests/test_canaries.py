@@ -213,6 +213,16 @@ def errstate_sets_nothing(errstate):
     return lambda **kwargs: contextlib.nullcontext()
 
 
+def bias_column_dropped(affine):
+    """``_affine`` multiplying ``[w | 0]``: the augmented weights without their bias column."""
+    return lambda w, b, x, bare, out: affine(w, np.zeros_like(b), x, bare, out)
+
+
+def zero_view_of_minus_zero(broadcast_to):
+    """numpy's ``broadcast_to`` viewing the negated array: the zero feature view holds -0.0."""
+    return lambda array, shape, subok=False: broadcast_to(np.negative(array), shape, subok)
+
+
 def does_nothing(check):
     return lambda *args: None
 
@@ -326,6 +336,12 @@ CANARIES = [
                  DEEP_CONFIG_THROUGH_ABLATE, id="deep-config-recursion-error"),
     pytest.param((np, "errstate"), errstate_sets_nothing, SIGNALLING_NAN_THROUGH_EVAL,
                  id="pfm-cast-warns-on-signalling-nan"),
+    pytest.param((model, "_affine"), bias_column_dropped,
+                 partial(test_step_digest.test_step_matches_golden_digest, ("disabled", 64, 64)),
+                 marks=test_step_digest.pytestmark, id="augmented-weights-without-bias"),
+    pytest.param((np, "broadcast_to"), zero_view_of_minus_zero,
+                 test_toybench.test_zero_feature_view_gives_the_bytes_of_a_zero_array,
+                 id="zero-feature-view-of-minus-zero"),
 ]
 
 

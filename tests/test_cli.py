@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import importlib
 import io
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from depthreg import experiment
@@ -541,6 +543,113 @@ def test_eval_of_any_pfm_bytes_exits_0_or_2_with_at_most_one_error_line(files):
             Path(tmp, "depth.pfm.mask").write_bytes(mask)
         code, err = exit_and_stderr(["eval", "--pred", path, "--gt", path])
     assert (code, err) == (0, []) or (code == 2 and len(err) == 1 and err[0].startswith("error:"))
+
+
+FUZZ_BASE = tiny_config("unused")
+FUZZ_BASE["scene"].update(height=8, width=8)
+FUZZ_BASE["regularization"].update(n_within=1)
+FUZZ_BASE["schedule"].update(steps=2, seeds=[5], train_scenes=2, eval_scenes=1, eval_every=1)
+FUZZ_BASE["ablation"] = {
+    "strategies": {"baseline": {"kind": "disabled"},
+                   "uniform": {"kind": "uniform", "r_n": 0.5, "m_u": 4.0}},
+    "sweep": {"n_across": [1]},
+}
+# Numbers a config can take are drawn more often than other JSON values.
+FUZZ_VALUES = [-1, 0, 0, 1, 1, 2, 2, 3, 0.5, 0.5, 4.0, -0.0, 1e-300, 1e300, float("nan"),
+               float("inf"), -float("inf"), None, True, "", "x", [], {}, [1, 2],
+               {"kind": "disabled"}]
+# Keys that size a run, with the largest value a tiny run may ask for.
+TINY = {"height": 16, "width": 16, "steps": 8, "train_scenes": 8, "eval_scenes": 4,
+        "batch_size": 4, "n_within": 4, "n_across": 4}
+PROGRESS_LINE = re.compile(r"\[\d+/\d+\] .+ seed -?\d+: \d+ steps, (abs_rel=\S+|DIVERGED)$")
+
+
+def json_paths(node, prefix=()):
+    """The key path of every dict entry and list item under ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+def mutated(cfg, edits):
+    """``cfg`` with each ``(path, kind, value)`` edit whose path is still there applied.
+
+    ``set`` puts ``value`` at the path, ``drop`` deletes it and ``add``
+    puts ``value`` beside it, under the key ``"unknown"`` or at a list's end.
+    """
+    cfg = copy.deepcopy(cfg)
+    for path, kind, value in edits:
+        parent = cfg
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue
+        value = copy.deepcopy(value)
+        if kind == "set":
+            parent[path[-1]] = value
+        elif kind == "drop":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent["unknown"] = value
+        else:
+            parent.append(value)
+    return cfg
+
+
+def asks_for_more_than_a_tiny_run(node) -> bool:
+    """Whether any size key in a JSON tree is past ``TINY``, or any list longer than 3."""
+    if isinstance(node, list):
+        return len(node) > 3 or any(map(asks_for_more_than_a_tiny_run, node))
+    if not isinstance(node, dict):
+        return False
+    for key, value in node.items():
+        numbers = value if isinstance(value, list) else [value]
+        if key in TINY and any(isinstance(v, (int, float)) and v > TINY[key] for v in numbers):
+            return True
+    return any(map(asks_for_more_than_a_tiny_run, node.values()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["train", "ablate", "gen-scenes"]),
+       edits=st.lists(st.tuples(st.sampled_from(list(json_paths(FUZZ_BASE))),
+                                st.sampled_from(["set"] * 4 + ["drop", "add"]),
+                                st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3),
+       splice=st.sampled_from([None] * 14 + [b"", b"}", b"[", b'"', b",", b"\xff", b"9"]),
+       at=st.floats(0.0, 1.0))
+def test_any_small_config_exits_0_or_2_and_writes_strict_json(command, edits, splice, at):
+    """A mutated config trains, ablates or makes scenes, or is one ``error:`` line; never more.
+
+    Each example edits a tiny config one to three times and may splice a
+    byte or none over the byte at fraction ``at`` of its text (none cuts the
+    text there).  Stderr holds progress lines and, on exit 2, one ``error:``
+    line last; every JSON file written is strict.  Configs that ask for more
+    than a tiny run are skipped.
+    """
+    text = json.dumps(mutated(FUZZ_BASE, edits)).encode()
+    if splice is not None:
+        i = int(at * len(text))
+        text = text[:i] + splice + (text[i + 1:] if splice else b"")
+    try:
+        parsed = json.loads(text)
+    except (ValueError, RecursionError):
+        parsed = None
+    assume(not asks_for_more_than_a_tiny_run(parsed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.json")
+        path.write_bytes(text)
+        argv = [command, "--config", path, "--out", Path(tmp, "out")]
+        code, err = exit_and_stderr(argv + (["--count", 1] if command == "gen-scenes" else []))
+        for written in Path(tmp).rglob("*.json"):
+            if written != path:
+                strict_json(written)
+    assert code in (0, 2), err
+    progress = err[:-1] if code == 2 else err
+    assert all(PROGRESS_LINE.match(line) for line in progress), err
+    assert code == 0 or err[-1].startswith("error:"), err
 
 
 # Each case gets tmp_path and the paths of a valid config and depth map in it.

@@ -2,7 +2,8 @@
 
 ``batch_objective``'s outputs (losses, contributing count, the flat
 gradient and the breakdown) for multi-range, uniform and across-only
-regularizers on 64x64 and 12x9 scenes must hash to the digests below.
+regularizers and for a disabled one (the baseline step, model and depth
+loss alone) on 64x64 and 12x9 scenes must hash to the digests below.
 They were re-recorded once when the model became channel-planar: its
 hidden activations and features kept their bits, but ``z`` and ``dw4`` go
 through BLAS gemv with the matrix in the other orientation, and the
@@ -41,6 +42,7 @@ CONFIGS = {
                          n_within=10, n_across=4),
     "across_only": RegConfig(r_p=0.1, strategy=(NegativeRange(0.5, 1.0, 2.0),),
                              n_within=0, n_across=3),
+    "disabled": RegConfig(r_p=0.1, strategy=None),
 }
 
 DIGESTS = {
@@ -50,6 +52,8 @@ DIGESTS = {
     ("uniform", 12, 9): "9e31b8425eb1f94dfa45a91c6e30f0825ef5d34539661b6013fb1c4aa4239d17",
     ("across_only", 64, 64): "ab9ebde042d4fd6264bb6b5c544abe0ab7ed9fc33007ff07b1312d98720ca88c",
     ("across_only", 12, 9): "c7342b94643746762004dc096f27a7db04728229c6d265f4266aa1aebc037b30",
+    ("disabled", 64, 64): "e3386e9374e705bf085dcbf722734cf18da0277d6ae5272626bf41b160956d92",
+    ("disabled", 12, 9): "45597657925524a8e145c68d6173181eec8050e7fd0de3ba87703740018c92d7",
 }
 ONE_COLUMN_DIGEST = "01c0c67f9c05c1a351664dd23298cd8349f84157678daa44c63c576ec9ebc4b9"
 

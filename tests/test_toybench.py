@@ -141,7 +141,8 @@ def test_planar_model_matches_the_row_per_pixel_reference(seed, h1, h2, c_feat, 
     last bits.  So may a layer of one output channel over two or more
     planar input rows: numpy hands ``(1, k) @ (k, P)`` to BLAS gemv with the
     matrix in the other orientation, as it does for ``z``.  The first layer
-    reads the image's own ``(P, 3)`` rows, so it keeps its bits at any width.
+    keeps its bits at any width: with one output channel it reads the
+    image's own ``(P, 3)`` rows, and wider it folds its bias into the gemm.
     """
     rng = SeedRng(seed)
     m = ToyModel.init(rng, hidden=(h1, h2), c_feat=c_feat)
@@ -163,6 +164,29 @@ def test_planar_model_matches_the_row_per_pixel_reference(seed, h1, h2, c_feat, 
     got = model_backward(m, cache, d_feat, d_pred, Scratch())
     want = reference_backward(m, x, r1, r2, rf, rpred, d_feat, d_pred)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_zero_feature_view_gives_the_bytes_of_a_zero_array():
+    """A step without the regularizer hands ``model_backward`` one read-only zero view.
+
+    With ``ToyModel.init``'s zero ``w4``, ``df = w4[:, None] * dz`` is -0.0
+    wherever ``dz`` is negative, here everywhere.  Adding the +0.0 view
+    turns each into +0.0, as adding a zero array does.  The gradient's sums
+    start from +0.0 and cannot show the sign, so ``df`` itself, left in the
+    arena, is compared too: after a -0.0 view it would hold -0.0.
+    """
+    m = ToyModel.init(SeedRng(4))
+    sc = gen_scene(5, 8, 8, 0.5, 10.0)
+    _, p, cache = model_forward(m, sc.image)
+    d_pred = -1.0 - SeedRng(6).uniforms(p.size).reshape(p.shape)
+    shape = (m.c_feat, 8, 8)
+    arena = Scratch()
+
+    def backward(d_feat):
+        grad = model_backward(m, cache, d_feat, d_pred, arena)
+        return grad.tobytes(), arena.take("df", (m.c_feat, p.size)).tobytes()
+
+    assert backward(np.broadcast_to(0.0, shape)) == backward(np.zeros(shape))
 
 
 def separation_reference(features, depth, near, far, n_pairs=4096, seed=2026):
