@@ -18,18 +18,14 @@ import numpy as np
 
 from .errors import DepthRegError
 from .experiment import (
-    CONFIG_KEYS,
-    SceneParams,
     _dump_json,
     ablation_runs,
-    check_keys,
     config_from_dict,
-    config_to_dict,
-    from_section,
     load_config_file,
-    reg_config_from_dict,
     run_ablation,
     run_experiment,
+    scene_config_from_dict,
+    train_plan,
 )
 from .grid import SeedRng, roll_into
 from .identify import identify
@@ -76,11 +72,6 @@ def cmd_oracle(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _write_config_echo(out: Path, cfg) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "config.json", config_to_dict(cfg))
-
-
 def _fmt(value: float | None, spec: str) -> str:
     """A summary value for a console line; null (non-finite) prints as n/a."""
     return "n/a" if value is None else format(value, spec)
@@ -108,9 +99,9 @@ def cmd_train(args) -> int:
     cfg = config_from_dict(load_config_file(args.config))
     if args.seed is not None:
         cfg = replace(cfg, schedule=replace(cfg.schedule, seeds=(args.seed,)))
+    plan = train_plan(cfg)  # a run the schedule cannot train fails before anything is written
     out = Path(args.out if args.out is not None else cfg.output_dir)
-    _write_config_echo(out, cfg)
-    runs = run_experiment(cfg, [("run", cfg.reg)], out, on_run=_progress(len(cfg.schedule.seeds)))
+    runs = run_experiment(cfg, plan, out, on_run=_progress(len(cfg.schedule.seeds)))
     for seed, s in runs["run"].items():
         final = s["final_eval"]
         if s["diverged"]:
@@ -127,7 +118,6 @@ def cmd_ablate(args) -> int:
     # a bad section fails before anything is written
     plan = ablation_runs(cfg, raw.get("ablation", {}))
     out = Path(args.out if args.out is not None else cfg.output_dir)
-    _write_config_echo(out, cfg)
     summary = run_ablation(cfg, plan, out, on_run=_progress(len(plan) * len(cfg.schedule.seeds)))
     for name, s in summary["strategies"].items():
         print(f"{name}: mean_abs_rel={_fmt(s['mean_abs_rel'], '.6f')} "
@@ -148,9 +138,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen_scenes(args) -> int:
-    raw = check_keys(load_config_file(args.config), "config", ("scene",), CONFIG_KEYS)
-    scene = from_section(SceneParams, raw["scene"], "scene")
-    reg_cfg = reg_config_from_dict(raw["regularization"]) if "regularization" in raw else None
+    raw = load_config_file(args.config)
+    scene, reg_cfg = scene_config_from_dict(raw)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seq = SeedRng(args.seed)

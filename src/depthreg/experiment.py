@@ -210,6 +210,13 @@ def reg_config_from_dict(d: dict) -> RegConfig:
                         strategy=partial(strategy_from_dict, where="regularization.strategy"))
 
 
+def scene_config_from_dict(d: dict) -> tuple[SceneParams, RegConfig | None]:
+    """``gen-scenes``' scene and, if given, regularizer; no other section is read."""
+    check_keys(d, "config", ("scene",), CONFIG_KEYS)
+    scene = from_section(SceneParams, d["scene"], "scene")
+    return scene, reg_config_from_dict(d["regularization"]) if "regularization" in d else None
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     """The experiment a config describes; its "ablation" section is ``ablation_from_dict``'s."""
     check_keys(d, "config", ("scene", "regularization", "schedule"), CONFIG_KEYS)
@@ -250,6 +257,21 @@ def ablation_from_dict(d: dict) -> Ablation:
     )
 
 
+def _checked(cfg: ExperimentConfig, where: str, base: RegConfig, **changes) -> RegConfig:
+    """``replace(base, **changes)``, once ``cfg.schedule`` can train it; errors name ``where``."""
+    try:
+        built = replace(base, **changes)
+        check_batch(built, cfg.schedule)
+        return built
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{where}: {exc}") from exc
+
+
+def train_plan(cfg: ExperimentConfig) -> list[tuple[str, RegConfig, None]]:
+    """``depthreg train``'s run plan: the one run ``run`` of ``cfg.reg``, checked up front."""
+    return [("run", _checked(cfg, "regularization", cfg.reg), None)]
+
+
 def ablation_runs(cfg: ExperimentConfig, d: dict) -> list[tuple[str, RegConfig, tuple | None]]:
     """The run plan of the "ablation" section ``d``, every run checked up front.
 
@@ -265,22 +287,13 @@ def ablation_runs(cfg: ExperimentConfig, d: dict) -> list[tuple[str, RegConfig, 
     would escape the output directory or be overwritten.
     """
     ab = ablation_from_dict(d)
-    reg = cfg.reg
-
-    def build(where: str, base: RegConfig, **changes) -> RegConfig:
-        try:
-            built = replace(base, **changes)
-            check_batch(built, cfg.schedule)
-            return built
-        except InvalidConfig as exc:
-            raise InvalidConfig(f"{where}: {exc}") from exc
-
-    plan = [(name, build(f"ablation.strategies.{name}", reg, strategy=s), None)
+    build = partial(_checked, cfg)
+    plan = [(name, build(f"ablation.strategies.{name}", cfg.reg, strategy=s), None)
             for name, s in ab.strategies.items()]
     taken = {"", ".", "..", "config.json", "ablation_summary.json"}
     for axis, counts in asdict(ab.sweep).items():
         if counts:
-            swept = build("ablation.sweep_strategy", reg, strategy=ab.sweep_strategy,
+            swept = build("ablation.sweep_strategy", cfg.reg, strategy=ab.sweep_strategy,
                           n_within=0, n_across=0)
             plan += [(f"sweep_{axis}_{count}", build(f"ablation.sweep.{axis}", swept,
                                                      **{axis: count}), (axis, count))
@@ -378,17 +391,20 @@ def write_run_outputs(run_dir: Path, record: TrainRecord, seed: int) -> dict:
 def run_experiment(cfg: ExperimentConfig, plan: list, out_dir: Path, on_run=None) -> dict:
     """Every (label, seed) run of ``plan``, label-major; returns {label: {seed: summary}}.
 
-    ``plan`` lists ``(label, RegConfig, ...)`` entries, each trained on every
-    seed of ``cfg.schedule`` into ``out_dir/<label>/seed_<seed>``.
+    ``out_dir/config.json`` echoes ``cfg`` first.  ``plan`` lists checked
+    ``(label, RegConfig, point)`` entries, each trained on every seed of
+    ``cfg.schedule`` into ``out_dir/<label>/seed_<seed>``.
     ``on_run(label, seed, summary)``, if given, is called once each run's
     outputs are written.  Every run takes its scene pools from one store
     that lives as long as this call, so each seed's pools are generated
     once, not once per run.
     """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _dump_json(out_dir / "config.json", config_to_dict(cfg))
     shape, depths = (cfg.scene.height, cfg.scene.width), (cfg.scene.d_min, cfg.scene.d_max)
     pools: dict = {}
     runs: dict = {}
-    for label, reg, *_ in plan:
+    for label, reg, _ in plan:
         runs[label] = {}
         for seed in cfg.schedule.seeds:
             record = train_run(shape, depths, reg, cfg.depth_loss, cfg.schedule, seed,

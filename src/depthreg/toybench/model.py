@@ -44,20 +44,16 @@ class ToyModel:
     b4: float
 
     @classmethod
-    def init(cls, rng: SeedRng, c_in: int = 3, hidden: tuple[int, int] = (12, 12),
-             c_feat: int = 6, feat_scale: float = 16.0) -> "ToyModel":
-        """Seeded init.
-
-        ``feat_scale`` sets the spread of the feature head so that initial
-        cross-pixel feature distances are commensurate with the hinge margins
-        (a few units), the regime the margins were designed for; with unit
-        scale every hinge starts deeply active and the regularizer spends the
-        whole run inflating the feature space instead of shaping it.
-        """
+    def init(cls, rng: SeedRng, hidden: tuple[int, int] = (12, 12), c_feat: int = 6) -> "ToyModel":
+        """Seeded init for an RGB image."""
         h1, h2 = hidden
-        w1 = rng.normals(h1 * c_in).reshape(h1, c_in) / np.sqrt(c_in)
+        w1 = rng.normals(h1 * 3).reshape(h1, 3) / np.sqrt(3)
         w2 = rng.normals(h2 * h1).reshape(h2, h1) / np.sqrt(h1)
-        w3 = rng.normals(c_feat * h2).reshape(c_feat, h2) * (feat_scale / np.sqrt(h2))
+        # A feature-head spread of 16 puts initial cross-pixel feature distances
+        # at the hinge margins' scale (a few units); at unit scale every hinge
+        # starts deeply active and the regularizer spends the whole run
+        # inflating the feature space instead of shaping it.
+        w3 = rng.normals(c_feat * h2).reshape(c_feat, h2) * (16.0 / np.sqrt(h2))
         return cls(
             w1=w1, b1=np.zeros(h1),
             w2=w2, b2=np.zeros(h2),

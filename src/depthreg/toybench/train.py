@@ -56,15 +56,15 @@ class TrainRecord:
 
 
 @functools.lru_cache(maxsize=8)
-def _separation_pairs(p: int, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only flat pixel indices ``(i1, i2)`` of ``feature_separation``'s pairs.
+def _separation_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat pixel indices ``(i1, i2)`` of ``feature_separation``'s 4096 pairs.
 
-    The draw depends only on the map size and the seed, so it is made once
-    per (p, n_pairs, seed) and shared by every later evaluation.
+    The draw, from the fixed seed 2026, depends only on the map size, so it
+    is made once per pixel count and shared by every later evaluation.
     """
-    idx = np.minimum((SeedRng(seed).uniforms(2 * n_pairs) * p).astype(np.int64), p - 1)
+    idx = np.minimum((SeedRng(2026).uniforms(2 * 4096) * p).astype(np.int64), p - 1)
     idx.setflags(write=False)
-    return idx[:n_pairs], idx[n_pairs:]
+    return idx[:4096], idx[4096:]
 
 
 def _pair_sq_distances(feats: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
@@ -82,11 +82,10 @@ def _pair_sq_distances(feats: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.
     return np.sum(sq, axis=0)
 
 
-def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
-                       n_pairs: int = 4096, seed: int = 2026) -> float:
+def feature_separation(features: Grid3, depth: Grid1, near: float, far: float) -> float:
     """Mean feature distance of far-depth pairs over that of near-depth pairs.
 
-    Pairs are pixel positions drawn with a fixed seed; a pair is "near" when
+    The 4096 pairs are pixel positions from a fixed seed; a pair is "near" when
     its depth differential is below ``near`` and "far" when it is above
     ``far``.  Returns 1.0 when both means vanish (constant features), +inf
     when no near pair exists or near pairs sit at distance zero, and NaN
@@ -94,7 +93,7 @@ def feature_separation(features: Grid3, depth: Grid1, near: float, far: float,
     """
     h, w = features.height, features.width
     p = h * w
-    i1, i2 = _separation_pairs(p, n_pairs, seed)
+    i1, i2 = _separation_pairs(p)
     plane = depth.plane.reshape(p)
     dd = np.abs(plane[i1] - plane[i2])  # NaN, so neither near nor far, unless both are valid
     planar = features.data.transpose(2, 0, 1).reshape(-1, p)  # a view when the features are planar
@@ -213,10 +212,8 @@ def check_batch(reg_cfg: RegConfig, schedule: Schedule) -> None:
         raise InvalidConfig("cross-batch sampling needs batch_size >= 2")
 
 
-def _pool(pools: dict | None, *key) -> list[SyntheticScene]:
-    """``scene_pool(*key)``, taken from ``pools`` and stored there when it is a store."""
-    if pools is None:
-        return scene_pool(*key)
+def _pool(pools: dict, *key) -> list[SyntheticScene]:
+    """``scene_pool(*key)``, taken from the store ``pools``; a miss generates and stores it."""
     if key not in pools:
         pools[key] = scene_pool(*key)
     return pools[key]
@@ -224,9 +221,8 @@ def _pool(pools: dict | None, *key) -> list[SyntheticScene]:
 
 def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
               reg_cfg: RegConfig, depth_params: DepthLossParams, schedule: Schedule,
-              seed: int, separation: tuple[float, float],
-              pools: dict | None = None) -> TrainRecord:
-    """One seeded training run; bit-identical when repeated.
+              seed: int, separation: tuple[float, float], pools: dict) -> TrainRecord:
+    """One seeded training run of a checked plan entry; bit-identical when repeated.
 
     The scene pools and model initialization derive from ``seed`` alone (not
     from the strategy), so runs differing only in ``reg_cfg`` are paired:
@@ -234,13 +230,12 @@ def train_run(scene_shape: tuple[int, int], depth_range: tuple[float, float],
     or a model overflow, in a step or in an evaluation, ends the run,
     recorded as diverged at that step.
 
-    ``pools``, if given, is a store of scene pools shared by the runs of one
-    ablation: each pool is keyed by its ``scene_pool`` arguments (pool seed,
-    count, h, w, d_min, d_max), generated on a miss and reused, unchanged,
-    by every later run that asks for it.  Scenes are frozen, so sharing
-    them changes no output.
+    ``pools`` is a store of scene pools shared by the runs of one plan:
+    each pool is keyed by its ``scene_pool`` arguments (pool seed, count,
+    h, w, d_min, d_max), generated on a miss and reused, unchanged, by every
+    later run that asks for it.  Scenes are frozen, so sharing them changes
+    no output.
     """
-    check_batch(reg_cfg, schedule)
     h, w = scene_shape
     d_min, d_max = depth_range
 

@@ -26,7 +26,7 @@ import test_sampling
 import test_step_digest
 import test_toybench
 import test_verification
-from depthreg import cli, grid, identify, losses, sampling, verification
+from depthreg import cli, experiment, grid, identify, losses, sampling, verification
 from depthreg.errors import InvalidConfig
 from depthreg.grid import Grid1
 from depthreg.identify import POSITIVE, NegativeRange, RegConfig
@@ -179,6 +179,11 @@ def batch_check_ignores_enabled(check_batch):
     return mutant
 
 
+def plan_entry_unchecked(train_plan):
+    """``train_plan`` handing out ``cfg.reg`` as it is, never asking ``check_batch``."""
+    return lambda cfg: [("run", cfg.reg, None)]
+
+
 def empty_range_answers_one(gen_shift_seed):
     """``gen_shift_seed`` answering 1 where its range [1, n-1] is empty (n < 2)."""
     return lambda rng, n: 1 if n < 2 else gen_shift_seed(rng, n)
@@ -319,10 +324,14 @@ CANARIES = [
                  id="classify-closed-above"),
     pytest.param((identify, "_classify"), nan_as_positive, PIXEL_IN_A_HOLE,
                  id="classify-nan-as-positive"),
-    pytest.param((train, "check_batch"), batch_check_ignores_enabled,
+    pytest.param((experiment, "check_batch"), batch_check_ignores_enabled,
                  in_a_fresh_directory(
                      test_cli.TestTrainCommand().test_disabled_strategy_with_batch_of_one_trains),
                  id="batch-check-ignores-enabled"),
+    pytest.param((cli, "train_plan"), plan_entry_unchecked,
+                 in_a_fresh_directory(lambda tmp, capsys: test_cli.TestTrainCommand()
+                                      .test_across_samples_with_batch_of_one_exits_2(tmp)),
+                 id="train-plan-entry-unchecked"),
     pytest.param((sampling, "gen_shift_seed"), empty_range_answers_one,
                  test_sampling.test_within_needs_2x2, id="shift-seed-empty-range-within"),
     pytest.param((sampling, "gen_shift_seed"), empty_range_answers_one,

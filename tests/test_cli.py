@@ -350,6 +350,17 @@ class TestTrainCommand:
         assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
         assert (out / "run" / "seed_5" / "record.csv").exists()
 
+    def test_across_samples_with_batch_of_one_exits_2(self, tmp_path):
+        """One scene per batch leaves no other item to draw cross-batch samples from:
+        ``train`` rejects its run before anything is written."""
+        out = tmp_path / "runs"
+        cfg = tiny_config(out)  # n_across 1
+        cfg["schedule"]["batch_size"] = 1
+        code, err = exit_and_stderr(["train", "--config", write_config(tmp_path, cfg)])
+        assert (code, err) == (2, ["error: regularization: cross-batch sampling needs "
+                                   "batch_size >= 2"])
+        assert not out.exists()
+
     def test_missing_config_no_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "runs"
         assert main(["train", "--config", str(tmp_path / "nope.json"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthreg.errors import InvalidConfig
+from depthreg.experiment import ExperimentConfig, SceneParams, Separation, train_plan
 from depthreg.grid import Grid1, Grid3, Scratch, SeedRng
 from depthreg.identify import NegativeRange, RegConfig
 from depthreg.losses import DepthLossParams
@@ -292,8 +293,8 @@ class TestFeatureSeparation:
             assert repr(separation_reference(feats, depth, *SEP)) == want
 
     def test_pairs_are_drawn_once_and_read_only(self):
-        i1, i2 = _separation_pairs(64 * 64, 4096, 2026)
-        assert _separation_pairs(64 * 64, 4096, 2026)[0] is i1
+        i1, i2 = _separation_pairs(64 * 64)
+        assert _separation_pairs(64 * 64)[0] is i1
         for idx in (i1, i2):
             assert idx.shape == (4096,) and not idx.flags.writeable
             with pytest.raises(ValueError):
@@ -313,18 +314,18 @@ class TestTraining:
         # still fluctuates with the per-step shift draws, so pin it off
         sched = self.schedule(steps=5, learning_rate=0.0, train_scenes=2)
         cfg = RegConfig(r_p=0.1, strategy=None)
-        rec = train_run((16, 16), (0.5, 10.0), cfg, DepthLossParams(), sched, 7, SEP)
+        rec = train_run((16, 16), (0.5, 10.0), cfg, DepthLossParams(), sched, 7, SEP, {})
         assert len({s.l_final for s in rec.steps}) == 1
         assert len({s.l_depth for s in rec.steps}) == 1
 
         rec2 = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(),
-                         sched, 7, SEP)
+                         sched, 7, SEP, {})
         assert len({s.l_depth for s in rec2.steps}) == 1
 
     def test_bit_identical_reruns(self):
         sched = self.schedule(steps=8)
-        a = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(), sched, 11, SEP)
-        b = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(), sched, 11, SEP)
+        a = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(), sched, 11, SEP, {})
+        b = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(), sched, 11, SEP, {})
         assert [s.__dict__ for s in a.steps] == [s.__dict__ for s in b.steps]
         assert [e.report for e in a.evals] == [e.report for e in b.evals]
         assert [e.separation for e in a.evals] == [e.separation for e in b.evals]
@@ -332,27 +333,34 @@ class TestTraining:
     def test_baseline_records_zero_reg(self):
         cfg = RegConfig(r_p=0.1, strategy=None, n_within=10, n_across=4)
         rec = train_run((16, 16), (0.5, 10.0), cfg, DepthLossParams(),
-                        self.schedule(), 3, SEP)
+                        self.schedule(), 3, SEP, {})
         assert all(s.l_re == 0.0 for s in rec.steps)
         assert all(s.contributing == 0 for s in rec.steps)
         assert all(s.l_final == s.l_depth for s in rec.steps)
 
     def test_reg_engages_and_is_not_vacuous(self):
         rec = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(),
-                        self.schedule(), 3, SEP)
+                        self.schedule(), 3, SEP, {})
         for s in rec.steps:
             assert s.ignored_fraction < 0.95
             assert s.contributing > 0
             assert s.l_re > 0.0
 
     def test_across_needs_batch_of_two(self):
-        with pytest.raises(InvalidConfig):
-            train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(),
-                      self.schedule(batch_size=1), 3, SEP)
+        def plan(reg, batch_size):
+            return train_plan(ExperimentConfig(SceneParams(16, 16, 0.5, 10.0), reg,
+                                               DepthLossParams(),
+                                               self.schedule(batch_size=batch_size),
+                                               Separation()))
+        assert plan(SMALL_MULTI, 2) == [("run", SMALL_MULTI, None)]
+        disabled = RegConfig(r_p=0.1, strategy=None, n_across=1)
+        assert plan(disabled, 1) == [("run", disabled, None)]
+        with pytest.raises(InvalidConfig, match="^regularization: .*batch_size >= 2"):
+            plan(SMALL_MULTI, 1)
 
     def test_eval_cadence(self):
         rec = train_run((16, 16), (0.5, 10.0), SMALL_MULTI, DepthLossParams(),
-                        self.schedule(steps=7, eval_every=3), 3, SEP)
+                        self.schedule(steps=7, eval_every=3), 3, SEP, {})
         assert [e.step for e in rec.evals] == [2, 5, 6]
 
     @pytest.mark.parametrize("weight", [1.0, 0.5, 0.0])
